@@ -13,7 +13,9 @@
 // entry per operator per config) so later PRs have a machine-readable perf
 // trajectory. Operators without dedicated kernels (counting_bloom,
 // count_window, tuple_store insert+evict) run the same code in both batch
-// and simd columns; the tuple_store probe rows dispatch the §16 match-scan
+// and simd columns. The TupleStore has no batch API, so its rows time the
+// point calls production makes and repeat the scalar measurement in the
+// batch column; the probe rows' simd column dispatches the §16 match-scan
 // kernels.
 //
 // Flags:
@@ -23,8 +25,7 @@
 //                slower than batch (regression guard, not an absolute-speed
 //                gate; operators without kernels time identical code in
 //                both columns, so their simd ratio is noise and is not
-//                gated — and the probe rows' scalar-vs-batch ratio is
-//                likewise ungated, see Entry::gate_batch)
+//                gated)
 //   --out=PATH   JSON output path (default BENCH_hotpath.json)
 #include <algorithm>
 #include <chrono>
@@ -64,11 +65,6 @@ struct Entry {
   // the per-key path at every level — it is touch-bound, DESIGN.md §13),
   // so their ratio is pure measurement noise and --check must not gate it.
   bool has_kernel = false;
-  // Whether the scalar-vs-batch ratio is meaningful. The tuple_store probe
-  // rows set this false: their batch column (batched API, kernels forced
-  // scalar) does the same per-probe work as the scalar point loop, so the
-  // ratio hovers around 1.0 and --check gates only the kernel ratio there.
-  bool gate_batch = true;
   std::size_t batch_size = kBatchSize;
 
   double speedup() const { return batch_ns > 0.0 ? scalar_ns / batch_ns : 0.0; }
@@ -277,6 +273,18 @@ Entry bench_count_window(std::size_t capacity, double min_time_s) {
   return e;
 }
 
+// The TupleStore has no batch API: the node inserts, evicts and probes one
+// tuple at a time. Its rows time exactly those calls. The loop runs once
+// with the kernels forced scalar (reported in both the scalar and the batch
+// column, so the scalar-vs-batch ratio is 1 by construction) and once at the
+// dispatched level (the simd column).
+template <typename MakeFresh, typename Run>
+void measure_point_path(Entry& e, std::size_t items, double min_time_s,
+                        MakeFresh&& make_fresh, Run&& run) {
+  measure_batch_and_simd(e, items, min_time_s, make_fresh, run);
+  e.scalar_ns = e.batch_ns;
+}
+
 Entry bench_tuple_store(double min_time_s) {
   Entry e;
   e.op = "tuple_store";
@@ -284,136 +292,88 @@ Entry bench_tuple_store(double min_time_s) {
   const auto tuples = random_tuples(4 * kBatchSize, 16);
   const double horizon = tuples.back().timestamp + 1.0;
 
-  stream::TupleStore scalar;
-  e.scalar_ns = measure_ns_per_item(tuples.size(), min_time_s, [&] {
-    for (const auto& t : tuples) scalar.insert(t);
-    scalar.evict_before(horizon);
-  });
-
-  std::optional<stream::TupleStore> batch;
-  measure_batch_and_simd(
-      e, tuples.size(), min_time_s, [&] { batch.emplace(); },
+  std::optional<stream::TupleStore> store;
+  measure_point_path(
+      e, tuples.size(), min_time_s, [&] { store.emplace(); },
       [&] {
-        batch->insert_batch(tuples);
-        batch->evict_before(horizon);
+        for (const auto& t : tuples) store->insert(t);
+        store->evict_before(horizon);
       });
   return e;
 }
 
 // Fig. 11 scale: a retention window's worth of stored tuples (Zipf-ish key
-// reuse via `% 512`) probed by an arrival slice. The scalar column is the
-// point probe with kernels forced scalar (the pre-§16 reference path); the
-// batch column is the batched probe API still forced scalar; the simd
-// column dispatches the match-scan kernels.
+// reuse via `% 512`) and an arrival slice of probes against it.
+struct ProbeFixture {
+  stream::TupleStore store;
+  std::vector<stream::Tuple> probes;
+  double half_width = 0.5;
+};
+
+ProbeFixture make_probe_fixture(std::uint64_t seed) {
+  common::Xoshiro256 rng(seed);
+  ProbeFixture f;
+  double ts = 0.0;
+  for (std::size_t i = 0; i < 4096; ++i) {
+    stream::Tuple t;
+    t.id = i + 1;
+    t.key = static_cast<std::int64_t>(rng.next() % 512);
+    ts += 0.001;
+    t.timestamp = ts;
+    t.origin = 0;
+    t.side = stream::StreamSide::kR;
+    f.store.insert(t);
+  }
+  f.probes.resize(4 * kBatchSize);
+  for (std::size_t i = 0; i < f.probes.size(); ++i) {
+    f.probes[i].id = 100000 + i;
+    f.probes[i].key = static_cast<std::int64_t>(rng.next() % 512);
+    f.probes[i].timestamp = rng.next_double_in(0.0, ts);
+    f.probes[i].side = stream::StreamSide::kS;
+  }
+  return f;
+}
+
+// count_matches per probe: the exact-join oracle's call.
 Entry bench_tuple_store_probe(double min_time_s) {
   Entry e;
   e.op = "tuple_store";
   e.config = "probe count";
   e.has_kernel = true;
-  e.gate_batch = false;
-
-  common::Xoshiro256 rng(17);
-  std::vector<stream::Tuple> stored(4096);
-  double ts = 0.0;
-  for (std::size_t i = 0; i < stored.size(); ++i) {
-    stored[i].id = i + 1;
-    stored[i].key = static_cast<std::int64_t>(rng.next() % 512);
-    ts += 0.001;
-    stored[i].timestamp = ts;
-    stored[i].origin = 0;
-    stored[i].side = stream::StreamSide::kR;
-  }
-  std::vector<stream::Tuple> probes(4 * kBatchSize);
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    probes[i].id = 100000 + i;
-    probes[i].key = static_cast<std::int64_t>(rng.next() % 512);
-    probes[i].timestamp = rng.next_double_in(0.0, ts);
-    probes[i].side = stream::StreamSide::kS;
-  }
-  const double half_width = 0.5;
-
-  stream::TupleStore store;
-  store.insert_batch(stored);
+  const ProbeFixture f = make_probe_fixture(17);
 
   volatile std::uint64_t sink = 0;
-  common::simd::force_level(common::simd::Level::kScalar);
-  e.scalar_ns = measure_ns_per_item(probes.size(), min_time_s, [&] {
-    std::uint64_t total = 0;
-    for (const auto& p : probes) {
-      total += store.count_matches(p.key, p.timestamp, half_width);
-    }
-    sink = sink + total;
-  });
-  common::simd::reset_level();
-
-  std::vector<std::uint64_t> counts(probes.size());
-  measure_batch_and_simd(
-      e, probes.size(), min_time_s, [] {},
+  measure_point_path(
+      e, f.probes.size(), min_time_s, [] {},
       [&] {
-        for (std::size_t base = 0; base < probes.size(); base += kBatchSize) {
-          store.count_matches_batch(
-              std::span<const stream::Tuple>(probes).subspan(base, kBatchSize),
-              half_width, counts.data() + base);
+        std::uint64_t total = 0;
+        for (const auto& p : f.probes) {
+          total += f.store.count_matches(p.key, p.timestamp, f.half_width);
         }
-        sink = sink + counts[0];
+        sink = sink + total;
       });
   return e;
 }
 
-// Same store and probe slice through the materializing path
-// (for_each_match / for_each_match_batch), which is what the node's result
-// shipping runs on.
+// collect_matches per probe into a reused vector: the node's call, which
+// its local joins and result shipping run on.
 Entry bench_tuple_store_collect(double min_time_s) {
   Entry e;
   e.op = "tuple_store";
   e.config = "probe collect";
   e.has_kernel = true;
-  e.gate_batch = false;
-
-  common::Xoshiro256 rng(18);
-  std::vector<stream::Tuple> stored(4096);
-  double ts = 0.0;
-  for (std::size_t i = 0; i < stored.size(); ++i) {
-    stored[i].id = i + 1;
-    stored[i].key = static_cast<std::int64_t>(rng.next() % 512);
-    ts += 0.001;
-    stored[i].timestamp = ts;
-    stored[i].origin = 0;
-    stored[i].side = stream::StreamSide::kR;
-  }
-  std::vector<stream::Tuple> probes(4 * kBatchSize);
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    probes[i].id = 100000 + i;
-    probes[i].key = static_cast<std::int64_t>(rng.next() % 512);
-    probes[i].timestamp = rng.next_double_in(0.0, ts);
-    probes[i].side = stream::StreamSide::kS;
-  }
-  const double half_width = 0.5;
-
-  stream::TupleStore store;
-  store.insert_batch(stored);
+  const ProbeFixture f = make_probe_fixture(18);
 
   volatile std::uint64_t sink = 0;
-  common::simd::force_level(common::simd::Level::kScalar);
-  e.scalar_ns = measure_ns_per_item(probes.size(), min_time_s, [&] {
-    std::uint64_t total = 0;
-    for (const auto& p : probes) {
-      store.for_each_match(p.key, p.timestamp, half_width,
-                           [&](const stream::StoredTuple& m) { total += m.id; });
-    }
-    sink = sink + total;
-  });
-  common::simd::reset_level();
-
-  measure_batch_and_simd(
-      e, probes.size(), min_time_s, [] {},
+  std::vector<stream::StoredTuple> matches;
+  measure_point_path(
+      e, f.probes.size(), min_time_s, [] {},
       [&] {
         std::uint64_t total = 0;
-        for (std::size_t base = 0; base < probes.size(); base += kBatchSize) {
-          store.for_each_match_batch(
-              std::span<const stream::Tuple>(probes).subspan(base, kBatchSize),
-              half_width,
-              [&](std::size_t, const stream::StoredTuple& m) { total += m.id; });
+        for (const auto& p : f.probes) {
+          matches.clear();
+          f.store.collect_matches(p.key, p.timestamp, f.half_width, matches);
+          for (const auto& m : matches) total += m.id;
         }
         sink = sink + total;
       });
@@ -434,12 +394,10 @@ void write_json(const std::vector<Entry>& entries, const std::string& path) {
                   "\"scalar_ns_per_item\": %.2f, \"batch_ns_per_item\": %.2f, "
                   "\"simd_ns_per_item\": %.2f, \"speedup\": %.3f, "
                   "\"simd_speedup\": %.3f, \"simd_level\": \"%s\", "
-                  "\"has_kernel\": %s, \"gate_batch\": %s, "
-                  "\"batch_size\": %zu}%s\n",
+                  "\"has_kernel\": %s, \"batch_size\": %zu}%s\n",
                   e.op.c_str(), e.config.c_str(), e.scalar_ns, e.batch_ns,
                   e.simd_ns, e.speedup(), e.simd_speedup(), level,
-                  e.has_kernel ? "true" : "false",
-                  e.gate_batch ? "true" : "false", e.batch_size,
+                  e.has_kernel ? "true" : "false", e.batch_size,
                   i + 1 < entries.size() ? "," : "");
     out << buf;
   }
@@ -510,7 +468,7 @@ int main(int argc, char** argv) {
     std::printf("%-16s %-22s %12.2f %12.2f %12.2f %8.2fx %8.2fx\n",
                 e.op.c_str(), e.config.c_str(), e.scalar_ns, e.batch_ns,
                 e.simd_ns, e.speedup(), e.simd_speedup());
-    if (e.gate_batch && e.speedup() < 0.9) regression = true;
+    if (e.speedup() < 0.9) regression = true;
     if (e.has_kernel && e.simd_speedup() < 0.9) regression = true;
   }
   write_json(entries, out_path);

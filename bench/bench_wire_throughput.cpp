@@ -8,7 +8,7 @@
 // Figure 11 experiment scale. The batched path must win by sharing length
 // headers (one write(2) per record), amortizing the delivery lock across a
 // whole decoded record, and slicing the arrival schedule into
-// Node::on_local_batch calls.
+// NodeHost::ingest_batch calls (one ingest lock acquisition per slice).
 //
 // Flags:
 //   --quick          smaller run (CI smoke)

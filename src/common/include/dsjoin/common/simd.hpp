@@ -2,14 +2,13 @@
 //
 // Every kernel here is BIT-IDENTICAL to its scalar reference at every
 // dispatch level; that invariant is what lets the batch pipelines
-// (SlidingDft, AGMS / Fast-AGMS, counting Bloom) use these kernels without
-// perturbing the cross-backend parity guarantees of DESIGN.md sections
-// 8/12. Identity holds by construction:
+// (SlidingDft, AGMS / Fast-AGMS) and the TupleStore probes use these
+// kernels without perturbing the cross-backend parity guarantees of
+// DESIGN.md sections 8/12. Identity holds by construction:
 //
 //  - The integer kernels compute canonical residues mod the Mersenne prime
-//    2^61 - 1 (or exact 64-bit SplitMix mixes). Modular arithmetic has one
-//    canonical answer, so any correct vectorization is exact and equality
-//    with the scalar path is automatic.
+//    2^61 - 1. Modular arithmetic has one canonical answer, so any correct
+//    vectorization is exact and equality with the scalar path is automatic.
 //  - The DFT kernels are per-lane independent IEEE-754 multiplies and adds:
 //    no reassociation, no horizontal operations, and no FMA contraction
 //    (the build sets -ffp-contract=off globally and the vector bodies use
@@ -91,12 +90,6 @@ void m61_key_powers(const std::uint64_t* keys, std::size_t n,
                     std::uint64_t* x1, std::uint64_t* x2,
                     std::uint64_t* x3) noexcept;
 
-/// out[j] = (c3*x3[j] + c2*x2[j] + c1*x1[j] + c0) mod 2^61-1, canonical —
-/// identical to FourWiseHash::eval_powers on each key.
-void m61_poly_eval(const std::uint64_t* coeff, const std::uint64_t* x1,
-                   const std::uint64_t* x2, const std::uint64_t* x3,
-                   std::size_t n, std::uint64_t* out) noexcept;
-
 /// sum_j (eval_powers(key_j) & 1) — the branchless sign-accumulation sum of
 /// AgmsSketch::update_batch, returned as an exact integer count.
 std::uint64_t m61_poly_parity_sum(const std::uint64_t* coeff,
@@ -138,28 +131,10 @@ std::uint64_t match_count_scan(const std::int64_t* keys, const double* ts,
 
 /// Writes the ascending indices of matching entries to `out` (which must
 /// have room for n values) and returns how many matched. Index order is
-/// what makes the store's for_each_match iteration order independent of
-/// the dispatch level.
+/// what makes the store's collect_matches order independent of the
+/// dispatch level.
 std::size_t match_collect_scan(const std::int64_t* keys, const double* ts,
                                std::size_t n, std::int64_t key, double lo,
                                double hi, std::uint32_t* out) noexcept;
-
-// --- Double-hashing kernels (Bloom probes) ---------------------------------
-
-/// SplitMix64-based double-hash preparation, identical to
-/// DoubleHash::prepare: h1[j] = mix(key^seed1), h2[j] = mix(key^seed2) | 1.
-void double_hash_prepare(std::uint64_t seed1, std::uint64_t seed2,
-                         const std::uint64_t* keys, std::size_t n,
-                         std::uint64_t* h1, std::uint64_t* h2) noexcept;
-
-/// Probe-index table for `probes` probes over n prepared keys:
-///   out[i*n + j] = (h1[j] + i*h2[j]) mod range
-/// (probe-major layout so the per-probe sweep vectorizes; the index math is
-/// exact wrapping u64 arithmetic, identical to DoubleHash::Prepared::index).
-/// Returns false — writing nothing — when range > 2^32, in which case the
-/// caller must use the per-key scalar path (indices would not fit u32).
-bool double_hash_indices(const std::uint64_t* h1, const std::uint64_t* h2,
-                         std::size_t n, std::uint32_t probes,
-                         std::uint64_t range, std::uint32_t* out) noexcept;
 
 }  // namespace dsjoin::common::simd

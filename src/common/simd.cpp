@@ -29,7 +29,7 @@ constexpr std::uint64_t kM61 = (std::uint64_t{1} << 61) - 1;
 
 // ---------------------------------------------------------------------------
 // Scalar reference kernels. These restate the exact arithmetic of the batch
-// callers (KeyPowers::of, FourWiseHash::eval_powers, DoubleHash::prepare);
+// callers (KeyPowers::of, FourWiseHash::eval_powers);
 // the identity tests pin the vector levels against these, and the batch-vs-
 // serial suites pin these against the per-tuple scalar paths.
 // ---------------------------------------------------------------------------
@@ -76,15 +76,6 @@ void key_powers_scalar(const std::uint64_t* keys, std::size_t n,
   }
 }
 
-void poly_eval_scalar(const std::uint64_t* c, const std::uint64_t* x1,
-                      const std::uint64_t* x2, const std::uint64_t* x3,
-                      std::size_t n, std::uint64_t* out) noexcept {
-  const std::uint64_t c0 = c[0], c1 = c[1], c2 = c[2], c3 = c[3];
-  for (std::size_t j = 0; j < n; ++j) {
-    out[j] = poly_eval_one(c0, c1, c2, c3, x1[j], x2[j], x3[j]);
-  }
-}
-
 std::uint64_t parity_sum_scalar(const std::uint64_t* c, const std::uint64_t* x1,
                                 const std::uint64_t* x2, const std::uint64_t* x3,
                                 std::size_t n) noexcept {
@@ -117,43 +108,6 @@ void fast_agms_row_scalar(const std::uint64_t* bucket_coeff,
     row[b] += w2 * static_cast<std::int64_t>(
                        poly_eval_one(s0, s1, s2, s3, x1[j], x2[j], x3[j]) & 1u) -
               weight;
-  }
-}
-
-inline std::uint64_t splitmix(std::uint64_t z) noexcept {
-  // Must stay byte-for-byte the mix of DoubleHash (hash.hpp); the Bloom
-  // identity tests pin prepared batches against DoubleHash::prepare.
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-void prepare_scalar(std::uint64_t seed1, std::uint64_t seed2,
-                    const std::uint64_t* keys, std::size_t n, std::uint64_t* h1,
-                    std::uint64_t* h2) noexcept {
-  for (std::size_t j = 0; j < n; ++j) {
-    h1[j] = splitmix(keys[j] ^ seed1);
-    h2[j] = splitmix(keys[j] ^ seed2) | 1u;
-  }
-}
-
-void indices_scalar(const std::uint64_t* h1, const std::uint64_t* h2,
-                    std::size_t n, std::uint32_t probes, std::uint64_t range,
-                    std::uint32_t* out) noexcept {
-  const bool pow2 = range != 0 && std::has_single_bit(range);
-  const std::uint64_t mask = range - 1;
-  for (std::uint32_t i = 0; i < probes; ++i) {
-    std::uint32_t* row = out + static_cast<std::size_t>(i) * n;
-    const std::uint64_t iu = i;
-    if (pow2) {
-      for (std::size_t j = 0; j < n; ++j) {
-        row[j] = static_cast<std::uint32_t>((h1[j] + iu * h2[j]) & mask);
-      }
-    } else {
-      for (std::size_t j = 0; j < n; ++j) {
-        row[j] = static_cast<std::uint32_t>((h1[j] + iu * h2[j]) % range);
-      }
-    }
   }
 }
 
@@ -345,23 +299,6 @@ DSJOIN_AVX2 inline __m256i poly_eval4(const PolyCoeff4& c, __m256i v1,
       _mm256_add_epi64(_mm256_and_si256(acc, mask), _mm256_srli_epi64(acc, 61)));
 }
 
-DSJOIN_AVX2 void poly_eval_avx2(const std::uint64_t* c, const std::uint64_t* x1,
-                                const std::uint64_t* x2, const std::uint64_t* x3,
-                                std::size_t n, std::uint64_t* out) noexcept {
-  const PolyCoeff4 cc = broadcast_coeff4(c);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256i v1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x1 + j));
-    const __m256i v2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x2 + j));
-    const __m256i v3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x3 + j));
-    const __m256i r =
-        poly_eval4(cc, v1, v2, v3, _mm256_srli_epi64(v1, 32),
-                   _mm256_srli_epi64(v2, 32), _mm256_srli_epi64(v3, 32));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + j), r);
-  }
-  poly_eval_scalar(c, x1 + j, x2 + j, x3 + j, n - j, out + j);
-}
-
 DSJOIN_AVX2 std::uint64_t parity_sum_avx2(const std::uint64_t* c,
                                           const std::uint64_t* x1,
                                           const std::uint64_t* x2,
@@ -429,76 +366,6 @@ DSJOIN_AVX2 void fast_agms_row_avx2(const std::uint64_t* bucket_coeff,
   }
   fast_agms_row_scalar(bucket_coeff, sign_coeff, x1 + j, x2 + j, x3 + j, n - j,
                        buckets, weight, row);
-}
-
-// Exact low 64 bits of a * mult for a constant multiplier, from the two
-// 32x32->64 halves AVX2 does have.
-DSJOIN_AVX2 inline __m256i mullo64_const4(__m256i a, std::uint64_t mult) noexcept {
-  const __m256i lo = _mm256_set1_epi64x(static_cast<long long>(mult & 0xFFFFFFFFu));
-  const __m256i hi = _mm256_set1_epi64x(static_cast<long long>(mult >> 32));
-  const __m256i low = _mm256_mul_epu32(a, lo);
-  const __m256i cross = _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), lo),
-                                         _mm256_mul_epu32(a, hi));
-  return _mm256_add_epi64(low, _mm256_slli_epi64(cross, 32));
-}
-
-DSJOIN_AVX2 inline __m256i splitmix4(__m256i z) noexcept {
-  z = mullo64_const4(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)),
-                     0xbf58476d1ce4e5b9ULL);
-  z = mullo64_const4(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)),
-                     0x94d049bb133111ebULL);
-  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
-}
-
-DSJOIN_AVX2 void prepare_avx2(std::uint64_t seed1, std::uint64_t seed2,
-                              const std::uint64_t* keys, std::size_t n,
-                              std::uint64_t* h1, std::uint64_t* h2) noexcept {
-  const __m256i s1 = _mm256_set1_epi64x(static_cast<long long>(seed1));
-  const __m256i s2 = _mm256_set1_epi64x(static_cast<long long>(seed2));
-  const __m256i one = _mm256_set1_epi64x(1);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256i k = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + j));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(h1 + j),
-                        splitmix4(_mm256_xor_si256(k, s1)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(h2 + j),
-                        _mm256_or_si256(splitmix4(_mm256_xor_si256(k, s2)), one));
-  }
-  prepare_scalar(seed1, seed2, keys + j, n - j, h1 + j, h2 + j);
-}
-
-DSJOIN_AVX2 void indices_avx2(const std::uint64_t* h1, const std::uint64_t* h2,
-                              std::size_t n, std::uint32_t probes,
-                              std::uint64_t range, std::uint32_t* out) noexcept {
-  if (!(range != 0 && std::has_single_bit(range))) {
-    // Non-power-of-two geometry keeps the hardware divide; the scalar loop
-    // is exact and this path is off the default configurations.
-    indices_scalar(h1, h2, n, probes, range, out);
-    return;
-  }
-  const __m256i mask = _mm256_set1_epi64x(static_cast<long long>(range - 1));
-  const __m256i lane_pack = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-  for (std::uint32_t i = 0; i < probes; ++i) {
-    std::uint32_t* row = out + static_cast<std::size_t>(i) * n;
-    const __m256i iv = _mm256_set1_epi64x(static_cast<long long>(i));
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h1 + j));
-      const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h2 + j));
-      // i < 2^32, so i*h2 mod 2^64 needs only the (b0*i, b1*i << 32) halves.
-      const __m256i prod = _mm256_add_epi64(
-          _mm256_mul_epu32(b, iv),
-          _mm256_slli_epi64(_mm256_mul_epu32(_mm256_srli_epi64(b, 32), iv), 32));
-      const __m256i idx = _mm256_and_si256(_mm256_add_epi64(a, prod), mask);
-      const __m256i packed = _mm256_permutevar8x32_epi32(idx, lane_pack);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(row + j),
-                       _mm256_castsi256_si128(packed));
-    }
-    const std::uint64_t m = range - 1;
-    for (; j < n; ++j) {
-      row[j] = static_cast<std::uint32_t>((h1[j] + static_cast<std::uint64_t>(i) * h2[j]) & m);
-    }
-  }
 }
 
 DSJOIN_AVX2 void dft_accum_rotate_avx2(double* cr, double* ci, double* pr,
@@ -719,25 +586,6 @@ DSJOIN_AVX512 inline __m512i poly_eval8(const PolyCoeff8& c, __m512i v1,
       _mm512_add_epi64(_mm512_and_si512(acc, mask), _mm512_srli_epi64(acc, 61)));
 }
 
-DSJOIN_AVX512 void poly_eval_avx512(const std::uint64_t* c,
-                                    const std::uint64_t* x1,
-                                    const std::uint64_t* x2,
-                                    const std::uint64_t* x3, std::size_t n,
-                                    std::uint64_t* out) noexcept {
-  const PolyCoeff8 cc = broadcast_coeff8(c);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512i v1 = _mm512_loadu_si512(x1 + j);
-    const __m512i v2 = _mm512_loadu_si512(x2 + j);
-    const __m512i v3 = _mm512_loadu_si512(x3 + j);
-    const __m512i r =
-        poly_eval8(cc, v1, v2, v3, _mm512_srli_epi64(v1, 32),
-                   _mm512_srli_epi64(v2, 32), _mm512_srli_epi64(v3, 32));
-    _mm512_storeu_si512(out + j, r);
-  }
-  poly_eval_scalar(c, x1 + j, x2 + j, x3 + j, n - j, out + j);
-}
-
 DSJOIN_AVX512 std::uint64_t parity_sum_avx512(const std::uint64_t* c,
                                               const std::uint64_t* x1,
                                               const std::uint64_t* x2,
@@ -808,57 +656,6 @@ DSJOIN_AVX512 void fast_agms_row_avx512(const std::uint64_t* bucket_coeff,
   }
   fast_agms_row_scalar(bucket_coeff, sign_coeff, x1 + j, x2 + j, x3 + j, n - j,
                        buckets, weight, row);
-}
-
-DSJOIN_AVX512 inline __m512i splitmix8(__m512i z) noexcept {
-  z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 30)),
-                         _mm512_set1_epi64(static_cast<long long>(0xbf58476d1ce4e5b9ULL)));
-  z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 27)),
-                         _mm512_set1_epi64(static_cast<long long>(0x94d049bb133111ebULL)));
-  return _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
-}
-
-DSJOIN_AVX512 void prepare_avx512(std::uint64_t seed1, std::uint64_t seed2,
-                                  const std::uint64_t* keys, std::size_t n,
-                                  std::uint64_t* h1, std::uint64_t* h2) noexcept {
-  const __m512i s1 = _mm512_set1_epi64(static_cast<long long>(seed1));
-  const __m512i s2 = _mm512_set1_epi64(static_cast<long long>(seed2));
-  const __m512i one = _mm512_set1_epi64(1);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512i k = _mm512_loadu_si512(keys + j);
-    _mm512_storeu_si512(h1 + j, splitmix8(_mm512_xor_si512(k, s1)));
-    _mm512_storeu_si512(h2 + j,
-                        _mm512_or_si512(splitmix8(_mm512_xor_si512(k, s2)), one));
-  }
-  prepare_scalar(seed1, seed2, keys + j, n - j, h1 + j, h2 + j);
-}
-
-DSJOIN_AVX512 void indices_avx512(const std::uint64_t* h1, const std::uint64_t* h2,
-                                  std::size_t n, std::uint32_t probes,
-                                  std::uint64_t range, std::uint32_t* out) noexcept {
-  if (!(range != 0 && std::has_single_bit(range))) {
-    indices_scalar(h1, h2, n, probes, range, out);
-    return;
-  }
-  const __m512i mask = _mm512_set1_epi64(static_cast<long long>(range - 1));
-  for (std::uint32_t i = 0; i < probes; ++i) {
-    std::uint32_t* row = out + static_cast<std::size_t>(i) * n;
-    const __m512i iv = _mm512_set1_epi64(static_cast<long long>(i));
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      const __m512i a = _mm512_loadu_si512(h1 + j);
-      const __m512i b = _mm512_loadu_si512(h2 + j);
-      const __m512i idx = _mm512_and_si512(
-          _mm512_add_epi64(a, _mm512_mullo_epi64(b, iv)), mask);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + j),
-                          _mm512_cvtepi64_epi32(idx));
-    }
-    const std::uint64_t m = range - 1;
-    for (; j < n; ++j) {
-      row[j] = static_cast<std::uint32_t>((h1[j] + static_cast<std::uint64_t>(i) * h2[j]) & m);
-    }
-  }
 }
 
 DSJOIN_AVX512 void dft_accum_rotate_avx512(double* cr, double* ci, double* pr,
@@ -1211,19 +1008,6 @@ void m61_key_powers(const std::uint64_t* keys, std::size_t n, std::uint64_t* x1,
   key_powers_scalar(keys, n, x1, x2, x3);
 }
 
-void m61_poly_eval(const std::uint64_t* coeff, const std::uint64_t* x1,
-                   const std::uint64_t* x2, const std::uint64_t* x3,
-                   std::size_t n, std::uint64_t* out) noexcept {
-  switch (active_level()) {
-#if DSJOIN_SIMD_X86
-    case Level::kAvx512: poly_eval_avx512(coeff, x1, x2, x3, n, out); return;
-    case Level::kAvx2: poly_eval_avx2(coeff, x1, x2, x3, n, out); return;
-#endif
-    default: break;
-  }
-  poly_eval_scalar(coeff, x1, x2, x3, n, out);
-}
-
 std::uint64_t m61_poly_parity_sum(const std::uint64_t* coeff,
                                   const std::uint64_t* x1,
                                   const std::uint64_t* x2,
@@ -1260,34 +1044,6 @@ void fast_agms_update_row(const std::uint64_t* bucket_coeff,
   }
   fast_agms_row_scalar(bucket_coeff, sign_coeff, x1, x2, x3, n, buckets, weight,
                        row);
-}
-
-void double_hash_prepare(std::uint64_t seed1, std::uint64_t seed2,
-                         const std::uint64_t* keys, std::size_t n,
-                         std::uint64_t* h1, std::uint64_t* h2) noexcept {
-  switch (active_level()) {
-#if DSJOIN_SIMD_X86
-    case Level::kAvx512: prepare_avx512(seed1, seed2, keys, n, h1, h2); return;
-    case Level::kAvx2: prepare_avx2(seed1, seed2, keys, n, h1, h2); return;
-#endif
-    default: break;
-  }
-  prepare_scalar(seed1, seed2, keys, n, h1, h2);
-}
-
-bool double_hash_indices(const std::uint64_t* h1, const std::uint64_t* h2,
-                         std::size_t n, std::uint32_t probes,
-                         std::uint64_t range, std::uint32_t* out) noexcept {
-  if (range > (std::uint64_t{1} << 32)) return false;
-  switch (active_level()) {
-#if DSJOIN_SIMD_X86
-    case Level::kAvx512: indices_avx512(h1, h2, n, probes, range, out); return true;
-    case Level::kAvx2: indices_avx2(h1, h2, n, probes, range, out); return true;
-#endif
-    default: break;
-  }
-  indices_scalar(h1, h2, n, probes, range, out);
-  return true;
 }
 
 std::uint64_t match_count_scan(const std::int64_t* keys, const double* ts,

@@ -69,27 +69,6 @@ class Node {
   /// (== tuple.timestamp).
   void on_local_tuple(const stream::Tuple& tuple, double now);
 
-  /// One deferred local arrival (tuple plus its event time).
-  struct LocalArrival {
-    stream::Tuple tuple;
-    double when;
-  };
-
-  /// Processes a run of local arrivals in order with one call — the
-  /// parallel driver hands each node its epoch's consecutive arrivals as a
-  /// batch instead of one type-erased task per tuple. `bind_slot(i)`, if
-  /// set, runs before arrival i so the driver can point the transport and
-  /// metrics buffers at that arrival's epoch slot. Results are identical
-  /// to calling on_local_tuple per arrival.
-  void on_local_batch(std::span<const LocalArrival> arrivals,
-                      const std::function<void(std::size_t)>& bind_slot);
-
-  /// Batch form for arrivals whose event time is their own timestamp (the
-  /// socket drivers feed materialized ArrivalSchedule slices, where that
-  /// always holds) — same results as on_local_tuple per arrival, without
-  /// per-arrival scratch copies.
-  void on_local_batch(std::span<const stream::Tuple> tuples);
-
   /// A frame arrives from the network at virtual time `now`.
   void on_frame(net::Frame&& frame, double now);
 
@@ -228,19 +207,6 @@ class Node {
   void for_each_query_sharded(const std::function<void(std::size_t)>& task);
   void send_result_frame(QueryRuntime& query, net::NodeId origin,
                          std::span<const stream::ResultPair> pairs);
-  /// The full per-arrival pipeline behind on_local_tuple / on_local_batch.
-  /// With `batch` empty the local windows are probed directly; otherwise
-  /// arrival `batch_index`'s pre-collected matches (prepare_batch_probes)
-  /// are replayed and corrected for in-batch predecessors.
-  void local_tuple_impl(const stream::Tuple& tuple, double now,
-                        std::span<const LocalArrival> batch,
-                        std::size_t batch_index);
-  /// Pre-collects every arrival's local-window matches per probe group with
-  /// the store's batched scan. Returns false — leaving the scratch untouched
-  /// — when the batch is not eligible (event time decoupled from tuple time,
-  /// or timestamps going backwards), in which case the caller must fall back
-  /// to the serial per-tuple path.
-  bool prepare_batch_probes(std::span<const LocalArrival> arrivals);
   void evict(double now);
   void send_summary(net::NodeId peer, SummaryBlock block, double now);
   /// Applies every pending summary whose visibility boundary is <= now, in
@@ -309,22 +275,6 @@ class Node {
   std::vector<bool> group_collected_;
   /// on_frame result-shipping scratch (one list per masked query in turn).
   std::vector<stream::ResultPair> frame_pairs_;
-
-  // Batched-probe scratch (on_local_batch): per group, every arrival's
-  // pre-batch local-window matches pooled with [begin, end) slices.
-  struct BatchGroupMatches {
-    std::vector<stream::StoredTuple> pool;
-    std::vector<std::uint32_t> begin;
-    std::vector<std::uint32_t> end;
-  };
-  std::vector<BatchGroupMatches> batch_groups_;
-  /// Arrivals split by stream side (a tuple probes the opposite window), as
-  /// the probe spans handed to TupleStore::for_each_match_batch, plus each
-  /// probe's position in the arrival slice.
-  std::array<std::vector<stream::Tuple>, 2> side_probes_;
-  std::array<std::vector<std::uint32_t>, 2> side_arrival_;
-  /// Tuple-span ingest adapter (when == tuple.timestamp for every arrival).
-  std::vector<LocalArrival> arrivals_scratch_;
 };
 
 }  // namespace dsjoin::core

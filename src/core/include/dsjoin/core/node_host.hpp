@@ -62,11 +62,6 @@ class NodeHost {
   NodeHost(const SystemConfig& config, net::NodeId id, net::Transport& transport,
            std::span<MetricsCollector* const> shared_query_metrics);
 
-  /// Single-collector convenience for the historical single-query
-  /// simulator call shape.
-  NodeHost(const SystemConfig& config, net::NodeId id, net::Transport& transport,
-           MetricsCollector& shared_metrics);
-
   NodeHost(const NodeHost&) = delete;
   NodeHost& operator=(const NodeHost&) = delete;
 
@@ -78,11 +73,9 @@ class NodeHost {
   void ingest(const stream::Tuple& tuple, double now);
 
   /// Feeds a run of local arrivals in order with one call, each at its own
-  /// timestamp — equivalent to ingest(t, t.timestamp) per tuple. The
-  /// socket drivers use this to hand consecutive same-node slices of the
-  /// materialized ArrivalSchedule to Node::on_local_batch, which probes
-  /// the whole run against the partitioned window store in one batched
-  /// pass (DESIGN.md §16.2) — bit-identical to per-tuple ingest.
+  /// timestamp — exactly ingest(t, t.timestamp) per tuple. The socket
+  /// drivers hand it consecutive same-node slices of the materialized
+  /// ArrivalSchedule so that one node-lock acquisition covers the slice.
   void ingest_batch(std::span<const stream::Tuple> tuples);
 
   /// Dispatches one incoming frame: FIN markers advance the drain state

@@ -85,9 +85,9 @@ class DspSystem {
   /// phase, tagged with its owning node and event time.
   void defer_node_task(net::NodeId node, double when,
                        std::function<void()> task);
-  /// Local-arrival variant: stores the tuple inline in the epoch task (no
-  /// per-arrival closure), letting the worker phase feed each node its
-  /// consecutive arrivals as one Node::on_local_batch call.
+  /// Local-arrival variant: stores the tuple inline in the epoch task, so
+  /// an arrival costs no per-arrival closure; the worker phase feeds it to
+  /// NodeHost::ingest.
   void defer_arrival(net::NodeId node, double when, const stream::Tuple& tuple);
   void run_parallel();
   void execute_epoch(common::ThreadPool& pool,
@@ -122,8 +122,6 @@ class DspSystem {
   bool ran_ = false;
   bool epoch_open_ = false;
   std::vector<EpochTask> epoch_tasks_;
-  /// Per-node scratch for assembling arrival runs (one strand writes each).
-  std::vector<std::vector<Node::LocalArrival>> arrival_scratch_;
 };
 
 /// Runs a full experiment for a config (convenience for benches).

@@ -87,7 +87,6 @@ Node::Node(const SystemConfig& config, net::NodeId self,
   }
   group_matches_.resize(probe_groups_.size());
   group_collected_.resize(probe_groups_.size(), false);
-  batch_groups_.resize(probe_groups_.size());
 }
 
 Node::Node(const SystemConfig& config, net::NodeId self,
@@ -152,12 +151,6 @@ void Node::send_result_frame(QueryRuntime& query, net::NodeId origin,
 }
 
 void Node::on_local_tuple(const stream::Tuple& tuple, double now) {
-  local_tuple_impl(tuple, now, {}, 0);
-}
-
-void Node::local_tuple_impl(const stream::Tuple& tuple, double now,
-                            std::span<const LocalArrival> batch,
-                            std::size_t batch_index) {
   // Summary state advances on the local virtual clock, never on frame
   // arrival: everything visible by `now` must inform this tuple's routing.
   apply_due_summaries(now);
@@ -173,34 +166,12 @@ void Node::local_tuple_impl(const stream::Tuple& tuple, double now,
   // Shared local-window probe: one scan per distinct half-width, consumed
   // by every query of that group (probe sharing, DESIGN.md §16). Built
   // serially here, read-only inside the shards, so results are identical
-  // for every worker count. In batch mode the store scan already ran
-  // against the pre-batch windows (prepare_batch_probes); the in-batch
-  // predecessors that landed in the opposite window are appended in
-  // insertion order — together exactly what a direct probe at this point
-  // in the serial schedule returns.
+  // for every worker count.
   for (std::size_t g = 0; g < probe_groups_.size(); ++g) {
     auto& matches = group_matches_[g];
     matches.clear();
-    const double half_width = probe_groups_[g].half_width;
-    if (batch.empty()) {
-      local_[opposite].collect_matches(tuple.key, tuple.timestamp, half_width,
-                                       matches);
-    } else {
-      const auto& pre = batch_groups_[g];
-      matches.insert(matches.end(), pre.pool.begin() + pre.begin[batch_index],
-                     pre.pool.begin() + pre.end[batch_index]);
-      const double lo = tuple.timestamp - half_width;
-      std::size_t j = batch_index;
-      while (j > 0 && batch[j - 1].tuple.timestamp >= lo) --j;
-      for (; j < batch_index; ++j) {
-        const stream::Tuple& prior = batch[j].tuple;
-        if (static_cast<std::size_t>(prior.side) == opposite &&
-            prior.key == tuple.key) {
-          matches.push_back(
-              stream::StoredTuple{prior.id, prior.timestamp, prior.origin});
-        }
-      }
-    }
+    local_[opposite].collect_matches(tuple.key, tuple.timestamp,
+                                     probe_groups_[g].half_width, matches);
   }
 
   // Per-query evaluation: the local joins under the query's window and the
@@ -299,90 +270,6 @@ void Node::local_tuple_impl(const stream::Tuple& tuple, double now,
     for (auto& query : queries_) run_controller(query);
   }
   if (local_tuples_ % 128 == 0) evict(now);
-}
-
-bool Node::prepare_batch_probes(std::span<const LocalArrival> arrivals) {
-  if (arrivals.size() < 2) return false;
-  // Eligibility: probes are pre-collected against the pre-batch windows.
-  // That equals the serial schedule only when event time is tuple time and
-  // never goes backwards — then for every m <= i the eviction horizon at
-  // step m stays below arrival i's probe window (horizon_m = ts_m -
-  // 2*hw_max - margin <= ts_i - hw for every registered hw), so the tuples
-  // a mid-batch evict drops could not have matched any later in-batch
-  // probe, and the in-batch contribution is exactly the predecessor
-  // correction local_tuple_impl appends.
-  double prev = -std::numeric_limits<double>::infinity();
-  for (const LocalArrival& arrival : arrivals) {
-    if (arrival.when != arrival.tuple.timestamp ||
-        arrival.tuple.timestamp < prev) {
-      return false;
-    }
-    prev = arrival.tuple.timestamp;
-  }
-
-  for (auto& probes : side_probes_) probes.clear();
-  for (auto& indices : side_arrival_) indices.clear();
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    const auto side = static_cast<std::size_t>(arrivals[i].tuple.side);
-    side_probes_[side].push_back(arrivals[i].tuple);
-    side_arrival_[side].push_back(static_cast<std::uint32_t>(i));
-  }
-
-  for (std::size_t g = 0; g < probe_groups_.size(); ++g) {
-    BatchGroupMatches& pre = batch_groups_[g];
-    pre.pool.clear();
-    pre.begin.assign(arrivals.size(), 0);
-    pre.end.assign(arrivals.size(), 0);
-    for (std::size_t side = 0; side < 2; ++side) {
-      const auto& indices = side_arrival_[side];
-      if (indices.empty()) continue;
-      // A tuple probes the opposite side's window. Matches arrive grouped
-      // by probe in probe order, so slice boundaries fall out of one pass.
-      std::size_t next = 0;  // probes [0, next) have an open slice
-      local_[1 - side].for_each_match_batch(
-          side_probes_[side], probe_groups_[g].half_width,
-          [&](std::size_t probe, const stream::StoredTuple& match) {
-            while (next <= probe) {
-              pre.begin[indices[next]] = pre.end[indices[next]] =
-                  static_cast<std::uint32_t>(pre.pool.size());
-              ++next;
-            }
-            pre.pool.push_back(match);
-            pre.end[indices[probe]] =
-                static_cast<std::uint32_t>(pre.pool.size());
-          });
-      while (next < indices.size()) {
-        pre.begin[indices[next]] = pre.end[indices[next]] =
-            static_cast<std::uint32_t>(pre.pool.size());
-        ++next;
-      }
-    }
-  }
-  return true;
-}
-
-void Node::on_local_batch(std::span<const LocalArrival> arrivals,
-                          const std::function<void(std::size_t)>& bind_slot) {
-  if (prepare_batch_probes(arrivals)) {
-    for (std::size_t i = 0; i < arrivals.size(); ++i) {
-      if (bind_slot) bind_slot(i);
-      local_tuple_impl(arrivals[i].tuple, arrivals[i].when, arrivals, i);
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    if (bind_slot) bind_slot(i);
-    on_local_tuple(arrivals[i].tuple, arrivals[i].when);
-  }
-}
-
-void Node::on_local_batch(std::span<const stream::Tuple> tuples) {
-  arrivals_scratch_.clear();
-  arrivals_scratch_.reserve(tuples.size());
-  for (const stream::Tuple& tuple : tuples) {
-    arrivals_scratch_.push_back(LocalArrival{tuple, tuple.timestamp});
-  }
-  on_local_batch(arrivals_scratch_, {});
 }
 
 void Node::on_frame(net::Frame&& frame, double now) {

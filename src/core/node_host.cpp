@@ -1,7 +1,6 @@
 #include "dsjoin/core/node_host.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -66,12 +65,6 @@ NodeHost::NodeHost(const SystemConfig& config, net::NodeId id,
   wm_peer_.assign(nodes_, -wm_sync_lead_s_);
 }
 
-NodeHost::NodeHost(const SystemConfig& config, net::NodeId id,
-                   net::Transport& transport, MetricsCollector& shared_metrics)
-    : NodeHost(config, id, transport,
-               std::span<MetricsCollector* const>(
-                   std::array<MetricsCollector* const, 1>{&shared_metrics})) {}
-
 void NodeHost::ingest(const stream::Tuple& tuple, double now) {
   virtual_now_ = now;
   node_->on_local_tuple(tuple, now);
@@ -79,10 +72,7 @@ void NodeHost::ingest(const stream::Tuple& tuple, double now) {
 }
 
 void NodeHost::ingest_batch(std::span<const stream::Tuple> tuples) {
-  if (tuples.empty()) return;
-  virtual_now_ = tuples.back().timestamp;
-  node_->on_local_batch(tuples);
-  arrivals_ingested_ += tuples.size();
+  for (const stream::Tuple& tuple : tuples) ingest(tuple, tuple.timestamp);
 }
 
 void NodeHost::deliver(net::Frame&& frame, double now) {

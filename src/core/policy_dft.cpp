@@ -20,7 +20,7 @@ DftSummaryEngine::DftSummaryEngine(const SystemConfig& config, net::NodeId self)
     : config_(config), self_(self),
       local_{dsp::SlidingDft(config.dft_window, config.dft_retained()),
              dsp::SlidingDft(config.dft_window, config.dft_retained())} {
-  // Control-vector style drift management: exact recompute every 4 windows.
+  // Drift management: exact recompute every 4 windows.
   for (auto& dft : local_) {
     dft.set_renormalize_interval(static_cast<std::uint64_t>(config.dft_window) * 4);
   }

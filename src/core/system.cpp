@@ -28,7 +28,6 @@ DspSystem::DspSystem(const SystemConfig& config)
     oracles_.emplace_back(spec.join_half_width_s);
   }
   hosts_.resize(config.nodes);
-  arrival_scratch_.resize(config.nodes);
   for (net::NodeId id = 0; id < config.nodes; ++id) {
     install_node(id);
   }
@@ -81,7 +80,7 @@ void DspSystem::defer_node_task(net::NodeId node, double when,
     task();
     return;
   }
-  epoch_tasks_.push_back(EpochTask{node, when, std::move(task)});
+  epoch_tasks_.push_back(EpochTask{node, when, std::move(task), false, {}});
 }
 
 void DspSystem::defer_arrival(net::NodeId node, double when,
@@ -265,37 +264,17 @@ void DspSystem::execute_epoch(common::ThreadPool& pool,
     auto& list = by_node[node_id];
     if (list.empty()) continue;
     batch.push_back([this, &list, node_id] {
-      auto& scratch = arrival_scratch_[node_id];
-      std::size_t li = 0;
-      while (li < list.size()) {
-        const std::size_t index = list[li];
+      for (const std::size_t index : list) {
         EpochTask& task = epoch_tasks_[index];
-        if (!task.is_arrival) {
-          transport_->bind_epoch_slot(index, task.when);
-          // One bind covers every collector: they share this system's
-          // epoch group, so the tls tag matches all of them.
-          query_metrics_.front()->bind_epoch_slot(index);
+        transport_->bind_epoch_slot(index, task.when);
+        // One bind covers every collector: they share this system's epoch
+        // group, so the tls tag matches all of them.
+        query_metrics_.front()->bind_epoch_slot(index);
+        if (task.is_arrival) {
+          hosts_[node_id]->ingest(task.tuple, task.when);
+        } else {
           task.fn();
-          ++li;
-          continue;
         }
-        // Consecutive local arrivals are handed to the node as one batch
-        // call instead of one type-erased task each. Slot binding stays
-        // per arrival (the flush-order contract), via the callback.
-        std::size_t run_end = li;
-        scratch.clear();
-        while (run_end < list.size() && epoch_tasks_[list[run_end]].is_arrival) {
-          const EpochTask& t = epoch_tasks_[list[run_end]];
-          scratch.push_back(Node::LocalArrival{t.tuple, t.when});
-          ++run_end;
-        }
-        hosts_[node_id]->node().on_local_batch(
-            scratch, [this, &list, li](std::size_t j) {
-              const std::size_t idx = list[li + j];
-              transport_->bind_epoch_slot(idx, epoch_tasks_[idx].when);
-              query_metrics_.front()->bind_epoch_slot(idx);
-            });
-        li = run_end;
       }
     });
   }

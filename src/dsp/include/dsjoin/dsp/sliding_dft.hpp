@@ -2,9 +2,8 @@
 //
 // The paper (Section 4, citing Bailey-Swarztrauber [4]) maintains the DFT
 // coefficients of the last W joining-attribute values incrementally, at
-// constant cost per retained coefficient per tuple, with a periodic full
-// recomputation ("control vector", [28]) to flush accumulated floating-point
-// drift.
+// constant cost per retained coefficient per tuple. A periodic full
+// recomputation (renormalize()) flushes accumulated floating-point drift.
 //
 // Formulation. We maintain the DFT of the window in *ring-buffer order*:
 // when the arriving value x_new replaces the value x_old stored at buffer
@@ -95,8 +94,9 @@ class SlidingDft {
   /// coefficient update error this recomputation targets.
   void renormalize();
 
-  /// Renormalize automatically every `interval` pushes (0 disables). This is
-  /// the "recompute at regular intervals" knob of the control vector.
+  /// Renormalize automatically every `interval` pushes (0 disables). The
+  /// DFT policies use 4 * W, which bounds drift together with the
+  /// kPhaseResetSteps phasor reset.
   void set_renormalize_interval(std::uint64_t interval) noexcept {
     renormalize_interval_ = interval;
   }

@@ -265,9 +265,9 @@ void NodeDaemon::arrival_loop() {
   };
 
   if (!options_.pace) {
-    // As-fast-as-possible replay: hand the slice to the node in
-    // coalesce-sized batches — one lock acquisition and one
-    // Node::on_local_batch call per chunk (stop_ is honored between
+    // As-fast-as-possible replay: hand the slice to the host in
+    // coalesce-sized chunks — one lock acquisition and one
+    // NodeHost::ingest_batch call per chunk (stop_ is honored between
     // chunks, so shutdown still interrupts promptly).
     const std::size_t chunk =
         std::max<std::size_t>(std::size_t{1}, config_.coalesce_frames);

@@ -1,5 +1,6 @@
 #include "dsjoin/runtime/local.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -51,12 +52,14 @@ RunReport run_inprocess_tcp(const core::SystemConfig& config) {
 
   const auto schedule = core::ArrivalSchedule::build(config);
 
-  // coalesce_frames <= 1 is the per-tuple baseline bench_wire_throughput
+  // One chunk size drives both the wire coalescer and the ingest slices.
+  // coalesce_frames = 1 is the per-tuple baseline bench_wire_throughput
   // measures against: one wire record and one handler invocation per frame,
   // one ingest call (and one lock acquisition) per tuple.
-  const bool batched = config.coalesce_frames > 1;
+  const std::size_t chunk =
+      std::max<std::size_t>(std::size_t{1}, config.coalesce_frames);
   net::CoalesceOptions coalesce;
-  coalesce.max_frames = batched ? config.coalesce_frames : 1;
+  coalesce.max_frames = chunk;
   coalesce.max_bytes = config.coalesce_bytes;
   coalesce.linger_s = config.coalesce_linger_s;
   net::TcpTransport transport(config.nodes, /*base_port=*/0,
@@ -75,20 +78,13 @@ RunReport run_inprocess_tcp(const core::SystemConfig& config) {
     // Forwarded work is timestamped with the tuple era it belongs to;
     // precise receive times only matter for reporting latency, which
     // this backend does not measure.
-    if (batched) {
-      transport.register_batch_handler(
-          id, [host, &mutex](std::vector<net::Frame>&& frames) {
-            std::lock_guard lock(mutex);
-            for (net::Frame& frame : frames) {
-              host->deliver(std::move(frame), 0.0);
-            }
-          });
-    } else {
-      transport.register_handler(id, [host, &mutex](net::Frame&& frame) {
-        std::lock_guard lock(mutex);
-        host->deliver(std::move(frame), 0.0);
-      });
-    }
+    transport.register_batch_handler(
+        id, [host, &mutex](std::vector<net::Frame>&& frames) {
+          std::lock_guard lock(mutex);
+          for (net::Frame& frame : frames) {
+            host->deliver(std::move(frame), 0.0);
+          }
+        });
   }
 
   // Virtual-time summary sync (summary-driven policies only; DESIGN.md
@@ -128,45 +124,32 @@ RunReport run_inprocess_tcp(const core::SystemConfig& config) {
   };
 
   const auto started_at = std::chrono::steady_clock::now();
-  if (batched) {
-    // Group consecutive same-origin arrivals into one ingest_batch call.
-    // The schedule's global arrival order is preserved exactly; the cap
-    // keeps any one locked section short so receiver deliveries interleave.
-    // Under summary sync a chunk additionally never spans a visibility
-    // epoch boundary (the cover wait is per-epoch).
-    const auto& tuples = schedule.tuples;
-    const std::size_t max_run = config.coalesce_frames;
-    std::size_t i = 0;
-    while (i < tuples.size()) {
-      const double epoch = std::floor(tuples[i].timestamp / sync_epoch);
-      std::size_t j = i + 1;
-      while (j < tuples.size() && tuples[j].origin == tuples[i].origin &&
-             j - i < max_run &&
-             (!sync ||
-              std::floor(tuples[j].timestamp / sync_epoch) == epoch)) {
-        ++j;
-      }
-      if (sync) {
-        // Without the coarse lock: cover frames arrive on receiver threads.
-        hosts[tuples[i].origin]->await_summary_cover(tuples[i].timestamp, 30.0);
-      }
-      {
-        std::lock_guard lock(mutex);
-        hosts[tuples[i].origin]->ingest_batch(
-            std::span<const stream::Tuple>(tuples.data() + i, j - i));
-      }
-      after_chunk(tuples[i].origin, j - i);
-      i = j;
+  // Group consecutive same-origin arrivals into one ingest_batch call.
+  // The schedule's global arrival order is preserved exactly; the cap
+  // keeps any one locked section short so receiver deliveries interleave.
+  // Under summary sync a chunk additionally never spans a visibility
+  // epoch boundary (the cover wait is per-epoch).
+  const auto& tuples = schedule.tuples;
+  std::size_t i = 0;
+  while (i < tuples.size()) {
+    const double epoch = std::floor(tuples[i].timestamp / sync_epoch);
+    std::size_t j = i + 1;
+    while (j < tuples.size() && tuples[j].origin == tuples[i].origin &&
+           j - i < chunk &&
+           (!sync || std::floor(tuples[j].timestamp / sync_epoch) == epoch)) {
+      ++j;
     }
-  } else {
-    for (const auto& tuple : schedule.tuples) {
-      if (sync) hosts[tuple.origin]->await_summary_cover(tuple.timestamp, 30.0);
-      {
-        std::lock_guard lock(mutex);
-        hosts[tuple.origin]->ingest(tuple, tuple.timestamp);
-      }
-      after_chunk(tuple.origin, 1);
+    if (sync) {
+      // Without the coarse lock: cover frames arrive on receiver threads.
+      hosts[tuples[i].origin]->await_summary_cover(tuples[i].timestamp, 30.0);
     }
+    {
+      std::lock_guard lock(mutex);
+      hosts[tuples[i].origin]->ingest_batch(
+          std::span<const stream::Tuple>(tuples.data() + i, j - i));
+    }
+    after_chunk(tuples[i].origin, j - i);
+    i = j;
   }
 
   // Drain with the same two-phase FIN handshake the daemons use: each host

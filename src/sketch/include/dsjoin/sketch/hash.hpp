@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "dsjoin/common/rng.hpp"
-#include "dsjoin/common/simd.hpp"
 
 namespace dsjoin::sketch {
 
@@ -156,14 +155,6 @@ class DoubleHash {
 
   Prepared prepare(std::uint64_t key) const noexcept {
     return Prepared{mix(key ^ seed1_), mix(key ^ seed2_) | 1u};
-  }
-
-  /// Both mixes of n keys at once via the dispatched simd:: kernel;
-  /// h1[j]/h2[j] are exactly prepare(keys[j]) (the kernel's mix is the
-  /// same SplitMix64 finalizer, exact at every level).
-  void prepare_batch(const std::uint64_t* keys, std::size_t n,
-                     std::uint64_t* h1, std::uint64_t* h2) const noexcept {
-    common::simd::double_hash_prepare(seed1_, seed2_, keys, n, h1, h2);
   }
 
   /// i-th probe position in [0, range).

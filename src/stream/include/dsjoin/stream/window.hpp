@@ -14,7 +14,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <span>
@@ -43,8 +42,8 @@ struct StoredTuple {
 ///
 /// Observable semantics are identical to the PR 1 per-key bucket store:
 /// inserts may arrive out of timestamp order, evict_before(t) drops exactly
-/// the tuples with timestamp < t present at the call, and for_each_match
-/// visits matches in per-key insertion order.
+/// the tuples with timestamp < t present at the call, and collect_matches
+/// appends matches in per-key insertion order.
 class TupleStore {
  public:
   TupleStore() = default;
@@ -52,11 +51,6 @@ class TupleStore {
   TupleStore& operator=(TupleStore&&) = default;
 
   void insert(const Tuple& tuple);
-
-  /// Inserts every tuple in order; state after the call is identical to
-  /// calling insert() per tuple (appends are the only mutation, so this is
-  /// literally that loop).
-  void insert_batch(std::span<const Tuple> tuples);
 
   /// Drops every tuple with timestamp < min_timestamp.
   void evict_before(double min_timestamp);
@@ -66,27 +60,10 @@ class TupleStore {
   std::uint64_t count_matches(std::int64_t key, double center,
                               double half_width) const;
 
-  /// Invokes fn(StoredTuple) for every match (same predicate as
-  /// count_matches), in per-key insertion order.
-  void for_each_match(std::int64_t key, double center, double half_width,
-                      const std::function<void(const StoredTuple&)>& fn) const;
-
-  /// Appends every match to `out` — same predicate and order as
-  /// for_each_match, without the per-match indirect call.
+  /// Appends every match to `out` (same predicate as count_matches), in
+  /// per-key insertion order.
   void collect_matches(std::int64_t key, double center, double half_width,
                        std::vector<StoredTuple>& out) const;
-
-  /// counts[i] = count_matches(probes[i].key, probes[i].timestamp,
-  /// half_width) for every probe, in one pass over the store API.
-  void count_matches_batch(std::span<const Tuple> probes, double half_width,
-                           std::uint64_t* counts) const;
-
-  /// Invokes fn(i, match) for every match of probe i, probes in index
-  /// order, matches per probe in for_each_match order. One std::function
-  /// dispatch per match, none per probe.
-  void for_each_match_batch(
-      std::span<const Tuple> probes, double half_width,
-      const std::function<void(std::size_t, const StoredTuple&)>& fn) const;
 
   std::size_t size() const noexcept { return size_; }
 

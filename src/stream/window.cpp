@@ -34,10 +34,6 @@ void TupleStore::insert(const Tuple& tuple) {
   ++size_;
 }
 
-void TupleStore::insert_batch(std::span<const Tuple> tuples) {
-  for (const Tuple& tuple : tuples) insert(tuple);
-}
-
 void TupleStore::evict_before(double min_timestamp) {
   for (Partition& part : parts_) {
     bool any_empty = false;
@@ -62,7 +58,7 @@ void TupleStore::evict_before(double min_timestamp) {
             b < n ? c.ts[b] : std::numeric_limits<double>::infinity();
       } else {
         // A late arrival broke the sort: compact the live region in place,
-        // preserving arrival order (observable via for_each_match), and
+        // preserving arrival order (observable via collect_matches), and
         // recompute the exact bounds while the data streams through.
         std::size_t w = 0;
         double live_min = std::numeric_limits<double>::infinity();
@@ -117,26 +113,6 @@ std::uint64_t TupleStore::count_matches(std::int64_t key, double center,
   return n;
 }
 
-void TupleStore::for_each_match(
-    std::int64_t key, double center, double half_width,
-    const std::function<void(const StoredTuple&)>& fn) const {
-  const double lo = center - half_width;
-  const double hi = center + half_width;
-  const Partition& part = parts_[part_of(key)];
-  std::uint32_t idx[kChunkCap];
-  for (const auto& chunk : part.chunks) {
-    const Chunk& c = *chunk;
-    if (c.live() == 0 || c.max_ts < lo || c.live_min > hi) continue;
-    const std::size_t m = common::simd::match_collect_scan(
-        c.keys.data() + c.live_begin, c.ts.data() + c.live_begin, c.live(),
-        key, lo, hi, idx);
-    for (std::size_t k = 0; k < m; ++k) {
-      const std::size_t j = c.live_begin + idx[k];
-      fn(StoredTuple{c.ids[j], c.ts[j], c.origins[j]});
-    }
-  }
-}
-
 void TupleStore::collect_matches(std::int64_t key, double center,
                                  double half_width,
                                  std::vector<StoredTuple>& out) const {
@@ -153,36 +129,6 @@ void TupleStore::collect_matches(std::int64_t key, double center,
     for (std::size_t k = 0; k < m; ++k) {
       const std::size_t j = c.live_begin + idx[k];
       out.push_back(StoredTuple{c.ids[j], c.ts[j], c.origins[j]});
-    }
-  }
-}
-
-void TupleStore::count_matches_batch(std::span<const Tuple> probes,
-                                     double half_width,
-                                     std::uint64_t* counts) const {
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    counts[i] = count_matches(probes[i].key, probes[i].timestamp, half_width);
-  }
-}
-
-void TupleStore::for_each_match_batch(
-    std::span<const Tuple> probes, double half_width,
-    const std::function<void(std::size_t, const StoredTuple&)>& fn) const {
-  std::uint32_t idx[kChunkCap];
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    const double lo = probes[i].timestamp - half_width;
-    const double hi = probes[i].timestamp + half_width;
-    const Partition& part = parts_[part_of(probes[i].key)];
-    for (const auto& chunk : part.chunks) {
-      const Chunk& c = *chunk;
-      if (c.live() == 0 || c.max_ts < lo || c.live_min > hi) continue;
-      const std::size_t m = common::simd::match_collect_scan(
-          c.keys.data() + c.live_begin, c.ts.data() + c.live_begin, c.live(),
-          probes[i].key, lo, hi, idx);
-      for (std::size_t k = 0; k < m; ++k) {
-        const std::size_t j = c.live_begin + idx[k];
-        fn(i, StoredTuple{c.ids[j], c.ts[j], c.origins[j]});
-      }
     }
   }
 }

@@ -1,8 +1,8 @@
 // Batch-vs-scalar bit-identity: every batch ingestion path must leave its
 // operator in *exactly* the state the scalar tuple-at-a-time reference path
-// produces — same bits, not just "close". The parallel driver feeds nodes
-// through the batch APIs, so these identities are what keeps the golden
-// regression (and cross-worker-count determinism) intact.
+// produces — same bits, not just "close". The summary engines feed their
+// operators through the batch APIs, so these identities are what keeps the
+// golden regression (and cross-worker-count determinism) intact.
 //
 // Each test splits one input stream into randomly sized batches — including
 // empty and single-element batches — across three seeds, and compares full
@@ -203,40 +203,6 @@ TEST(BatchIdentity, CountingBloomInsertEraseBatchMatchScalar) {
   EXPECT_EQ(scalar.counters(), batched.counters());
 }
 
-TEST(BatchIdentity, TupleStoreMatchesScalarObservably) {
-  for (const std::uint64_t seed : kSeeds) {
-    common::Xoshiro256 rng(seed);
-    const auto tuples = random_tuples(1500, rng);
-
-    stream::TupleStore scalar;
-    stream::TupleStore batched;
-    std::size_t i = 0;
-    while (i < tuples.size()) {
-      const std::size_t n = std::min(next_batch_size(rng), tuples.size() - i);
-      for (std::size_t j = 0; j < n; ++j) scalar.insert(tuples[i + j]);
-      batched.insert_batch(std::span<const stream::Tuple>(tuples).subspan(i, n));
-      i += n;
-      // Interleave evictions so the heap (whose internal layout the two
-      // paths legitimately build differently) is drained mid-stream.
-      if (rng.next() % 4 == 0 && i > 0) {
-        const double horizon = tuples[i - 1].timestamp * 0.5;
-        scalar.evict_before(horizon);
-        batched.evict_before(horizon);
-      }
-    }
-    ASSERT_EQ(scalar.size(), batched.size()) << "seed=" << seed;
-    for (std::int64_t key = 0; key < 64; ++key) {
-      for (const auto& probe : tuples) {
-        if (probe.key != key) continue;
-        EXPECT_EQ(scalar.count_matches(key, probe.timestamp, 0.05),
-                  batched.count_matches(key, probe.timestamp, 0.05))
-            << "seed=" << seed << " key=" << key;
-        break;  // one probe per key is plenty
-      }
-    }
-  }
-}
-
 TEST(BatchIdentity, CountWindowMatchesScalarBitForBit) {
   for (const std::uint64_t seed : kSeeds) {
     common::Xoshiro256 rng(seed);
@@ -371,35 +337,29 @@ TEST(SimdIdentity, M61KernelsMatchScalarAtEveryLevel) {
 
   sketch::FourWiseHash hash(rng);
 
-  std::vector<std::uint64_t> sx1(n), sx2(n), sx3(n), seval(n);
+  std::vector<std::uint64_t> sx1(n), sx2(n), sx3(n);
   std::uint64_t sparity = 0;
   {
     ForcedLevel scalar(simd::Level::kScalar);
     simd::m61_key_powers(keys.data(), n, sx1.data(), sx2.data(), sx3.data());
-    simd::m61_poly_eval(hash.coefficients().data(), sx1.data(), sx2.data(),
-                        sx3.data(), n, seval.data());
     sparity = simd::m61_poly_parity_sum(hash.coefficients().data(), sx1.data(),
                                         sx2.data(), sx3.data(), n);
   }
-  // The scalar kernel restates KeyPowers::of / eval_powers; pin that too.
+  // The scalar kernel restates KeyPowers::of; pin that too.
   for (std::size_t j = 0; j < n; ++j) {
     const sketch::KeyPowers p = sketch::KeyPowers::of(keys[j]);
     ASSERT_EQ(sx1[j], p.x1) << "j=" << j;
     ASSERT_EQ(sx2[j], p.x2) << "j=" << j;
     ASSERT_EQ(sx3[j], p.x3) << "j=" << j;
-    ASSERT_EQ(seval[j], hash.eval_powers(p)) << "j=" << j;
   }
 
   for (const simd::Level level : supported_levels()) {
     ForcedLevel forced(level);
-    std::vector<std::uint64_t> x1(n), x2(n), x3(n), eval(n);
+    std::vector<std::uint64_t> x1(n), x2(n), x3(n);
     simd::m61_key_powers(keys.data(), n, x1.data(), x2.data(), x3.data());
     EXPECT_EQ(sx1, x1) << simd::level_name(level);
     EXPECT_EQ(sx2, x2) << simd::level_name(level);
     EXPECT_EQ(sx3, x3) << simd::level_name(level);
-    simd::m61_poly_eval(hash.coefficients().data(), x1.data(), x2.data(),
-                        x3.data(), n, eval.data());
-    EXPECT_EQ(seval, eval) << simd::level_name(level);
     // Every tail length in [0, 17] plus the full batch.
     for (std::size_t len = 0; len <= 17; ++len) {
       EXPECT_EQ(simd::m61_poly_parity_sum(hash.coefficients().data(), x1.data(),
@@ -506,49 +466,6 @@ TEST(SimdIdentity, DftKernelsMatchScalarAtEveryLevel) {
     EXPECT_EQ(sci, ci) << simd::level_name(level);
     EXPECT_EQ(spr, pr) << simd::level_name(level);
     EXPECT_EQ(spi, pi) << simd::level_name(level);
-  }
-}
-
-TEST(SimdIdentity, DoubleHashKernelsMatchScalarAtEveryLevel) {
-  common::Xoshiro256 rng(kSeeds[0]);
-  const sketch::DoubleHash hash(rng);
-  std::vector<std::uint64_t> keys(2053);
-  for (auto& k : keys) k = rng.next();
-  const std::size_t n = keys.size();
-
-  std::vector<std::uint64_t> sh1(n), sh2(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const auto p = hash.prepare(keys[j]);
-    sh1[j] = p.h1;
-    sh2[j] = p.h2;
-  }
-  constexpr std::uint32_t kProbes = 5;
-  for (const simd::Level level : supported_levels()) {
-    ForcedLevel forced(level);
-    std::vector<std::uint64_t> h1(n), h2(n);
-    hash.prepare_batch(keys.data(), n, h1.data(), h2.data());
-    EXPECT_EQ(sh1, h1) << simd::level_name(level);
-    EXPECT_EQ(sh2, h2) << simd::level_name(level);
-    for (const std::uint64_t range : {std::uint64_t{384}, std::uint64_t{1024},
-                                      std::uint64_t{1} << 20}) {
-      const sketch::RangeReducer reducer(range);
-      std::vector<std::uint32_t> idx(n * kProbes);
-      ASSERT_TRUE(simd::double_hash_indices(h1.data(), h2.data(), n, kProbes,
-                                            range, idx.data()));
-      for (std::uint32_t i = 0; i < kProbes; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-          const sketch::DoubleHash::Prepared prepared{h1[j], h2[j]};
-          ASSERT_EQ(idx[i * n + j], prepared.index(i, reducer))
-              << simd::level_name(level) << " range=" << range << " i=" << i
-              << " j=" << j;
-        }
-      }
-    }
-    // Oversized geometry: the u32 index table is refused at every level.
-    std::uint32_t unused;
-    EXPECT_FALSE(simd::double_hash_indices(h1.data(), h2.data(), 0, 0,
-                                           (std::uint64_t{1} << 32) + 1,
-                                           &unused));
   }
 }
 

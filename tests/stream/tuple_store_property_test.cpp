@@ -106,7 +106,7 @@ TEST(TupleStoreProperty, StreamingProbeMatchesReferenceJoin) {
 }
 
 // Interleaved insert / evict / probe against a brute-force shadow vector.
-// Checks size(), count_matches, and the exact for_each_match id sequence —
+// Checks size(), count_matches, and the exact collect_matches id sequence —
 // the store pins per-key insertion order as its visitation order.
 TEST(TupleStoreProperty, EvictionRacesMatchShadow) {
   for (const simd::Level level : supported_levels()) {
@@ -151,54 +151,15 @@ TEST(TupleStoreProperty, EvictionRacesMatchShadow) {
           EXPECT_EQ(want_count,
                     store.count_matches(probe.key, probe.timestamp, hw))
               << simd::level_name(level) << " seed=" << seed << " i=" << i;
+          std::vector<StoredTuple> matches;
+          store.collect_matches(probe.key, probe.timestamp, hw, matches);
           std::vector<std::uint64_t> got_ids;
-          store.for_each_match(probe.key, probe.timestamp, hw,
-                               [&](const StoredTuple& m) {
-                                 got_ids.push_back(m.id);
-                               });
+          for (const StoredTuple& m : matches) got_ids.push_back(m.id);
           ASSERT_EQ(want_ids, got_ids)
               << simd::level_name(level) << " seed=" << seed << " i=" << i;
         }
       }
     }
-  }
-}
-
-// The batched probe entry points must be the point probes verbatim:
-// counts[i] == count_matches(probe i), and the (probe index, match)
-// sequence of for_each_match_batch == concatenated for_each_match calls.
-TEST(TupleStoreProperty, BatchProbesMatchPointProbes) {
-  for (const simd::Level level : supported_levels()) {
-    ForcedLevel forced(level);
-    common::Xoshiro256 rng(31337);
-    const auto stored = random_tuples(800, StreamSide::kR, 1, rng);
-    const auto probes = random_tuples(257, StreamSide::kS, 10000, rng);
-    const double half_width = 0.75;
-
-    TupleStore store;
-    store.insert_batch(stored);
-    store.evict_before(6.0);  // leave a dead prefix in sorted chunks
-
-    std::vector<std::uint64_t> counts(probes.size());
-    store.count_matches_batch(probes, half_width, counts.data());
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-      EXPECT_EQ(counts[i], store.count_matches(probes[i].key,
-                                               probes[i].timestamp, half_width))
-          << simd::level_name(level) << " i=" << i;
-    }
-
-    std::vector<std::pair<std::size_t, std::uint64_t>> want, got;
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-      store.for_each_match(probes[i].key, probes[i].timestamp, half_width,
-                           [&](const StoredTuple& m) {
-                             want.emplace_back(i, m.id);
-                           });
-    }
-    store.for_each_match_batch(probes, half_width,
-                               [&](std::size_t i, const StoredTuple& m) {
-                                 got.emplace_back(i, m.id);
-                               });
-    ASSERT_EQ(want, got) << simd::level_name(level);
   }
 }
 

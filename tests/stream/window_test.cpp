@@ -44,12 +44,14 @@ TEST(TupleStore, ForEachMatchVisitsAll) {
   TupleStore store;
   store.insert(make_tuple(1, 5, 10.0, StreamSide::kR, 3));
   store.insert(make_tuple(2, 5, 11.0, StreamSide::kR, 4));
+  std::vector<StoredTuple> matches;
+  store.collect_matches(5, 10.5, 1.0, matches);
   std::vector<std::uint64_t> ids;
   std::vector<net::NodeId> origins;
-  store.for_each_match(5, 10.5, 1.0, [&](const StoredTuple& st) {
+  for (const StoredTuple& st : matches) {
     ids.push_back(st.id);
     origins.push_back(st.origin);
-  });
+  }
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2}));
   std::sort(origins.begin(), origins.end());
