@@ -16,7 +16,10 @@
 // and simd columns. The TupleStore has no batch API, so its rows time the
 // point calls production makes and repeat the scalar measurement in the
 // batch column; the probe rows' simd column dispatches the §16 match-scan
-// kernels.
+// kernels. The fft and coeff_store rows time DFTT's summary reads (one
+// band-limited inverse transform, one reconstruction-cache rebuild, one
+// membership estimate); like the TupleStore rows they are point calls
+// with no kernel, so their batch and simd columns time identical code.
 //
 // Flags:
 //   --quick      fewer configs, shorter timing windows (CI smoke)
@@ -29,6 +32,7 @@
 //   --out=PATH   JSON output path (default BENCH_hotpath.json)
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 
 #include "bench_util.hpp"
 #include <cstdio>
@@ -40,6 +44,9 @@
 
 #include "dsjoin/common/rng.hpp"
 #include "dsjoin/common/simd.hpp"
+#include "dsjoin/core/summary_state.hpp"
+#include "dsjoin/dsp/compression.hpp"
+#include "dsjoin/dsp/fft.hpp"
 #include "dsjoin/dsp/sliding_dft.hpp"
 #include "dsjoin/sketch/agms.hpp"
 #include "dsjoin/sketch/bloom.hpp"
@@ -380,6 +387,128 @@ Entry bench_tuple_store_collect(double min_time_s) {
   return e;
 }
 
+// DFTT's summary reads at the default geometry: W = 2048 windows of a
+// drifting integer stream, summarized by their K = W / kappa = 8 lowest
+// coefficients. These rows time point calls, so has_kernel stays false.
+constexpr std::uint32_t kDfttWindow = 2048;
+constexpr std::uint32_t kDfttRetained = 8;
+
+std::vector<std::vector<dsp::Complex>> dftt_spectra(std::size_t count,
+                                                    std::uint64_t seed) {
+  common::Xoshiro256 rng(seed);
+  const dsp::Fft& fft = dsp::Fft::plan(kDfttWindow);
+  std::vector<std::vector<dsp::Complex>> out;
+  double level = 5000.0;
+  std::vector<double> window(kDfttWindow);
+  for (std::size_t i = 0; i < count; ++i) {
+    for (auto& v : window) {
+      level += rng.next_double_in(-4.0, 4.0);
+      v = std::round(level + rng.next_double_in(-50.0, 50.0));
+    }
+    const auto full = fft.forward_real(window);
+    out.emplace_back(full.begin(), full.begin() + kDfttRetained);
+  }
+  return out;
+}
+
+std::vector<dsp::CoeffDelta> as_deltas(const std::vector<dsp::Complex>& spectrum) {
+  std::vector<dsp::CoeffDelta> deltas;
+  for (std::uint32_t k = 0; k < spectrum.size(); ++k) {
+    deltas.push_back(dsp::CoeffDelta{k, spectrum[k]});
+  }
+  return deltas;
+}
+
+// One inverse transform of a K = 8 spectrum with its conjugate mirrors, as
+// dsp::reconstruct runs it; one item is one transform.
+Entry bench_fft_band_inverse(double min_time_s) {
+  Entry e;
+  e.op = "fft";
+  e.config = "inverse W=2048 band K=8";
+  e.batch_size = 1;
+  const auto spectrum = dftt_spectra(1, 19).front();
+  std::vector<dsp::Complex> band(kDfttWindow, dsp::Complex{});
+  band[0] = spectrum[0];
+  for (std::size_t k = 1; k < spectrum.size(); ++k) {
+    band[k] = spectrum[k];
+    band[kDfttWindow - k] = std::conj(spectrum[k]);
+  }
+
+  std::vector<dsp::Complex> scratch;
+  volatile double sink = 0.0;
+  measure_point_path(
+      e, 1, min_time_s, [] {},
+      [&] {
+        scratch = band;
+        dsp::Fft::plan(kDfttWindow).inverse(scratch);
+        sink = sink + scratch[1].real();
+      });
+  return e;
+}
+
+// A CoeffStore cache rebuild: apply one window's 8 deltas, then one
+// estimate, which reconstructs and indexes the window; one item is one
+// rebuild.
+Entry bench_coeff_store_rebuild(double min_time_s) {
+  Entry e;
+  e.op = "coeff_store";
+  e.config = "rebuild W=2048 K=8";
+  e.batch_size = 1;
+  std::vector<std::vector<dsp::CoeffDelta>> updates;
+  std::vector<std::int64_t> keys;
+  for (const auto& spectrum : dftt_spectra(16, 20)) {
+    updates.push_back(as_deltas(spectrum));
+    keys.push_back(std::llround(spectrum[0].real() / kDfttWindow));
+  }
+
+  std::optional<core::CoeffStore> store;
+  volatile std::uint64_t sink = 0;
+  measure_point_path(
+      e, updates.size(), min_time_s,
+      [&] { store.emplace(kDfttWindow, kDfttRetained); },
+      [&] {
+        std::uint64_t total = 0;
+        for (std::size_t i = 0; i < updates.size(); ++i) {
+          store->apply(updates[i]);
+          total += store->estimate_count(keys[i], 32);
+        }
+        sink = sink + total;
+      });
+  return e;
+}
+
+// Membership estimates against a built cache at DFTT's default tolerance,
+// for keys spread over the window's value range; one item is one estimate.
+Entry bench_coeff_store_estimate(double min_time_s) {
+  Entry e;
+  e.op = "coeff_store";
+  e.config = "estimate tol=32";
+  e.batch_size = 1;
+  const auto spectrum = dftt_spectra(1, 21).front();
+  core::CoeffStore store(kDfttWindow, kDfttRetained);
+  store.apply(as_deltas(spectrum));
+  const auto values =
+      dsp::reconstruct_rounded(dsp::CompressedSpectrum{kDfttWindow, spectrum});
+  const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+  common::Xoshiro256 rng(22);
+  std::vector<std::int64_t> keys(1024);
+  for (auto& key : keys) {
+    key = *lo - 64 +
+          static_cast<std::int64_t>(
+              rng.next_below(static_cast<std::uint64_t>(*hi - *lo) + 129));
+  }
+
+  volatile std::uint64_t sink = 0;
+  measure_point_path(
+      e, keys.size(), min_time_s, [] {},
+      [&] {
+        std::uint64_t total = 0;
+        for (std::int64_t key : keys) total += store.estimate_count(key, 32);
+        sink = sink + total;
+      });
+  return e;
+}
+
 void write_json(const std::vector<Entry>& entries, const std::string& path) {
   const char* level = common::simd::level_name(common::simd::detected_level());
   std::ofstream out(path);
@@ -440,6 +569,9 @@ int main(int argc, char** argv) {
     entries.push_back(bench_tuple_store(min_time_s));
     entries.push_back(bench_tuple_store_probe(min_time_s));
     entries.push_back(bench_tuple_store_collect(min_time_s));
+    entries.push_back(bench_fft_band_inverse(min_time_s));
+    entries.push_back(bench_coeff_store_rebuild(min_time_s));
+    entries.push_back(bench_coeff_store_estimate(min_time_s));
   } else {
     entries.push_back(bench_sliding_dft(2048, 8, min_time_s));
     entries.push_back(bench_sliding_dft(2048, 32, min_time_s));
@@ -458,6 +590,9 @@ int main(int argc, char** argv) {
     entries.push_back(bench_tuple_store(min_time_s));
     entries.push_back(bench_tuple_store_probe(min_time_s));
     entries.push_back(bench_tuple_store_collect(min_time_s));
+    entries.push_back(bench_fft_band_inverse(min_time_s));
+    entries.push_back(bench_coeff_store_rebuild(min_time_s));
+    entries.push_back(bench_coeff_store_estimate(min_time_s));
   }
 
   std::printf("%-16s %-22s %12s %12s %12s %9s %9s\n", "operator", "config",

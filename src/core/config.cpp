@@ -1,5 +1,6 @@
 #include "dsjoin/core/config.hpp"
 
+#include <cmath>
 #include <set>
 #include <stdexcept>
 
@@ -145,6 +146,30 @@ common::Status validate_config(const SystemConfig& config) {
   if (config.sample_strata == 0 || config.sample_strata > 4096) {
     return fail(str_format("sample-strata must be in [1, 4096], got %u",
                            config.sample_strata));
+  }
+  // DFT geometry. Release builds do not check dsp::reconstruct's and
+  // dsp::lag_max_correlation's K <= W/2 + 1 precondition, and a tolerance
+  // beyond 2^31 could overflow key +/- tolerance in the membership test.
+  if (config.membership_tolerance < 0 ||
+      config.membership_tolerance > (std::int64_t{1} << 31)) {
+    return fail(str_format("tolerance must be in [0, 2^31], got %lld",
+                           static_cast<long long>(config.membership_tolerance)));
+  }
+  if (config.dft_window < 2) {
+    return fail(str_format("dft-window must be >= 2, got %u",
+                           config.dft_window));
+  }
+  if (!std::isfinite(config.kappa) || !(config.kappa > 0.0)) {
+    return fail(str_format("kappa must be finite and > 0, got %g",
+                           config.kappa));
+  }
+  // dft_retained() > W/2 + 1, compared before dft_retained() truncates
+  // W / kappa to an integer (which overflows for a tiny kappa).
+  if (static_cast<double>(config.dft_window) / config.kappa >=
+      static_cast<double>(config.dft_window / 2 + 2)) {
+    return fail(str_format(
+        "kappa %g keeps more than dft-window/2 + 1 = %u coefficients",
+        config.kappa, config.dft_window / 2 + 1));
   }
   if (!std::isfinite(config.throttle) || config.throttle < 0.0 ||
       config.throttle > 1.0) {

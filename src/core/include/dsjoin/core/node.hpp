@@ -128,7 +128,9 @@ class Node {
   std::uint64_t local_tuples() const noexcept { return local_tuples_; }
   /// Forwarded tuples received from peers.
   std::uint64_t received_tuples() const noexcept { return received_tuples_; }
-  /// Frames that failed to decode (should stay 0 in healthy runs).
+  /// Frames that failed to decode, plus summary blocks the substrate
+  /// rejected when applying them, due or late (should stay 0 in healthy
+  /// runs).
   std::uint64_t decode_failures() const noexcept { return decode_failures_; }
   /// Summaries that arrived after their visibility boundary had already
   /// passed (should stay 0 when the driver's watermarks are working).

@@ -84,8 +84,9 @@ class RoutingPolicy {
   /// Marks the drained state as synced to that peer. Substrate-forwarded.
   SummaryBlock piggyback_for(net::NodeId peer);
 
-  /// Ingests a summary block received from `peer`. Substrate-forwarded.
-  void on_summary(net::NodeId peer, const SummaryBlock& block);
+  /// Ingests a summary block received from `peer`. Substrate-forwarded,
+  /// status included.
+  common::Status on_summary(net::NodeId peer, const SummaryBlock& block);
 
   /// Called once per local arrival after routing: standalone summaries for
   /// peers that have not heard from this node for a summary epoch

@@ -295,7 +295,10 @@ class SummarySubstrate {
   void observe_local(const stream::Tuple& tuple);
   SummaryBlock piggyback_for(net::NodeId peer);
   std::vector<OutboundSummary> maintenance(double now);
-  void on_summary(net::NodeId from, const SummaryBlock& block);
+  /// Decodes and applies one received summary block. A non-ok status
+  /// (kDataLoss) means part of the block was malformed and dropped; the
+  /// node counts it as a decode failure.
+  common::Status on_summary(net::NodeId from, const SummaryBlock& block);
 
   /// Engine observe_local calls performed so far — the ingest-side
   /// maintenance cost. Grows with registered *families*, not queries;
@@ -305,7 +308,7 @@ class SummarySubstrate {
  private:
   /// Decodes one (unwrapped) block and applies each sub-block to the
   /// owning engine. Sub-blocks of unregistered families are dropped.
-  void dispatch(net::NodeId from, const SummaryBlock& block);
+  common::Status dispatch(net::NodeId from, const SummaryBlock& block);
   /// Wraps `block` in a query-scope sub-block for `family`'s subscribers.
   SummaryBlock wrap(SummaryFamily family, SummaryBlock block) const;
 

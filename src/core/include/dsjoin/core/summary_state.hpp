@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "dsjoin/common/serialize.hpp"
@@ -125,7 +124,8 @@ common::Status decode_blocks(const SummaryBlock& block, const Visitor& visitor);
 }  // namespace summary_codec
 
 /// Remote DFT coefficients for one (peer, side), with a lazily rebuilt
-/// reconstruction cache: the rounded inverse DFT as a key -> count multiset.
+/// reconstruction cache: the rounded inverse DFT, sorted ascending, so a
+/// tolerance-window count is two binary searches.
 class CoeffStore {
  public:
   CoeffStore(std::uint32_t window, std::uint32_t retained);
@@ -152,7 +152,7 @@ class CoeffStore {
   void rebuild();
 
   dsp::CompressedSpectrum spectrum_;
-  std::unordered_map<std::int64_t, std::uint32_t> counts_;
+  std::vector<std::int64_t> sorted_;  // the reconstruction, ascending
   bool dirty_ = true;
   std::uint64_t updates_ = 0;
 };

@@ -471,7 +471,7 @@ void Node::queue_summary(net::NodeId from, const SummaryStamp& stamp,
     // The boundary already passed on the local clock — exact application
     // order is unrecoverable. Apply now, flag the run.
     ++late_summaries_;
-    substrate_.on_summary(from, block);
+    if (!substrate_.on_summary(from, block).is_ok()) ++decode_failures_;
     return;
   }
   pending_summaries_.push_back(
@@ -494,7 +494,7 @@ void Node::apply_due_summaries(double now) {
               return a.seq < b.seq;
             });
   for (auto it = due; it != pending_summaries_.end(); ++it) {
-    substrate_.on_summary(it->from, it->block);
+    if (!substrate_.on_summary(it->from, it->block).is_ok()) ++decode_failures_;
   }
   pending_summaries_.erase(due, pending_summaries_.end());
 }

@@ -28,8 +28,9 @@ SummaryBlock RoutingPolicy::piggyback_for(net::NodeId peer) {
   return substrate_->piggyback_for(peer);
 }
 
-void RoutingPolicy::on_summary(net::NodeId peer, const SummaryBlock& block) {
-  substrate_->on_summary(peer, block);
+common::Status RoutingPolicy::on_summary(net::NodeId peer,
+                                         const SummaryBlock& block) {
+  return substrate_->on_summary(peer, block);
 }
 
 std::vector<OutboundSummary> RoutingPolicy::maintenance(double now) {

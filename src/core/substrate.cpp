@@ -96,11 +96,9 @@ std::vector<OutboundSummary> SummarySubstrate::maintenance(double now) {
   return out;
 }
 
-void SummarySubstrate::on_summary(net::NodeId from, const SummaryBlock& block) {
-  if (!multi_query_) {
-    dispatch(from, block);
-    return;
-  }
+common::Status SummarySubstrate::on_summary(net::NodeId from,
+                                           const SummaryBlock& block) {
+  if (!multi_query_) return dispatch(from, block);
   // Multi-query wire: every sub-block arrives wrapped in a query scope.
   // The subscriber ids are attribution metadata (the receiver's registry
   // mirrors the sender's by config symmetry); the inner block is dispatched
@@ -108,17 +106,21 @@ void SummarySubstrate::on_summary(net::NodeId from, const SummaryBlock& block) {
   // sender that predates the wrapper dispatches as-is.
   summary_codec::Visitor visitor;
   bool saw_wrapper = false;
+  common::Status inner_status = common::Status::ok();
   visitor.on_query_scope = [&](const std::vector<std::uint32_t>&,
                                SummaryBlock inner) {
     saw_wrapper = true;
-    dispatch(from, inner);
+    auto st = dispatch(from, inner);
+    if (inner_status.is_ok()) inner_status = std::move(st);
   };
   if (!summary_codec::decode_blocks(block, visitor).is_ok() || !saw_wrapper) {
-    dispatch(from, block);
+    return dispatch(from, block);
   }
+  return inner_status;
 }
 
-void SummarySubstrate::dispatch(net::NodeId from, const SummaryBlock& block) {
+common::Status SummarySubstrate::dispatch(net::NodeId from,
+                                          const SummaryBlock& block) {
   summary_codec::Visitor visitor;
   if (coeff_) {
     visitor.on_dft = [&](stream::StreamSide side, std::uint32_t window,
@@ -152,8 +154,9 @@ void SummarySubstrate::dispatch(net::NodeId from, const SummaryBlock& block) {
   }
   // Sub-blocks of families without a live engine fall through their null
   // callbacks; a malformed block aborts mid-way, matching the single-policy
-  // decoder's behavior (the node counts the failure, state stays intact).
-  (void)summary_codec::decode_blocks(block, visitor);
+  // decoder's behavior: sub-blocks before the bad one stay applied, the
+  // bad one is dropped whole, and the node counts the failure.
+  return summary_codec::decode_blocks(block, visitor);
 }
 
 SummaryBlock SummarySubstrate::wrap(SummaryFamily family,

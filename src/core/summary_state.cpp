@@ -1,5 +1,6 @@
 #include "dsjoin/core/summary_state.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -181,6 +182,14 @@ common::Result<dsp::Complex> read_quant_pair(common::BufferReader& in,
                       dsp::dequantize_component(im, scale, bits));
 }
 
+// The f64 coefficient forms must carry finite values, like the quantized
+// forms and the sample masses: the transforms that read them are bit-exact
+// only on finite inputs, and llround of a NaN is unspecified.
+common::Status non_finite_coefficient() {
+  return common::Status(common::ErrorCode::kDataLoss,
+                        "non-finite summary coefficient");
+}
+
 }  // namespace
 
 common::Status decode_blocks(const SummaryBlock& block, const Visitor& visitor) {
@@ -242,6 +251,9 @@ common::Status decode_blocks(const SummaryBlock& block, const Visitor& visitor) 
           if (!re) return re.status();
           auto im = in.read_f64();
           if (!im) return im.status();
+          if (!std::isfinite(re.value()) || !std::isfinite(im.value())) {
+            return non_finite_coefficient();
+          }
           deltas.push_back(dsp::CoeffDelta{
               idx.value(), dsp::Complex(re.value(), im.value())});
         }
@@ -318,6 +330,9 @@ common::Status decode_blocks(const SummaryBlock& block, const Visitor& visitor) 
           if (!re) return re.status();
           auto im = in.read_f64();
           if (!im) return im.status();
+          if (!std::isfinite(re.value()) || !std::isfinite(im.value())) {
+            return non_finite_coefficient();
+          }
           coeffs.emplace_back(re.value(), im.value());
         }
         if (visitor.on_hist_spectrum) {
@@ -426,22 +441,66 @@ void CoeffStore::apply(const std::vector<dsp::CoeffDelta>& deltas) {
   }
 }
 
-void CoeffStore::rebuild() {
-  counts_.clear();
-  for (std::int64_t v : dsp::reconstruct_rounded(spectrum_)) {
-    ++counts_[v];
+namespace {
+
+// Sorts ascending by natural merge: split into maximal monotone runs,
+// reverse the descending ones, then merge neighbouring runs bottom-up
+// through one scratch buffer. A reconstruction from K retained
+// coefficients is a smooth curve with at most 2K - 1 runs, so this costs
+// O(W log runs) instead of std::sort's O(W log W).
+void sort_by_natural_merge(std::vector<std::int64_t>& values) {
+  const std::size_t n = values.size();
+  std::vector<std::size_t> bounds{0};  // run i is [bounds[i], bounds[i + 1])
+  for (std::size_t i = 0; i < n;) {
+    // A run's direction is its first strict step; equal neighbours extend
+    // a run either way, so the plateaus of a rounded curve split nothing.
+    std::size_t j = i + 1;
+    while (j < n && values[j] == values[i]) ++j;
+    if (j < n && values[j] < values[i]) {
+      while (j < n && values[j] <= values[j - 1]) ++j;
+      std::reverse(values.begin() + static_cast<std::ptrdiff_t>(i),
+                   values.begin() + static_cast<std::ptrdiff_t>(j));
+    } else {
+      while (j < n && values[j] >= values[j - 1]) ++j;
+    }
+    bounds.push_back(j);
+    i = j;
   }
+  if (bounds.size() <= 2) return;
+  std::vector<std::int64_t> scratch(n);
+  std::int64_t* src = values.data();
+  std::int64_t* dst = scratch.data();
+  while (bounds.size() > 2) {
+    // Merge runs (0, 1), (2, 3), ...; an odd last run is copied.
+    std::size_t kept = 1;
+    for (std::size_t r = 0; r + 1 < bounds.size(); r += 2) {
+      const std::size_t lo = bounds[r];
+      const std::size_t mid = bounds[r + 1];
+      const std::size_t hi = r + 2 < bounds.size() ? bounds[r + 2] : mid;
+      std::merge(src + lo, src + mid, src + mid, src + hi, dst + lo);
+      bounds[kept++] = hi;
+    }
+    bounds.resize(kept);
+    std::swap(src, dst);
+  }
+  if (src != values.data()) values.swap(scratch);
+}
+
+}  // namespace
+
+void CoeffStore::rebuild() {
+  sorted_ = dsp::reconstruct_rounded(spectrum_);
+  sort_by_natural_merge(sorted_);
   dirty_ = false;
 }
 
 std::uint64_t CoeffStore::estimate_count(std::int64_t key, std::int64_t tolerance) {
   if (dirty_) rebuild();
-  std::uint64_t total = 0;
-  for (std::int64_t k = key - tolerance; k <= key + tolerance; ++k) {
-    const auto it = counts_.find(k);
-    if (it != counts_.end()) total += it->second;
-  }
-  return total;
+  // The upper search starts at the lower result, so a negative tolerance
+  // counts nothing.
+  const auto lo = std::lower_bound(sorted_.begin(), sorted_.end(), key - tolerance);
+  const auto hi = std::upper_bound(lo, sorted_.end(), key + tolerance);
+  return static_cast<std::uint64_t>(hi - lo);
 }
 
 bool BloomStore::contains(std::int64_t key, std::int64_t tolerance) const {

@@ -1,5 +1,6 @@
 #include "dsjoin/dsp/fft.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <map>
@@ -35,25 +36,79 @@ std::vector<Complex> make_twiddles(std::size_t n) {
   return tw;
 }
 
-// Core iterative radix-2 transform over precomputed tables. `invert` flips
-// the twiddle sign; scaling is the caller's responsibility.
+// radix2's zero-block flags, one per element. Per thread rather than per
+// plan: Fft::plan shares one plan per thread, and a plan may be used from
+// several threads at once.
+std::vector<unsigned char>& zero_flags(std::size_t n) {
+  thread_local std::vector<unsigned char> flags;
+  if (flags.size() < n) flags.resize(n);
+  return flags;
+}
+
+// Core iterative radix-2 transform over precomputed tables; `Invert`
+// negates the twiddles' imaginary parts (exact), scaling is the caller's
+// responsibility.
+//
+// The butterfly works on the interleaved doubles (an array of
+// std::complex<double> may be accessed as double[2n]). Under
+// -ffp-contract=off its product performs the operations, in the order,
+// that std::complex<double>::operator* evaluates for finite operands, minus
+// the NaN-recovery branch (__muldc3), so finite inputs give the same bits.
+//
+// Zero sub-blocks: zero[s] is set while the current stage's block starting
+// at s holds only exact zeros. A block whose two halves are both zero is
+// skipped; a block whose odd half alone is zero gets its even half copied
+// over (u +- 0*w == u). Both shortcuts change at most the sign of an exact
+// zero, which never reaches a nonzero result (x +- 0 == x, 0 * w == 0).
+// Band-limited spectra, a few retained bins out of W, skip most of the
+// early stages. Tracking ends at the first stage without a zero block.
+template <bool Invert>
 void radix2(std::span<Complex> data, const std::vector<std::size_t>& rev,
-            const std::vector<Complex>& twiddles, bool invert) {
+            const std::vector<Complex>& twiddles) {
   const std::size_t n = data.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (i < rev[i]) std::swap(data[i], data[rev[i]]);
   }
+  double* d = reinterpret_cast<double*>(data.data());
+  const double* tw = reinterpret_cast<const double*>(twiddles.data());
+  std::vector<unsigned char>& zero = zero_flags(n);
+  bool any_zero = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    zero[i] = d[2 * i] == 0.0 && d[2 * i + 1] == 0.0;
+    any_zero = any_zero || zero[i];
+  }
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const std::size_t half = len >> 1;
     const std::size_t step = n / len;  // stride into the size-n twiddle table
+    const bool track = any_zero;
+    any_zero = false;
     for (std::size_t start = 0; start < n; start += len) {
+      double* even = d + 2 * start;
+      double* odd = even + 2 * half;
+      if (track) {
+        if (zero[start + half]) {
+          if (zero[start]) {
+            any_zero = true;
+          } else {
+            std::copy(even, odd, odd);
+          }
+          continue;
+        }
+        zero[start] = 0;
+      }
       for (std::size_t j = 0; j < half; ++j) {
-        Complex w = twiddles[j * step];
-        if (invert) w = std::conj(w);
-        const Complex u = data[start + j];
-        const Complex v = data[start + j + half] * w;
-        data[start + j] = u + v;
-        data[start + j + half] = u - v;
+        const double wr = tw[2 * j * step];
+        const double wi = Invert ? -tw[2 * j * step + 1] : tw[2 * j * step + 1];
+        const double xr = odd[2 * j];
+        const double xi = odd[2 * j + 1];
+        const double vr = xr * wr - xi * wi;
+        const double vi = xr * wi + xi * wr;
+        const double ur = even[2 * j];
+        const double ui = even[2 * j + 1];
+        even[2 * j] = ur + vr;
+        even[2 * j + 1] = ui + vi;
+        odd[2 * j] = ur - vr;
+        odd[2 * j + 1] = ui - vi;
       }
     }
   }
@@ -112,7 +167,7 @@ Fft::Fft(std::size_t size) : size_(size), pow2_(is_power_of_two(size)) {
     kernel[n] = std::conj(chirp_[n]);
     kernel[conv_size_ - n] = std::conj(chirp_[n]);
   }
-  radix2(kernel, conv_bit_reversal_, conv_twiddles_, /*invert=*/false);
+  radix2<false>(kernel, conv_bit_reversal_, conv_twiddles_);
   chirp_spectrum_ = std::move(kernel);
 }
 
@@ -120,7 +175,7 @@ void Fft::forward(std::span<Complex> data) const {
   assert(data.size() == size_);
   if (size_ == 1) return;
   if (pow2_) {
-    transform_pow2(data, /*invert=*/false);
+    radix2<false>(data, bit_reversal_, twiddles_);
   } else {
     transform_bluestein(data, /*invert=*/false);
   }
@@ -130,16 +185,12 @@ void Fft::inverse(std::span<Complex> data) const {
   assert(data.size() == size_);
   if (size_ == 1) return;
   if (pow2_) {
-    transform_pow2(data, /*invert=*/true);
+    radix2<true>(data, bit_reversal_, twiddles_);
   } else {
     transform_bluestein(data, /*invert=*/true);
   }
   const double scale = 1.0 / static_cast<double>(size_);
   for (auto& v : data) v *= scale;
-}
-
-void Fft::transform_pow2(std::span<Complex> data, bool invert) const {
-  radix2(data, bit_reversal_, twiddles_, invert);
 }
 
 void Fft::transform_bluestein(std::span<Complex> data, bool invert) const {
@@ -150,9 +201,9 @@ void Fft::transform_bluestein(std::span<Complex> data, bool invert) const {
   }
   std::vector<Complex> a(conv_size_, Complex{});
   for (std::size_t n = 0; n < size_; ++n) a[n] = data[n] * chirp_[n];
-  radix2(a, conv_bit_reversal_, conv_twiddles_, /*invert=*/false);
+  radix2<false>(a, conv_bit_reversal_, conv_twiddles_);
   for (std::size_t i = 0; i < conv_size_; ++i) a[i] *= chirp_spectrum_[i];
-  radix2(a, conv_bit_reversal_, conv_twiddles_, /*invert=*/true);
+  radix2<true>(a, conv_bit_reversal_, conv_twiddles_);
   const double scale = 1.0 / static_cast<double>(conv_size_);
   for (std::size_t k = 0; k < size_; ++k) {
     data[k] = a[k] * scale * chirp_[k];

@@ -32,8 +32,9 @@ std::size_t next_power_of_two(std::size_t n) noexcept;
 
 /// A transform plan for one fixed size. Construction precomputes twiddle
 /// tables (and, for non-power-of-two sizes, the Bluestein chirp and its
-/// convolution spectrum); execution is allocation-free for power-of-two
-/// sizes and reuses internal scratch otherwise.
+/// convolution spectrum). Power-of-two execution allocates nothing once
+/// the calling thread's zero-block flags (see fft.cpp) have grown to the
+/// size; Bluestein execution allocates a convolution buffer on every call.
 class Fft {
  public:
   /// @param size transform length, >= 1. Any size is accepted; power-of-two
@@ -62,7 +63,6 @@ class Fft {
   static const Fft& plan(std::size_t size);
 
  private:
-  void transform_pow2(std::span<Complex> data, bool invert) const;
   void transform_bluestein(std::span<Complex> data, bool invert) const;
 
   std::size_t size_;

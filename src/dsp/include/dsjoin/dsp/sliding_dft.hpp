@@ -139,7 +139,6 @@ class SlidingDft {
   std::uint64_t phase_steps_ = 0;
   double sum_ = 0.0;
   double sum_sq_ = 0.0;
-  Fft fft_;
   // Lazily materialized interleaved view of the SoA coefficient store.
   mutable std::vector<Complex> coeff_view_;
   mutable bool view_dirty_ = true;

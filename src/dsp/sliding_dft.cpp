@@ -28,8 +28,7 @@ SlidingDft::SlidingDft(std::size_t window, std::size_t retained)
       step_re_(retained),
       step_im_(retained),
       last_sent_(retained, Complex{}),
-      ring_(window, 0.0),
-      fft_(window) {
+      ring_(window, 0.0) {
   if (window < 2) throw std::invalid_argument("SlidingDft window must be >= 2");
   if (retained == 0 || retained > window) {
     throw std::invalid_argument("SlidingDft retained must be in [1, window]");
@@ -194,7 +193,9 @@ double SlidingDft::variance() const noexcept {
 
 void SlidingDft::renormalize() {
   std::vector<Complex> full(ring_.begin(), ring_.end());
-  fft_.forward(full);
+  // Borrowed per call, never stored: the plan cache is thread-local and a
+  // node's work may run on different pool threads.
+  Fft::plan(window_).forward(full);
   for (std::size_t k = 0; k < coeff_re_.size(); ++k) {
     coeff_re_[k] = full[k].real();
     coeff_im_[k] = full[k].imag();

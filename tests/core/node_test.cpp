@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "dsjoin/core/summary_state.hpp"
 #include "dsjoin/core/wire.hpp"
 #include "dsjoin/net/sim_transport.hpp"
 
@@ -121,6 +125,45 @@ TEST(Node, MalformedFrameCountsDecodeFailure) {
   junk_summary.payload = {0xff};
   h.built[0]->on_frame(std::move(junk_summary), 0.0);
   EXPECT_EQ(h.built[0]->decode_failures(), 2u);
+}
+
+TEST(Node, NonFiniteSummaryIsCountedAndNotApplied) {
+  Harness h(PolicyKind::kDftt);
+  Node& node = *h.built[0];
+  const std::size_t s_side = static_cast<std::size_t>(stream::StreamSide::kS);
+  const auto summary_frame = [&](double dc) {
+    common::BufferWriter w;
+    const std::vector<dsp::CoeffDelta> deltas{{0, dsp::Complex(dc, 0.0)}};
+    summary_codec::encode_dft(
+        w, stream::StreamSide::kS, h.config.dft_window,
+        static_cast<std::uint32_t>(h.config.dft_retained()), deltas);
+    SummaryPayload payload;
+    payload.block = SummaryBlock{std::move(w).take()};
+    net::Frame frame;
+    frame.from = 1;
+    frame.to = 0;
+    frame.kind = net::FrameKind::kSummary;
+    frame.payload = payload.encode();
+    return frame;
+  };
+
+  // Due path: stamped at 0, applied once a local arrival at t = 1 moves
+  // the node past the summary's visibility boundary.
+  node.on_frame(summary_frame(std::nan("")), 0.0);
+  node.on_local_tuple(h.tuple(1, 7, 1.0, stream::StreamSide::kR, 0), 1.0);
+  EXPECT_EQ(node.decode_failures(), 1u);
+  EXPECT_FALSE(node.substrate().coeff().remote_seeded(1, s_side));
+
+  // Late path: the boundary has already passed, so it applies at once.
+  node.on_frame(summary_frame(std::numeric_limits<double>::infinity()), 1.0);
+  EXPECT_EQ(node.late_summaries(), 1u);
+  EXPECT_EQ(node.decode_failures(), 2u);
+  EXPECT_FALSE(node.substrate().coeff().remote_seeded(1, s_side));
+
+  // A finite block on the same path seeds the peer and counts nothing.
+  node.on_frame(summary_frame(5000.0 * h.config.dft_window), 1.0);
+  EXPECT_EQ(node.decode_failures(), 2u);
+  EXPECT_TRUE(node.substrate().coeff().remote_seeded(1, s_side));
 }
 
 TEST(Node, ResultFramesAreAcceptedSilently) {

@@ -187,10 +187,14 @@ TEST_P(MembershipPolicyTest, LearnsFromSummariesAndRoutesToOwners) {
     owner->observe_local(r);
     (void)owner->route(t);
     for (auto& summary : owner->maintenance(now)) {
-      if (summary.peer == 0) router->on_summary(1, summary.block);
+      if (summary.peer == 0) {
+        ASSERT_TRUE(router->on_summary(1, summary.block).is_ok());
+      }
     }
     const auto piggy = owner->piggyback_for(0);
-    if (!piggy.empty()) router->on_summary(1, piggy);
+    if (!piggy.empty()) {
+      ASSERT_TRUE(router->on_summary(1, piggy).is_ok());
+    }
 
     stream::Tuple far_s = tuple_with(90000 + (i % 3), stream::StreamSide::kS, now);
     far_s.id = id++;
@@ -201,10 +205,14 @@ TEST_P(MembershipPolicyTest, LearnsFromSummariesAndRoutesToOwners) {
     far_r.origin = 2;
     stranger->observe_local(far_r);
     for (auto& summary : stranger->maintenance(now)) {
-      if (summary.peer == 0) router->on_summary(2, summary.block);
+      if (summary.peer == 0) {
+        ASSERT_TRUE(router->on_summary(2, summary.block).is_ok());
+      }
     }
     const auto piggy2 = stranger->piggyback_for(0);
-    if (!piggy2.empty()) router->on_summary(2, piggy2);
+    if (!piggy2.empty()) {
+      ASSERT_TRUE(router->on_summary(2, piggy2).is_ok());
+    }
   }
 
   // Router's own stream also near 5000 so its local spectra are sane.
@@ -297,7 +305,9 @@ TEST(SpectrumPolicy, BroadcastsSpectraEveryEpochAndLearns) {
     sender->observe_local(tuple_with(7000 + i % 4, stream::StreamSide::kR, now));
     for (auto& s : sender->maintenance(now)) {
       ++broadcasts;
-      if (s.peer == 0) receiver->on_summary(1, s.block);
+      if (s.peer == 0) {
+        ASSERT_TRUE(receiver->on_summary(1, s.block).is_ok());
+      }
     }
   }
   EXPECT_GT(broadcasts, 10);
@@ -361,7 +371,9 @@ TEST(SamplePolicy, LearnsMatchingPeerFromSampleSummaries) {
     sender->observe_local(tuple_with(4200 + i % 4, stream::StreamSide::kR, now));
     for (auto& s : sender->maintenance(now)) {
       ++broadcasts;
-      if (s.peer == 0) receiver->on_summary(1, s.block);
+      if (s.peer == 0) {
+        ASSERT_TRUE(receiver->on_summary(1, s.block).is_ok());
+      }
     }
   }
   EXPECT_GT(broadcasts, 10);

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <numbers>
 
+#include "dsjoin/common/rng.hpp"
 #include "dsjoin/dsp/fft.hpp"
 
 namespace dsjoin::core {
@@ -190,6 +192,43 @@ TEST(SummaryCodec, QuantRejectsBadWidthAndScale) {
   truncated.resize(truncated.size() - 1);
   EXPECT_FALSE(
       summary_codec::decode_blocks(SummaryBlock{truncated}, {}).is_ok());
+}
+
+TEST(SummaryCodec, RejectsNonFiniteF64Coefficients) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::nan(""), inf, -inf}) {
+    for (const dsp::Complex value :
+         {dsp::Complex(bad, 1.0), dsp::Complex(1.0, bad)}) {
+      bool visited = false;
+      summary_codec::Visitor visitor;
+      visitor.on_dft = [&](StreamSide, std::uint32_t, std::uint32_t,
+                           const std::vector<dsp::CoeffDelta>&) {
+        visited = true;
+      };
+      visitor.on_hist_spectrum = [&](StreamSide, std::uint32_t,
+                                     std::vector<dsp::Complex>) {
+        visited = true;
+      };
+
+      common::BufferWriter dft;
+      const std::vector<dsp::CoeffDelta> deltas{
+          {0, dsp::Complex(3.0, 0.0)}, {1, value}};
+      summary_codec::encode_dft(dft, StreamSide::kR, 64, 4, deltas);
+      EXPECT_FALSE(summary_codec::decode_blocks(
+                       SummaryBlock{std::move(dft).take()}, visitor)
+                       .is_ok())
+          << "dft " << value;
+
+      common::BufferWriter hist;
+      const std::vector<dsp::Complex> coeffs{dsp::Complex(3.0, 0.0), value};
+      summary_codec::encode_hist_spectrum(hist, StreamSide::kS, 16, coeffs);
+      EXPECT_FALSE(summary_codec::decode_blocks(
+                       SummaryBlock{std::move(hist).take()}, visitor)
+                       .is_ok())
+          << "hist " << value;
+      EXPECT_FALSE(visited) << value;
+    }
+  }
 }
 
 TEST(SummaryCodec, RejectsUnknownTag) {
@@ -388,6 +427,66 @@ TEST(CoeffStore, UpdatesInvalidateCache) {
   EXPECT_EQ(store.estimate_count(10, 0), 0u);
   EXPECT_EQ(store.estimate_count(20, 0), kW);
   EXPECT_EQ(store.updates_applied(), 2u);
+}
+
+// estimate_count must equal a brute-force count over the rounded
+// reconstruction, whatever the shape of the window.
+void expect_estimates_match_brute_force(std::uint32_t window,
+                                        const std::vector<dsp::Complex>& coeffs,
+                                        std::uint64_t seed) {
+  CoeffStore store(window, static_cast<std::uint32_t>(coeffs.size()));
+  std::vector<dsp::CoeffDelta> deltas;
+  for (std::uint32_t k = 0; k < coeffs.size(); ++k) {
+    deltas.push_back(dsp::CoeffDelta{k, coeffs[k]});
+  }
+  store.apply(deltas);
+  dsp::CompressedSpectrum spectrum;
+  spectrum.window = window;
+  spectrum.coeffs = coeffs;
+  const auto values = dsp::reconstruct_rounded(spectrum);
+  const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+  const auto span = static_cast<std::uint64_t>(*hi - *lo) + 81;
+  common::Xoshiro256 rng(seed);
+  for (int i = 0; i < 1000; ++i) {
+    const std::int64_t key =
+        *lo - 40 + static_cast<std::int64_t>(rng.next_below(span));
+    for (std::int64_t tolerance : {-1, 0, 1, 32}) {
+      const auto expected = static_cast<std::uint64_t>(
+          std::count_if(values.begin(), values.end(), [&](std::int64_t v) {
+            return v >= key - tolerance && v <= key + tolerance;
+          }));
+      ASSERT_EQ(store.estimate_count(key, tolerance), expected)
+          << "key " << key << " tolerance " << tolerance;
+    }
+  }
+}
+
+TEST(CoeffStore, EstimatesMatchBruteForceCount) {
+  constexpr std::uint32_t kW = 2048;
+  common::Xoshiro256 rng(77);
+  // Random K = 8 spectra: DFTT's default geometry (W / kappa = 8). The
+  // low-amplitude ones round to long plateaus between direction changes.
+  for (double amplitude : {300.0, 300.0, 300.0, 3.0}) {
+    std::vector<dsp::Complex> coeffs(8);
+    coeffs[0] = dsp::Complex(kW * rng.next_double_in(1000.0, 9000.0), 0.0);
+    for (std::size_t k = 1; k < coeffs.size(); ++k) {
+      coeffs[k] = dsp::Complex(kW * rng.next_double_in(-amplitude, amplitude),
+                               kW * rng.next_double_in(-amplitude, amplitude));
+    }
+    expect_estimates_match_brute_force(kW, coeffs, rng.next());
+  }
+  // A constant window: one value, W times.
+  std::vector<dsp::Complex> constant(8, dsp::Complex{});
+  constant[0] = dsp::Complex(kW * 4321.0, 0.0);
+  expect_estimates_match_brute_force(kW, constant, 200);
+  // K = W/2 + 1: the whole half-spectrum of a random window, so the
+  // reconstruction has hundreds of monotone runs.
+  std::vector<double> signal(kW);
+  for (auto& v : signal) v = rng.next_double_in(0.0, 10000.0);
+  const auto full = dsp::Fft(kW).forward_real(signal);
+  expect_estimates_match_brute_force(
+      kW, std::vector<dsp::Complex>(full.begin(), full.begin() + kW / 2 + 1),
+      300);
 }
 
 TEST(BloomStore, UnseededContainsNothing) {

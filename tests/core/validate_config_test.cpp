@@ -93,6 +93,54 @@ TEST(ValidateConfig, RejectsThrottleAndWidthOutOfRange) {
   EXPECT_FALSE(validate_config(config).is_ok());
 }
 
+TEST(ValidateConfig, RejectsMembershipToleranceOutOfRange) {
+  auto config = valid_config();
+  config.membership_tolerance = -1;
+  EXPECT_FALSE(validate_config(config).is_ok());
+  config.membership_tolerance = (std::int64_t{1} << 31) + 1;
+  EXPECT_FALSE(validate_config(config).is_ok());
+  config.membership_tolerance = std::int64_t{1} << 31;
+  EXPECT_TRUE(validate_config(config).is_ok());
+  config.membership_tolerance = 0;
+  EXPECT_TRUE(validate_config(config).is_ok());
+}
+
+TEST(ValidateConfig, RejectsDegenerateDftWindow) {
+  auto config = valid_config();
+  config.dft_window = 1;
+  EXPECT_FALSE(validate_config(config).is_ok());
+  config.dft_window = 0;
+  EXPECT_FALSE(validate_config(config).is_ok());
+  config.kappa = 2.0;
+  config.dft_window = 2;
+  EXPECT_TRUE(validate_config(config).is_ok());
+}
+
+TEST(ValidateConfig, RejectsNonPositiveOrNonFiniteKappa) {
+  auto config = valid_config();
+  for (double kappa : {0.0, -4.0, std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+    config.kappa = kappa;
+    EXPECT_FALSE(validate_config(config).is_ok()) << kappa;
+  }
+  config.kappa = 1e-300;  // would overflow W / kappa's integer truncation
+  EXPECT_FALSE(validate_config(config).is_ok());
+  config.kappa = 2.0;  // the smallest kappa fig10a sweeps
+  EXPECT_TRUE(validate_config(config).is_ok());
+}
+
+TEST(ValidateConfig, RejectsMoreCoefficientsThanHalfSpectrum) {
+  auto config = valid_config();
+  config.dft_window = 2048;
+  config.kappa = 1.0;  // K = 2048 > W/2 + 1
+  EXPECT_FALSE(validate_config(config).is_ok());
+  config.kappa = 1.996;  // K = 1026
+  EXPECT_FALSE(validate_config(config).is_ok());
+  config.kappa = 1.997;  // K = 1025 = W/2 + 1
+  EXPECT_EQ(config.dft_retained(), 1025u);
+  EXPECT_TRUE(validate_config(config).is_ok());
+}
+
 TEST(ValidateConfig, RejectsTooManyQueries) {
   auto config = valid_config();
   for (std::uint32_t i = 0; i <= kMaxQueries; ++i) {

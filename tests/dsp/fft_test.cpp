@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <numbers>
+#include <string>
+#include <utility>
 
 #include "dsjoin/common/rng.hpp"
 
@@ -197,6 +203,181 @@ TEST(DirectDft, RealWrapperMatchesComplex) {
   const auto b = direct_dft(complex_in);
   EXPECT_LT(max_abs_diff(a, b), 1e-12);
 }
+
+// The pre-change transform, kept as the bit-exact reference for the
+// production kernel: the radix-2 butterfly in std::complex arithmetic with
+// every block computed, the same twiddle, bit-reversal and Bluestein
+// tables, and Fft::inverse's 1/N scaling.
+namespace reference {
+
+constexpr double kTwoPi = 2.0 * std::numbers::pi;
+
+std::vector<std::size_t> bit_reversal(std::size_t n) {
+  std::size_t bits = 0;
+  while ((std::size_t{1} << bits) < n) ++bits;
+  std::vector<std::size_t> rev(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t b = 0; b < bits; ++b) {
+      if (i & (std::size_t{1} << b)) rev[i] |= std::size_t{1} << (bits - 1 - b);
+    }
+  }
+  return rev;
+}
+
+std::vector<Complex> twiddles(std::size_t n) {
+  std::vector<Complex> tw(n / 2);
+  for (std::size_t j = 0; j < n / 2; ++j) {
+    const double angle = -kTwoPi * static_cast<double>(j) / static_cast<double>(n);
+    tw[j] = Complex(std::cos(angle), std::sin(angle));
+  }
+  return tw;
+}
+
+void radix2(std::vector<Complex>& data, bool invert) {
+  const std::size_t n = data.size();
+  const auto rev = bit_reversal(n);
+  const auto tw = twiddles(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i < rev[i]) std::swap(data[i], data[rev[i]]);
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len >> 1;
+    const std::size_t step = n / len;
+    for (std::size_t start = 0; start < n; start += len) {
+      for (std::size_t j = 0; j < half; ++j) {
+        Complex w = tw[j * step];
+        if (invert) w = std::conj(w);
+        const Complex u = data[start + j];
+        const Complex v = data[start + j + half] * w;
+        data[start + j] = u + v;
+        data[start + j + half] = u - v;
+      }
+    }
+  }
+}
+
+void bluestein(std::vector<Complex>& data, bool invert) {
+  const std::size_t size = data.size();
+  const std::size_t conv = next_power_of_two(2 * size - 1);
+  std::vector<Complex> chirp(size);
+  for (std::size_t n = 0; n < size; ++n) {
+    const std::size_t sq = (n * n) % (2 * size);
+    const double angle =
+        -std::numbers::pi * static_cast<double>(sq) / static_cast<double>(size);
+    chirp[n] = Complex(std::cos(angle), std::sin(angle));
+  }
+  std::vector<Complex> kernel(conv, Complex{});
+  kernel[0] = std::conj(chirp[0]);
+  for (std::size_t n = 1; n < size; ++n) {
+    kernel[n] = std::conj(chirp[n]);
+    kernel[conv - n] = std::conj(chirp[n]);
+  }
+  radix2(kernel, false);
+  if (invert) {
+    for (auto& v : data) v = std::conj(v);
+  }
+  std::vector<Complex> a(conv, Complex{});
+  for (std::size_t n = 0; n < size; ++n) a[n] = data[n] * chirp[n];
+  radix2(a, false);
+  for (std::size_t i = 0; i < conv; ++i) a[i] *= kernel[i];
+  radix2(a, true);
+  const double scale = 1.0 / static_cast<double>(conv);
+  for (std::size_t k = 0; k < size; ++k) data[k] = a[k] * scale * chirp[k];
+  if (invert) {
+    for (auto& v : data) v = std::conj(v);
+  }
+}
+
+std::vector<Complex> transform(std::vector<Complex> data, bool invert) {
+  if (is_power_of_two(data.size())) {
+    radix2(data, invert);
+  } else {
+    bluestein(data, invert);
+  }
+  if (invert) {
+    const double scale = 1.0 / static_cast<double>(data.size());
+    for (auto& v : data) v *= scale;
+  }
+  return data;
+}
+
+}  // namespace reference
+
+// Spectrum of K retained bins plus their conjugate mirrors (DFTT's
+// band-limited reconstruction input); K is clamped to n/2 + 1.
+std::vector<Complex> band_limited(std::size_t n, std::size_t k,
+                                  std::uint64_t seed) {
+  const std::size_t kept = std::min(k, n / 2 + 1);
+  std::vector<Complex> out(n, Complex{});
+  const auto bins = random_signal(kept, seed);
+  out[0] = Complex(bins[0].real(), 0.0);
+  for (std::size_t i = 1; i < kept; ++i) {
+    out[i] = bins[i];
+    if (n - i != i) out[n - i] = std::conj(bins[i]);
+  }
+  return out;
+}
+
+// Number of components that differ from `want` in their bits while at
+// least one side is nonzero; only the sign of an exact zero may differ.
+std::size_t nonzero_bit_mismatches(std::span<const Complex> got,
+                                   std::span<const Complex> want,
+                                   std::string& first) {
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const double g[2] = {got[i].real(), got[i].imag()};
+    const double w[2] = {want[i].real(), want[i].imag()};
+    for (int c = 0; c < 2; ++c) {
+      if (g[c] == 0.0 && w[c] == 0.0) continue;
+      if (std::memcmp(&g[c], &w[c], sizeof(double)) != 0) {
+        if (mismatches++ == 0) {
+          char buf[96];
+          std::snprintf(buf, sizeof buf, "index %zu component %d: %a vs %a",
+                        i, c, g[c], w[c]);
+          first = buf;
+        }
+      }
+    }
+  }
+  return mismatches;
+}
+
+class KernelBitIdentityTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(KernelBitIdentityTest, MatchesStdComplexKernelWhereNonzero) {
+  const std::size_t n = GetParam();
+  std::vector<std::pair<std::string, std::vector<Complex>>> inputs;
+  inputs.emplace_back("dense", random_signal(n, 3000 + n));
+  for (std::size_t k : {1, 8, 32}) {
+    inputs.emplace_back("band K=" + std::to_string(k),
+                        band_limited(n, k, 4000 + n + k));
+  }
+  std::vector<Complex> impulse(n, Complex{});
+  impulse[n / 3] = Complex(1.5, -0.25);
+  inputs.emplace_back("impulse", impulse);
+  inputs.emplace_back("zero", std::vector<Complex>(n, Complex{}));
+
+  const Fft& fft = Fft::plan(n);
+  for (const auto& [name, input] : inputs) {
+    for (bool invert : {false, true}) {
+      auto got = input;
+      if (invert) {
+        fft.inverse(got);
+      } else {
+        fft.forward(got);
+      }
+      const auto want = reference::transform(input, invert);
+      std::string first;
+      EXPECT_EQ(nonzero_bit_mismatches(got, want, first), 0u)
+          << "n=" << n << " " << name << (invert ? " inverse" : " forward")
+          << ", first at " << first;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, KernelBitIdentityTest,
+                         ::testing::Values(2, 4, 8, 16, 32, 64, 128, 256, 512,
+                                           1024, 2048, 4096, 1000, 2049));
 
 TEST(Fft, LargeSizeIsAccurate) {
   constexpr std::size_t kN = 1 << 14;
