@@ -20,6 +20,9 @@
 // band-limited inverse transform, one reconstruction-cache rebuild, one
 // membership estimate); like the TupleStore rows they are point calls
 // with no kernel, so their batch and simd columns time identical code.
+// The metrics rows time result accounting the same way: a node's
+// collector taking reports and handing over its sorted pair list, and the
+// merge of four nodes' lists into the run's pair set.
 //
 // Flags:
 //   --quick      fewer configs, shorter timing windows (CI smoke)
@@ -44,6 +47,8 @@
 
 #include "dsjoin/common/rng.hpp"
 #include "dsjoin/common/simd.hpp"
+#include "dsjoin/core/experiment.hpp"
+#include "dsjoin/core/metrics.hpp"
 #include "dsjoin/core/summary_state.hpp"
 #include "dsjoin/dsp/compression.hpp"
 #include "dsjoin/dsp/fft.hpp"
@@ -509,6 +514,88 @@ Entry bench_coeff_store_estimate(double min_time_s) {
   return e;
 }
 
+// A node's collector over one run: 60,000 reports, 10% of them repeats of
+// an earlier pair, then the sorted snapshot NodeHost::report ships; one
+// item is one report.
+Entry bench_metrics_record(double min_time_s) {
+  Entry e;
+  e.op = "metrics";
+  e.config = "record+pairs";
+  e.batch_size = 1;
+  struct Report {
+    stream::ResultPair pair;
+    net::NodeId node;
+    double now;
+  };
+  common::Xoshiro256 rng(30);
+  std::vector<Report> reports;
+  reports.reserve(60'000);
+  for (std::size_t i = 0; i < 60'000; ++i) {
+    Report report{{rng.next_below(40'000) + 1, rng.next_below(40'000) + 1},
+                  static_cast<net::NodeId>(rng.next_below(4)),
+                  static_cast<double>(i) * 1e-3};
+    if (i > 0 && rng.next_below(10) == 0) {
+      report.pair = reports[rng.next_below(i)].pair;
+    }
+    reports.push_back(report);
+  }
+
+  volatile std::size_t sink = 0;
+  measure_point_path(
+      e, reports.size(), min_time_s, [] {},
+      [&] {
+        core::MetricsCollector collector;
+        collector.set_node_count(4);
+        for (const Report& r : reports) {
+          collector.record_pair(r.pair, r.node, r.now);
+        }
+        sink = sink + collector.pairs().size();
+      });
+  return e;
+}
+
+// aggregate_node_reports over four single-query node reports, shaped as
+// NodeHost::report makes them: 100,000 distinct pairs, each held by one
+// node and a quarter of them by a second node too (a pair found at both
+// owners); one item is one pair of a node's list.
+Entry bench_metrics_aggregate(double min_time_s) {
+  Entry e;
+  e.op = "metrics";
+  e.config = "aggregate 4 nodes";
+  e.batch_size = 1;
+  constexpr std::size_t kNodes = 4;
+  common::Xoshiro256 rng(31);
+  std::vector<core::MetricsCollector> collectors(kNodes);
+  for (std::size_t i = 0; i < 100'000; ++i) {
+    const stream::ResultPair pair{rng.next_below(40'000) + 1,
+                                  rng.next_below(40'000) + 1};
+    const std::size_t owner = rng.next_below(kNodes);
+    collectors[owner].record_pair(pair, 0, 0.0);
+    if (rng.next_below(4) == 0) {
+      collectors[(owner + 1 + rng.next_below(kNodes - 1)) % kNodes]
+          .record_pair(pair, 0, 0.0);
+    }
+  }
+  std::vector<core::NodeReport> reports(kNodes);
+  std::size_t items = 0;
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    reports[n].node_id = static_cast<net::NodeId>(n);
+    reports[n].pairs = collectors[n].pairs();
+    reports[n].queries.emplace_back().pairs = reports[n].pairs;
+    items += reports[n].pairs.size();
+  }
+
+  volatile std::size_t sink = 0;
+  measure_point_path(
+      e, items, min_time_s, [] {},
+      [&] {
+        core::ExperimentResult result;
+        core::aggregate_node_reports(reports, &result);
+        sink = sink + result.pairs.size();
+      });
+  return e;
+}
+
 void write_json(const std::vector<Entry>& entries, const std::string& path) {
   const char* level = common::simd::level_name(common::simd::detected_level());
   std::ofstream out(path);
@@ -572,6 +659,8 @@ int main(int argc, char** argv) {
     entries.push_back(bench_fft_band_inverse(min_time_s));
     entries.push_back(bench_coeff_store_rebuild(min_time_s));
     entries.push_back(bench_coeff_store_estimate(min_time_s));
+    entries.push_back(bench_metrics_record(min_time_s));
+    entries.push_back(bench_metrics_aggregate(min_time_s));
   } else {
     entries.push_back(bench_sliding_dft(2048, 8, min_time_s));
     entries.push_back(bench_sliding_dft(2048, 32, min_time_s));
@@ -593,6 +682,8 @@ int main(int argc, char** argv) {
     entries.push_back(bench_fft_band_inverse(min_time_s));
     entries.push_back(bench_coeff_store_rebuild(min_time_s));
     entries.push_back(bench_coeff_store_estimate(min_time_s));
+    entries.push_back(bench_metrics_record(min_time_s));
+    entries.push_back(bench_metrics_aggregate(min_time_s));
   }
 
   std::printf("%-16s %-22s %12s %12s %12s %9s %9s\n", "operator", "config",

@@ -33,12 +33,7 @@ common::Result<Backend> backend_from_string(const std::string& name) {
 
 void aggregate_node_reports(std::span<const NodeReport> reports,
                             ExperimentResult* result, bool merge_traffic) {
-  std::size_t nodes = reports.size();
-  for (const auto& report : reports) {
-    nodes = std::max(nodes, static_cast<std::size_t>(report.node_id) + 1);
-  }
-  MetricsCollector collector;
-  collector.set_node_count(nodes);
+  std::size_t query_count = 0;
   for (const auto& report : reports) {
     result->total_arrivals += report.local_tuples;
     result->decode_failures += report.decode_failures;
@@ -46,24 +41,24 @@ void aggregate_node_reports(std::span<const NodeReport> reports,
     result->predicted_missed_mass += report.predicted_missed_mass;
     result->predicted_total_mass += report.predicted_total_mass;
     if (merge_traffic) result->traffic.merge(report.traffic);
-    for (const auto& pair : report.pairs) {
-      collector.record_pair(pair, report.node_id, 0.0);
-    }
+    query_count = std::max(query_count, report.queries.size());
   }
-  result->pairs = collector.pairs();
+  if (result->per_query.size() < query_count) {
+    result->per_query.resize(query_count);
+  }
 
   // Per-query fold: every report lists its queries in the same canonical
   // order, so entry i across reports is the same query. Each query's pair
   // set deduplicates independently (queries are distinct joins).
-  std::vector<MetricsCollector> per_query;
-  for (const auto& report : reports) {
-    if (per_query.size() < report.queries.size()) {
-      per_query.resize(report.queries.size());
-      result->per_query.resize(report.queries.size());
-    }
-    for (std::size_t q = 0; q < report.queries.size(); ++q) {
+  std::vector<std::span<const stream::ResultPair>> lists;
+  lists.reserve(reports.size() + query_count);
+  std::uint64_t reported = 0;
+  for (std::size_t q = 0; q < query_count; ++q) {
+    QueryResult& out = result->per_query[q];
+    lists.clear();
+    for (const auto& report : reports) {
+      if (q >= report.queries.size()) continue;
       const QueryNodeReport& slice = report.queries[q];
-      QueryResult& out = result->per_query[q];
       out.query_id = slice.query_id;
       out.received_tuples += slice.received_tuples;
       out.forwarded_tuples += slice.forwarded_tuples;
@@ -71,27 +66,38 @@ void aggregate_node_reports(std::span<const NodeReport> reports,
       out.summary_frames += slice.summary_frames;
       out.predicted_missed_mass += slice.predicted_missed_mass;
       out.predicted_total_mass += slice.predicted_total_mass;
-      for (const auto& pair : slice.pairs) {
-        per_query[q].record_pair(pair, report.node_id, 0.0);
-      }
+      lists.push_back(slice.pairs);
     }
+    out.pairs = merge_pair_lists(lists);
+    out.reported_pairs = out.pairs.size();
+    reported += out.reported_pairs;
   }
-  std::uint64_t reported = 0;
-  for (std::size_t q = 0; q < per_query.size(); ++q) {
-    result->per_query[q].reported_pairs = per_query[q].distinct_pairs();
-    result->per_query[q].pairs = per_query[q].pairs();
-    reported += per_query[q].distinct_pairs();
+
+  // The cross-query union; a report without per-query sections (pre-v6)
+  // contributes its node-level list. Aggregate count: sum over queries
+  // (each its own join), or the union when no report has sections.
+  lists.clear();
+  for (std::size_t q = 0; q < query_count; ++q) {
+    lists.push_back(result->per_query[q].pairs);
   }
-  // Aggregate count: sum over queries (each its own join). With no
-  // per-query sections (a pre-v6 report), fall back to the union.
-  result->reported_pairs =
-      per_query.empty() ? collector.distinct_pairs() : reported;
+  for (const auto& report : reports) {
+    if (report.queries.empty()) lists.push_back(report.pairs);
+  }
+  result->pairs = merge_pair_lists(lists);
+  result->reported_pairs = query_count == 0 ? result->pairs.size() : reported;
 }
 
 void verify_against_schedule(const SystemConfig& config,
                              std::span<const stream::ResultPair> pairs,
                              ExperimentResult* result) {
-  const auto schedule = ArrivalSchedule::build(config);
+  verify_against_schedule(config, ArrivalSchedule::build(config), pairs,
+                          result);
+}
+
+void verify_against_schedule(const SystemConfig& config,
+                             const ArrivalSchedule& schedule,
+                             std::span<const stream::ResultPair> pairs,
+                             ExperimentResult* result) {
   if (result->per_query.empty()) {
     result->exact_pairs = exact_pairs(schedule, config.join_half_width_s);
     result->false_pairs =

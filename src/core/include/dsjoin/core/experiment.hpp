@@ -28,6 +28,7 @@
 
 namespace dsjoin::core {
 
+struct ArrivalSchedule;
 struct SystemConfig;
 
 /// Execution backplanes of the experiment engine.
@@ -158,17 +159,27 @@ struct ExperimentResult {
 };
 
 /// Folds per-node reports into `result`: sums arrivals and decode
-/// failures, merges traffic, and deduplicates the pair sets globally into
-/// result->pairs (sorted — ready for oracle verification). Callers with a
-/// shared transport (one global counter, not per-node) pass
-/// `merge_traffic = false` and install the union themselves.
+/// failures, merges traffic, and merges the nodes' sorted pair lists per
+/// query, then across queries, into result->pairs (sorted — ready for
+/// oracle verification). Callers with a shared transport (one global
+/// counter, not per-node) pass `merge_traffic = false` and install the
+/// union themselves.
 void aggregate_node_reports(std::span<const NodeReport> reports,
                             ExperimentResult* result,
                             bool merge_traffic = true);
 
 /// Recomputes the exact join from the deterministic arrival schedule and
 /// fills exact_pairs / false_pairs — how the socket backends (which have
-/// no in-run oracle) account epsilon honestly.
+/// no in-run oracle) account epsilon honestly. `schedule` must be
+/// ArrivalSchedule::build(config): a driver that already built it passes
+/// its own.
+void verify_against_schedule(const SystemConfig& config,
+                             const ArrivalSchedule& schedule,
+                             std::span<const stream::ResultPair> pairs,
+                             ExperimentResult* result);
+
+/// The same, building the schedule from `config` — for callers that hold
+/// none (the coordinator).
 void verify_against_schedule(const SystemConfig& config,
                              std::span<const stream::ResultPair> pairs,
                              ExperimentResult* result);

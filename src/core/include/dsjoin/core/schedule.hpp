@@ -84,6 +84,9 @@ std::uint64_t exact_pairs(const ArrivalSchedule& schedule, double half_width);
 /// Counts reported pairs that are NOT true join results of the schedule —
 /// the graceful-degradation contract requires this to be zero even when
 /// peers die mid-run (a lost peer may lose results, never invent them).
+/// Precondition: ids are dense, tuples[i].id == i + 1, as build() and
+/// ArrivalSource emit them. A pair naming id 0, an id past the end, or an
+/// id whose slot holds another tuple counts as false, never as genuine.
 std::uint64_t count_false_pairs(const ArrivalSchedule& schedule,
                                 double half_width,
                                 std::span<const stream::ResultPair> pairs);

@@ -156,14 +156,12 @@ NodeReport NodeHost::report(net::TrafficCounters traffic) const {
   // The node-level pair set stays the cross-query union (queries rarely
   // overlap, but identical registered queries do — single-query reports are
   // byte-identical to the historical shape).
-  MetricsCollector unioned;
-  unioned.set_node_count(nodes_);
-  for (const MetricsCollector* collector : metrics_) {
-    for (const auto& pair : collector->pairs()) {
-      unioned.record_pair(pair, id_, 0.0);
-    }
+  std::vector<std::span<const stream::ResultPair>> lists;
+  lists.reserve(report.queries.size());
+  for (const QueryNodeReport& slice : report.queries) {
+    lists.push_back(slice.pairs);
   }
-  report.pairs = unioned.pairs();
+  report.pairs = merge_pair_lists(lists);
   return report;
 }
 

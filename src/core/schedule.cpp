@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <queue>
-#include <unordered_map>
 
 #include "dsjoin/core/oracle.hpp"
 
@@ -123,23 +122,24 @@ std::uint64_t exact_pairs(const ArrivalSchedule& schedule, double half_width) {
 std::uint64_t count_false_pairs(const ArrivalSchedule& schedule,
                                 double half_width,
                                 std::span<const stream::ResultPair> pairs) {
-  std::unordered_map<std::uint64_t, const stream::Tuple*> by_id;
-  by_id.reserve(schedule.tuples.size());
-  for (const auto& tuple : schedule.tuples) by_id.emplace(tuple.id, &tuple);
+  // Dense ids: tuple `id` sits at index id - 1. An id with no such slot,
+  // or whose slot holds another tuple, names no arrival.
+  const auto& tuples = schedule.tuples;
+  const auto find = [&tuples](std::uint64_t id) -> const stream::Tuple* {
+    if (id == 0 || id > tuples.size() || tuples[id - 1].id != id) {
+      return nullptr;
+    }
+    return &tuples[id - 1];
+  };
 
   std::uint64_t false_pairs = 0;
   for (const auto& pair : pairs) {
-    const auto r_it = by_id.find(pair.r_id);
-    const auto s_it = by_id.find(pair.s_id);
-    if (r_it == by_id.end() || s_it == by_id.end()) {
-      ++false_pairs;
-      continue;
-    }
-    const stream::Tuple& r = *r_it->second;
-    const stream::Tuple& s = *s_it->second;
-    const bool genuine = r.side == stream::StreamSide::kR &&
-                         s.side == stream::StreamSide::kS && r.key == s.key &&
-                         std::abs(r.timestamp - s.timestamp) <= half_width;
+    const stream::Tuple* r = find(pair.r_id);
+    const stream::Tuple* s = find(pair.s_id);
+    const bool genuine = r != nullptr && s != nullptr &&
+                         r->side == stream::StreamSide::kR &&
+                         s->side == stream::StreamSide::kS && r->key == s->key &&
+                         std::abs(r->timestamp - s->timestamp) <= half_width;
     if (!genuine) ++false_pairs;
   }
   return false_pairs;

@@ -1,6 +1,7 @@
 #include "dsjoin/core/system.hpp"
 
 #include <cassert>
+#include <span>
 #include <stdexcept>
 
 #include "dsjoin/core/wire.hpp"
@@ -174,15 +175,15 @@ ExperimentResult DspSystem::run() {
   // Per-query outcomes; the run aggregates are their sums (each query is
   // its own join), with result.pairs keeping the cross-query union.
   result.per_query.resize(specs_.size());
-  MetricsCollector unioned;
-  unioned.set_node_count(config_.nodes);
+  std::vector<std::span<const stream::ResultPair>> lists;
+  lists.reserve(specs_.size());
   for (std::size_t q = 0; q < specs_.size(); ++q) {
     QueryResult& query = result.per_query[q];
     query.query_id = specs_[q].id;
     query.exact_pairs = oracles_[q].total_pairs();
     query.reported_pairs = query_metrics_[q]->distinct_pairs();
     query.pairs = query_metrics_[q]->pairs();
-    for (const auto& pair : query.pairs) unioned.record_pair(pair, 0, 0.0);
+    lists.push_back(query.pairs);
     for (const auto& host : hosts_) {
       const QueryCounters counters = host->node().query_counters(q);
       query.received_tuples += counters.received_tuples;
@@ -200,7 +201,7 @@ ExperimentResult DspSystem::run() {
     result.predicted_missed_mass += query.predicted_missed_mass;
     result.predicted_total_mass += query.predicted_total_mass;
   }
-  result.pairs = unioned.pairs();
+  result.pairs = merge_pair_lists(lists);
   finalize_derived_metrics(&result);
   return result;
 }

@@ -7,6 +7,7 @@
 // pairs.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 
 #include "dsjoin/common/serialize.hpp"
@@ -69,14 +70,18 @@ struct Tuple {
 };
 
 /// A reported join pair, identified by the two tuple ids (R first).
+/// Ordered by (r_id, s_id): the order of every sorted pair list.
 struct ResultPair {
   std::uint64_t r_id = 0;
   std::uint64_t s_id = 0;
 
   friend bool operator==(const ResultPair&, const ResultPair&) = default;
+  friend auto operator<=>(const ResultPair&, const ResultPair&) = default;
 };
 
-/// Hash for ResultPair (dedup sets in the metrics collector).
+/// Hash for ResultPair. Result accounting keeps sorted lists; the one hash
+/// user is the online controller's feedback path, which remembers recently
+/// credited pairs by hash (Node::absorb_result_feedback).
 struct ResultPairHash {
   std::size_t operator()(const ResultPair& p) const noexcept {
     // splitmix-style combine of the two ids

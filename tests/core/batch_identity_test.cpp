@@ -375,7 +375,7 @@ TEST(SimdIdentity, M61KernelsMatchScalarAtEveryLevel) {
 }
 
 TEST(SimdIdentity, FastAgmsRowKernelMatchesSerialAtEveryLevel) {
-  common::Xoshiro256 rng(kSeeds[3]);
+  common::Xoshiro256 rng(kSeeds[2]);
   std::vector<std::uint64_t> keys = m61_edge_keys();
   while (keys.size() < 1031) keys.push_back(rng.next());  // odd: tail shapes
   const std::size_t n = keys.size();

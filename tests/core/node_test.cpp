@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 
+#include "dsjoin/core/node_host.hpp"
 #include "dsjoin/core/summary_state.hpp"
 #include "dsjoin/core/wire.hpp"
 #include "dsjoin/net/sim_transport.hpp"
@@ -220,6 +221,63 @@ TEST(Node, PiggybackedSummariesReachPeerPolicies) {
     h.queue.run_all();
   }
   EXPECT_GT(h.transport->stats().piggyback_bytes, 0u);
+}
+
+// Two hosts that own their collectors, as on the socket backends, over an
+// ideal simulated network.
+struct HostHarness {
+  HostHarness() {
+    config.policy = PolicyKind::kBase;
+    config.nodes = 2;
+    config.join_half_width_s = 5.0;
+    transport = std::make_unique<net::SimTransport>(
+        queue, config.nodes, net::WanProfile::ideal(), 1);
+    for (net::NodeId id = 0; id < config.nodes; ++id) {
+      hosts.push_back(std::make_unique<NodeHost>(config, id, *transport));
+      NodeHost* host = hosts.back().get();
+      transport->register_handler(id, [this, host](net::Frame&& f) {
+        host->deliver(std::move(f), queue.now());
+      });
+    }
+  }
+
+  SystemConfig config;
+  net::EventQueue queue;
+  std::unique_ptr<net::SimTransport> transport;
+  std::vector<std::unique_ptr<NodeHost>> hosts;
+};
+
+TEST(NodeHost, PairsDiscoveredMidRunLeavesReportUnchanged) {
+  // The daemon heartbeat reads pairs_discovered() while the node runs; the
+  // read folds the host's collectors early and must not change its report.
+  HostHarness quiet;
+  HostHarness polled;
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    stream::Tuple tuple;
+    tuple.id = i + 1;
+    tuple.key = static_cast<std::int64_t>(i % 5);
+    tuple.timestamp = static_cast<double>(i) * 0.01;
+    tuple.side = i % 4 < 2 ? stream::StreamSide::kR : stream::StreamSide::kS;
+    tuple.origin = static_cast<net::NodeId>(i % 2);
+    for (HostHarness* h : {&quiet, &polled}) {
+      h->hosts[tuple.origin]->ingest(tuple, tuple.timestamp);
+      h->queue.run_all();
+    }
+    for (const auto& host : polled.hosts) (void)host->pairs_discovered();
+  }
+  std::uint64_t discovered = 0;
+  for (net::NodeId id = 0; id < 2; ++id) {
+    const NodeReport want = quiet.hosts[id]->report({});
+    const NodeReport got = polled.hosts[id]->report({});
+    EXPECT_EQ(got.pairs, want.pairs);
+    ASSERT_EQ(got.queries.size(), 1u);
+    ASSERT_EQ(want.queries.size(), 1u);
+    EXPECT_EQ(got.queries[0].pairs, want.queries[0].pairs);
+    EXPECT_EQ(polled.hosts[id]->pairs_discovered(), got.pairs.size());
+    discovered += got.pairs.size();
+  }
+  // Enough pairs per host that its collector folds on log size too.
+  EXPECT_GT(discovered, 4'096u);
 }
 
 }  // namespace

@@ -197,5 +197,49 @@ TEST(ArrivalSchedule, UniformWorkloadAlsoBuilds) {
             std::size_t{2} * config.nodes * config.tuples_per_node);
 }
 
+TEST(ArrivalSchedule, CountFalsePairsNeedsEachIdAtItsDenseSlot) {
+  const auto config = small_config();
+  const auto schedule = ArrivalSchedule::build(config);
+  const double w = config.join_half_width_s;
+  stream::Tuple r;
+  stream::Tuple s;
+  for (const auto& a : schedule.tuples) {
+    for (const auto& b : schedule.tuples) {
+      if (a.side == stream::StreamSide::kR && b.side == stream::StreamSide::kS &&
+          a.key == b.key && std::abs(a.timestamp - b.timestamp) <= w) {
+        r = a;
+        s = b;
+      }
+    }
+  }
+  ASSERT_NE(r.id, 0u) << "degenerate workload: no joining pairs at all";
+  const std::vector<stream::ResultPair> genuine = {{r.id, s.id}};
+  ASSERT_EQ(count_false_pairs(schedule, w, genuine), 0u);
+
+  const std::uint64_t past_end = schedule.tuples.size() + 1;
+  const std::vector<stream::ResultPair> no_slot = {
+      {0, s.id},         // id 0: ids start at 1
+      {r.id, 0},
+      {past_end, s.id},  // one past the last slot
+      {r.id, past_end},
+      {~std::uint64_t{0}, s.id},
+  };
+  EXPECT_EQ(count_false_pairs(schedule, w, no_slot), no_slot.size());
+
+  // A hand-built schedule holding a genuine pair's tuples away from their
+  // dense slots: R tuple id 2 sits at index 0 and S tuple id 1 at index 1.
+  // Both the genuine pair (2, 1) and the slot-wise pair (1, 2) count as
+  // false; read by index alone, (1, 2) would pass as an R-S match.
+  r.id = 2;
+  s.id = 1;
+  ArrivalSchedule misplaced;
+  misplaced.tuples = {r, s};
+  const std::vector<stream::ResultPair> by_id_and_by_slot = {{2, 1}, {1, 2}};
+  EXPECT_EQ(count_false_pairs(misplaced, w, by_id_and_by_slot), 2u);
+  misplaced.tuples = {s, r};  // the same two tuples, each at its slot
+  const std::vector<stream::ResultPair> by_id = {{2, 1}};
+  EXPECT_EQ(count_false_pairs(misplaced, w, by_id), 0u);
+}
+
 }  // namespace
 }  // namespace dsjoin::runtime
