@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
                 f64_coeff / codec_bytes_per_coeff(16, 8),
                 f64_coeff / codec_bytes_per_coeff(8, 8));
   out << buf;
-  out << "  \"runs\": [\n";
+  out << "  \"entries\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto& c = cells[i];
     std::snprintf(buf, sizeof buf,

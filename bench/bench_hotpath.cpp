@@ -1,28 +1,26 @@
 // Scalar vs. batch vs. SIMD ingestion cost for every hot-path operator
-// (sliding DFT, AGMS / Fast-AGMS sketches, counting Bloom filter, window
-// stores).
+// (sliding DFT, AGMS sketch, counting Bloom filter, window stores), plus
+// DFTT's summary reads and result accounting.
 //
 // Each operator runs the same value/key stream through three paths:
 //   scalar  the tuple-at-a-time reference path
-//   batch   the batch API with the simd:: kernels forced to their scalar
-//           level — i.e. the PR-2 batch path, kept comparable across PRs
-//   simd    the batch API at the best kernel level the host dispatches
+//   batch   the production batch call with SIMD dispatch forced to scalar
+//   simd    the same call at the best level the host dispatches
 //           (avx512 / avx2 / neon; identical bits by construction)
 // and reports ns per item plus the scalar/batch and batch/simd speedups.
 // Results go to stdout as an aligned table and to BENCH_hotpath.json (one
-// entry per operator per config) so later PRs have a machine-readable perf
-// trajectory. Operators without dedicated kernels (counting_bloom,
-// count_window, tuple_store insert+evict) run the same code in both batch
-// and simd columns. The TupleStore has no batch API, so its rows time the
-// point calls production makes and repeat the scalar measurement in the
-// batch column; the probe rows' simd column dispatches the §16 match-scan
-// kernels. The fft and coeff_store rows time DFTT's summary reads (one
+// entry per operator per config) so later changes have a machine-readable
+// perf trajectory. Only the TupleStore probe rows reach a hand-written
+// kernel (the match-scan pair, DESIGN.md section 13); every other row runs
+// the same portable code in its batch and simd columns, so its simd ratio
+// is noise. The TupleStore has no batch API, so its rows time the point
+// calls production makes and repeat the scalar measurement in the batch
+// column. The fft and coeff_store rows time DFTT's summary reads (one
 // band-limited inverse transform, one reconstruction-cache rebuild, one
-// membership estimate); like the TupleStore rows they are point calls
-// with no kernel, so their batch and simd columns time identical code.
-// The metrics rows time result accounting the same way: a node's
-// collector taking reports and handing over its sorted pair list, and the
-// merge of four nodes' lists into the run's pair set.
+// membership estimate) as point calls too. The metrics rows time result
+// accounting the same way: a node's collector taking reports and handing
+// over its sorted pair list, and the merge of four nodes' lists into the
+// run's pair set.
 //
 // Flags:
 //   --quick      fewer configs, shorter timing windows (CI smoke)
@@ -70,12 +68,11 @@ struct Entry {
   std::string op;      // operator name
   std::string config;  // human-readable config, e.g. "W=2048 K=32"
   double scalar_ns = 0.0;
-  double batch_ns = 0.0;  // batch API, kernels forced scalar (PR-2 path)
-  double simd_ns = 0.0;   // batch API at the dispatched kernel level
-  // Whether the operator has a dedicated simd:: kernel. When false the
-  // batch and simd columns time identical code (counting Bloom stays on
-  // the per-key path at every level — it is touch-bound, DESIGN.md §13),
-  // so their ratio is pure measurement noise and --check must not gate it.
+  double batch_ns = 0.0;  // batch call, SIMD dispatch forced scalar
+  double simd_ns = 0.0;   // batch call at the dispatched level
+  // Whether the row reaches a simd:: kernel. When false the batch and simd
+  // columns time identical code, so their ratio is pure measurement noise
+  // and --check must not gate it.
   bool has_kernel = false;
   std::size_t batch_size = kBatchSize;
 
@@ -154,7 +151,6 @@ Entry bench_sliding_dft(std::size_t window, std::size_t retained,
                         double min_time_s) {
   Entry e;
   e.op = "sliding_dft";
-  e.has_kernel = true;
   e.config = "W=" + std::to_string(window) + " K=" + std::to_string(retained);
   const auto values = random_values(4 * kBatchSize, 11);
 
@@ -179,7 +175,6 @@ Entry bench_agms(std::size_t budget_counters, double min_time_s) {
   Entry e;
   const auto shape = sketch::AgmsShape::for_budget(budget_counters);
   e.op = "agms";
-  e.has_kernel = true;
   e.config = "s0=" + std::to_string(shape.s0) + " s1=" + std::to_string(shape.s1);
   const auto keys = random_keys(4 * kBatchSize, 12);
 
@@ -191,32 +186,6 @@ Entry bench_agms(std::size_t budget_counters, double min_time_s) {
   std::optional<sketch::AgmsSketch> batch;
   measure_batch_and_simd(
       e, keys.size(), min_time_s, [&] { batch.emplace(shape, 42); },
-      [&] {
-        for (std::size_t base = 0; base < keys.size(); base += kBatchSize) {
-          batch->update_batch(
-              std::span<const std::uint64_t>(keys).subspan(base, kBatchSize), +1);
-        }
-      });
-  return e;
-}
-
-Entry bench_fast_agms(std::uint32_t rows, std::uint32_t buckets,
-                      double min_time_s) {
-  Entry e;
-  e.op = "fast_agms";
-  e.has_kernel = true;
-  e.config =
-      "rows=" + std::to_string(rows) + " buckets=" + std::to_string(buckets);
-  const auto keys = random_keys(4 * kBatchSize, 13);
-
-  sketch::FastAgmsSketch scalar(rows, buckets, 42);
-  e.scalar_ns = measure_ns_per_item(keys.size(), min_time_s, [&] {
-    for (std::uint64_t k : keys) scalar.update(k, +1);
-  });
-
-  std::optional<sketch::FastAgmsSketch> batch;
-  measure_batch_and_simd(
-      e, keys.size(), min_time_s, [&] { batch.emplace(rows, buckets, 42); },
       [&] {
         for (std::size_t base = 0; base < keys.size(); base += kBatchSize) {
           batch->update_batch(
@@ -242,18 +211,23 @@ Entry bench_counting_bloom(std::size_t counters, std::size_t expected_keys,
     for (std::uint64_t k : keys) scalar.erase(k);
   });
 
+  // apply_batch is the BLOOM policy's call: one +1/-1 delta per key.
+  const std::vector<std::int32_t> inserts(kBatchSize, +1);
+  const std::vector<std::int32_t> erases(kBatchSize, -1);
   std::optional<sketch::CountingBloomFilter> batch;
   measure_batch_and_simd(
       e, 2 * keys.size(), min_time_s,
       [&] { batch.emplace(counters, hashes, 42); },
       [&] {
         for (std::size_t base = 0; base < keys.size(); base += kBatchSize) {
-          batch->insert_batch(
-              std::span<const std::uint64_t>(keys).subspan(base, kBatchSize));
+          batch->apply_batch(
+              std::span<const std::uint64_t>(keys).subspan(base, kBatchSize),
+              inserts);
         }
         for (std::size_t base = 0; base < keys.size(); base += kBatchSize) {
-          batch->erase_batch(
-              std::span<const std::uint64_t>(keys).subspan(base, kBatchSize));
+          batch->apply_batch(
+              std::span<const std::uint64_t>(keys).subspan(base, kBatchSize),
+              erases);
         }
       });
   return e;
@@ -650,7 +624,6 @@ int main(int argc, char** argv) {
   if (quick) {
     entries.push_back(bench_sliding_dft(2048, 32, min_time_s));
     entries.push_back(bench_agms(80, min_time_s));
-    entries.push_back(bench_fast_agms(5, 256, min_time_s));
     entries.push_back(bench_counting_bloom(16384, 2048, min_time_s));
     entries.push_back(bench_count_window(2048, min_time_s));
     entries.push_back(bench_tuple_store(min_time_s));
@@ -669,9 +642,6 @@ int main(int argc, char** argv) {
     entries.push_back(bench_agms(20, min_time_s));
     entries.push_back(bench_agms(80, min_time_s));
     entries.push_back(bench_agms(320, min_time_s));
-    entries.push_back(bench_fast_agms(5, 64, min_time_s));
-    entries.push_back(bench_fast_agms(5, 256, min_time_s));
-    entries.push_back(bench_fast_agms(7, 512, min_time_s));
     entries.push_back(bench_counting_bloom(16384, 2048, min_time_s));
     entries.push_back(bench_counting_bloom(65536, 2048, min_time_s));
     entries.push_back(bench_count_window(2048, min_time_s));

@@ -60,7 +60,7 @@ void write_json(const std::vector<Entry>& entries, double speedup,
                 const std::string& path) {
   std::ofstream out(path);
   out << "{\n  \"meta\": " << bench::json_meta("tcp-inprocess")
-      << ",\n  \"runs\": [\n";
+      << ",\n  \"entries\": [\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
     char buf[512];

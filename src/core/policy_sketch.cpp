@@ -36,7 +36,7 @@ SketchSummaryEngine::SketchSummaryEngine(const SystemConfig& config,
 void SketchSummaryEngine::observe_local(const stream::Tuple& tuple) {
   // Deferred: nothing reads local_[side] until the next estimate refresh or
   // broadcast, so the tuple only joins the pending batch here. flush_pending
-  // runs the sketch's vectorized two-pass update at the first read.
+  // runs the sketch's batched two-pass update at the first read.
   pending_[static_cast<std::size_t>(tuple.side)].push_back(tuple);
   ++local_tuples_;
 }
@@ -62,6 +62,14 @@ void SketchSummaryEngine::flush_pending(std::size_t side) {
 
 void SketchSummaryEngine::apply_sketch(net::NodeId peer, stream::StreamSide side,
                                        sketch::AgmsSketch sketch) {
+  // Shape and seed must match the experiment's: estimate_join walks the
+  // local grid over the remote counters, and only a shared hash family
+  // makes their inner product an estimate.
+  const sketch::AgmsSketch& mine = local_[0];
+  if (sketch.shape().s0 != mine.shape().s0 ||
+      sketch.shape().s1 != mine.shape().s1 || sketch.seed() != mine.seed()) {
+    return;
+  }
   auto& state = peers_[peer];
   state.remote[static_cast<std::size_t>(side)].update(std::move(sketch));
   state.est_dirty = {true, true};

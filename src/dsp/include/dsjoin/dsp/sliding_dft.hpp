@@ -19,10 +19,12 @@
 // Storage. Coefficients and phasors live in structure-of-arrays form
 // (separate real/imag double arrays). The scalar push() is the reference
 // formulation — one tuple at a time, written with std::complex arithmetic
-// exactly as the paper states it — while push_batch() runs the identical
-// update sequence over plain double arrays in one fused pass, which the
-// compiler auto-vectorizes. Both paths produce bit-identical coefficients
-// (enforced by tests); see DESIGN.md "Performance".
+// exactly as the paper states it — while push_batch(), the production lane,
+// runs the identical update sequence as plain loops over the double arrays,
+// which the compiler may vectorize (no hand-written kernel: at the retained
+// sizes the workloads run, the portable loop is as fast). Both paths produce
+// bit-identical coefficients (enforced by tests); see DESIGN.md
+// "Performance".
 #pragma once
 
 #include <cstddef>

@@ -1,8 +1,6 @@
 #include "dsjoin/dsp/sliding_dft.hpp"
 
 #include <algorithm>
-
-#include "dsjoin/common/simd.hpp"
 #include <cassert>
 #include <cmath>
 #include <numbers>
@@ -17,6 +15,50 @@ namespace {
 // is O(eps) per step; every ring wrap restores all phasors to exactly 1, and
 // renormalization re-derives the table when enough incremental steps have
 // accumulated (kPhaseResetSteps).
+
+// push_batch's per-push steps as plain loops over the SoA arrays. Each
+// evaluates push()'s std::complex component formulas in the same operation
+// order, element by element; the build forbids FMA contraction, so the
+// compiler may vectorize them without changing a bit. __restrict spares the
+// vectorized loops their runtime alias checks.
+
+// The non-wrap, delta != 0 step: accumulate with the old phasor, then rotate.
+void accumulate_rotate(double* __restrict cr, double* __restrict ci,
+                       double* __restrict pr, double* __restrict pi,
+                       const double* __restrict ur,
+                       const double* __restrict ui, std::size_t n,
+                       double delta) noexcept {
+  for (std::size_t k = 0; k < n; ++k) {
+    cr[k] += delta * pr[k];
+    ci[k] += delta * pi[k];
+    const double npr = pr[k] * ur[k] - pi[k] * ui[k];
+    const double npi = pr[k] * ui[k] + pi[k] * ur[k];
+    pr[k] = npr;
+    pi[k] = npi;
+  }
+}
+
+// The ring-wrap step: phasors reset exactly afterwards, so no rotation.
+void accumulate(double* __restrict cr, double* __restrict ci,
+                const double* __restrict pr, const double* __restrict pi,
+                std::size_t n, double delta) noexcept {
+  for (std::size_t k = 0; k < n; ++k) {
+    cr[k] += delta * pr[k];
+    ci[k] += delta * pi[k];
+  }
+}
+
+// The delta == 0, non-wrap step: the coefficients stand still.
+void rotate(double* __restrict pr, double* __restrict pi,
+            const double* __restrict ur, const double* __restrict ui,
+            std::size_t n) noexcept {
+  for (std::size_t k = 0; k < n; ++k) {
+    const double npr = pr[k] * ur[k] - pi[k] * ui[k];
+    const double npi = pr[k] * ui[k] + pi[k] * ur[k];
+    pr[k] = npr;
+    pi[k] = npi;
+  }
+}
 }  // namespace
 
 SlidingDft::SlidingDft(std::size_t window, std::size_t retained)
@@ -133,21 +175,17 @@ void SlidingDft::push_batch(std::span<const double> values) {
     ring_[ring_pos_] = value;
     const double delta = value - old;
     const bool wrap = ring_pos_ + 1 == window_;
-    // One fused pass per push: coefficient delta-accumulation and phasor
-    // advance touch each of the four SoA arrays once, via the runtime-
-    // dispatched simd:: kernels. The kernel lanes evaluate the scalar
-    // path's std::complex component formulas in the same operation order
-    // with no FMA contraction, so results stay bit-identical at every
-    // dispatch level (pinned by tests/core/batch_identity_test.cpp).
+    // One pass per push over the SoA arrays, bit-identical to push()
+    // (pinned by tests/core/batch_identity_test.cpp).
     if (delta != 0.0) {
       if (wrap) {
-        common::simd::dft_accum(cr, ci, pr, pi, k_count, delta);
+        accumulate(cr, ci, pr, pi, k_count, delta);
       } else {
-        common::simd::dft_accum_rotate(cr, ci, pr, pi, ur, ui, k_count, delta);
+        accumulate_rotate(cr, ci, pr, pi, ur, ui, k_count, delta);
       }
       view_dirty_ = true;
     } else if (!wrap) {
-      common::simd::dft_rotate(pr, pi, ur, ui, k_count);
+      rotate(pr, pi, ur, ui, k_count);
     }
     sum_ += delta;
     sum_sq_ += value * value - old * old;

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dsjoin/common/simd.hpp"
-
 namespace dsjoin::sketch {
 
 namespace {
@@ -45,24 +43,22 @@ void AgmsSketch::update(std::uint64_t key, std::int64_t weight) {
 void AgmsSketch::update_batch(std::span<const std::uint64_t> keys,
                               std::int64_t weight) {
   // Pass 1 per chunk: reduce each key to its powers mod 2^61-1 once,
-  // instead of once per counter (SoA layout for the simd:: kernels).
-  // Pass 2 sweeps the counter grid in the outer loop so each counter is
-  // read and written exactly once per chunk; the per-counter sign total is
-  // the branchless parity sum sum_j sign_j == 2 * sum_j bit_j - n, with
-  // the bit count produced by the dispatched kernel (exact canonical
-  // residues, so identical at every level). Integer addition commutes, so
-  // this reordering reproduces the scalar path's counters exactly.
+  // instead of once per counter. Pass 2 sweeps the counter grid in the
+  // outer loop so each counter is read and written exactly once per chunk;
+  // the per-counter sign total is the parity sum
+  // sum_j sign_j == 2 * sum_j bit_j - n, which keeps the inner loop free of
+  // selects. Integer addition commutes, so this reordering reproduces the
+  // scalar path's counters exactly.
   for (std::size_t base = 0; base < keys.size(); base += kBatchChunk) {
     const std::size_t n = std::min(kBatchChunk, keys.size() - base);
-    x1_scratch_.resize(n);
-    x2_scratch_.resize(n);
-    x3_scratch_.resize(n);
-    common::simd::m61_key_powers(keys.data() + base, n, x1_scratch_.data(),
-                                 x2_scratch_.data(), x3_scratch_.data());
+    powers_scratch_.resize(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      powers_scratch_[j] = KeyPowers::of(keys[base + j]);
+    }
     for (std::size_t i = 0; i < counters_.size(); ++i) {
-      const std::uint64_t bits = common::simd::m61_poly_parity_sum(
-          xi_[i].coefficients().data(), x1_scratch_.data(), x2_scratch_.data(),
-          x3_scratch_.data(), n);
+      const FourWiseHash& xi = xi_[i];
+      std::uint64_t bits = 0;
+      for (const KeyPowers& p : powers_scratch_) bits += xi.eval_powers(p) & 1u;
       counters_[i] += weight * (2 * static_cast<std::int64_t>(bits) -
                                 static_cast<std::int64_t>(n));
     }
@@ -147,33 +143,6 @@ void FastAgmsSketch::update(std::uint64_t key, std::int64_t weight) {
     const std::uint64_t b = bucket_hash_[r].bucket(key, buckets_);
     counters_[static_cast<std::size_t>(r) * buckets_ + b] +=
         weight * sign_hash_[r].sign(key);
-  }
-}
-
-void FastAgmsSketch::update_batch(std::span<const std::uint64_t> keys,
-                                  std::int64_t weight) {
-  // Pass 1 per chunk: reduce each key to its powers mod 2^61-1 once,
-  // shared by both hash families across every row. Pass 2 sweeps rows in
-  // the outer loop through the fused row kernel: both polynomial hashes,
-  // the bucket reduction, and the signed delta evaluate vectorized, with
-  // only the duplicate-prone counter adds themselves scalar. The scalar
-  // path applies per key with rows inner; all touches are exact integer
-  // adds, which commute, so the row-major order is bit-identical at every
-  // dispatch level.
-  for (std::size_t base = 0; base < keys.size(); base += kBatchChunk) {
-    const std::size_t n = std::min(kBatchChunk, keys.size() - base);
-    x1_scratch_.resize(n);
-    x2_scratch_.resize(n);
-    x3_scratch_.resize(n);
-    common::simd::m61_key_powers(keys.data() + base, n, x1_scratch_.data(),
-                                 x2_scratch_.data(), x3_scratch_.data());
-    for (std::uint32_t r = 0; r < rows_; ++r) {
-      common::simd::fast_agms_update_row(
-          bucket_hash_[r].coefficients().data(),
-          sign_hash_[r].coefficients().data(), x1_scratch_.data(),
-          x2_scratch_.data(), x3_scratch_.data(), n, buckets_, weight,
-          counters_.data() + static_cast<std::size_t>(r) * buckets_);
-    }
   }
 }
 

@@ -125,30 +125,6 @@ void CountingBloomFilter::erase(std::uint64_t key) {
   }
 }
 
-void CountingBloomFilter::insert_keys_scalar(const std::uint64_t* keys,
-                                             std::size_t n) {
-  constexpr auto kMax = std::numeric_limits<std::uint16_t>::max();
-  for (std::size_t j = 0; j < n; ++j) {
-    const DoubleHash::Prepared p = hash_.prepare(keys[j]);
-    for (std::uint32_t i = 0; i < hashes_; ++i) {
-      auto& c = counters_[p.index(i, counters_mod_)];
-      if (c != kMax) ++c;  // saturate
-    }
-  }
-}
-
-void CountingBloomFilter::erase_keys_scalar(const std::uint64_t* keys,
-                                            std::size_t n) {
-  constexpr auto kMax = std::numeric_limits<std::uint16_t>::max();
-  for (std::size_t j = 0; j < n; ++j) {
-    const DoubleHash::Prepared p = hash_.prepare(keys[j]);
-    for (std::uint32_t i = 0; i < hashes_; ++i) {
-      auto& c = counters_[p.index(i, counters_mod_)];
-      if (c != 0 && c != kMax) --c;  // pinned / refuse wrap, as erase()
-    }
-  }
-}
-
 void CountingBloomFilter::apply_batch(std::span<const std::uint64_t> keys,
                                       std::span<const std::int32_t> deltas) {
   // Mixed inserts and erases do NOT commute (a decrement can be absorbed at
@@ -170,14 +146,6 @@ void CountingBloomFilter::apply_batch(std::span<const std::uint64_t> keys,
       }
     }
   }
-}
-
-void CountingBloomFilter::insert_batch(std::span<const std::uint64_t> keys) {
-  insert_keys_scalar(keys.data(), keys.size());
-}
-
-void CountingBloomFilter::erase_batch(std::span<const std::uint64_t> keys) {
-  erase_keys_scalar(keys.data(), keys.size());
 }
 
 bool CountingBloomFilter::contains(std::uint64_t key) const {

@@ -13,6 +13,7 @@
 //
 // Fast-AGMS (Cormode-Garofalakis) is provided as an extension/ablation: one
 // bucket update per row instead of touching every counter, at equal space.
+// No policy feeds it, so it has only the per-key update().
 #pragma once
 
 #include <cstdint>
@@ -48,15 +49,16 @@ class AgmsSketch {
   /// built from the same `seed` (identical hash functions) and shape.
   AgmsSketch(AgmsShape shape, std::uint64_t seed);
 
-  /// Adds `weight` copies of `key` (negative weight = deletion).
+  /// Adds `weight` copies of `key` (negative weight = deletion). The
+  /// per-key reference that update_batch() is tested against.
   void update(std::uint64_t key, std::int64_t weight = 1);
 
-  /// Adds `weight` copies of every key in `keys`. Counter updates are
-  /// integer additions, so reordering them is exact: the batch path hashes
-  /// all keys first (shared key powers into a scratch buffer), then sweeps
-  /// the counter grid once, accumulating each counter's total sign in a
-  /// register. State after the call is bit-identical to calling update()
-  /// per key.
+  /// The production lane: adds `weight` copies of every key in `keys`, as
+  /// plain loops (no SIMD kernel). Counter updates are integer additions,
+  /// so reordering them is exact: the batch path hashes all keys first
+  /// (shared key powers into a scratch buffer), then sweeps the counter
+  /// grid once, accumulating each counter's total sign in a register.
+  /// State after the call is bit-identical to calling update() per key.
   void update_batch(std::span<const std::uint64_t> keys,
                     std::int64_t weight = 1);
 
@@ -91,9 +93,7 @@ class AgmsSketch {
   std::uint64_t seed_;
   std::vector<FourWiseHash> xi_;         // one per (row, column)
   std::vector<std::int64_t> counters_;   // row-major s0 x s1
-  // Batch pass 1 output: key powers mod 2^61-1 in structure-of-arrays
-  // form, the layout the simd:: kernels consume.
-  std::vector<std::uint64_t> x1_scratch_, x2_scratch_, x3_scratch_;
+  std::vector<KeyPowers> powers_scratch_;   // batch pass 1: key powers
   mutable std::vector<double> estimate_scratch_; // row means, reused
 };
 
@@ -106,15 +106,6 @@ class FastAgmsSketch {
   FastAgmsSketch(std::uint32_t rows, std::uint32_t buckets, std::uint64_t seed);
 
   void update(std::uint64_t key, std::int64_t weight = 1);
-
-  /// Adds `weight` copies of every key. Pass 1 reduces each key to its
-  /// powers mod 2^61-1 once; pass 2 sweeps rows in the outer loop so each
-  /// row's hash pair stays in registers and its 8*buckets-byte counter
-  /// segment stays cache-resident. Counter updates are exact integer adds,
-  /// which commute, so the row-major order is bit-identical to per-key
-  /// update().
-  void update_batch(std::span<const std::uint64_t> keys,
-                    std::int64_t weight = 1);
 
   /// Join-size estimate: per-row inner product, median across rows. Uses
   /// f's preallocated scratch — sketches are per-node, not shared.
@@ -135,9 +126,6 @@ class FastAgmsSketch {
   std::vector<FourWiseHash> bucket_hash_;  // one per row
   std::vector<FourWiseHash> sign_hash_;    // one per row
   std::vector<std::int64_t> counters_;     // row-major rows x buckets
-  // Batch pass 1 output (SoA key powers) consumed by the fused per-row
-  // simd:: kernel; the counter scatter itself stays scalar inside it.
-  std::vector<std::uint64_t> x1_scratch_, x2_scratch_, x3_scratch_;
   mutable std::vector<double> estimate_scratch_; // row products, reused
 };
 

@@ -79,20 +79,15 @@ class CountingBloomFilter {
   /// interleaving — state after the call is bit-identical to per-key
   /// insert()/erase() calls.
   ///
-  /// Batches stay on the per-key path at every SIMD level: the operator is
-  /// bound by the k random counter touches per key, and staging
-  /// vector-hashed probe indices through a table costs more memory traffic
-  /// than the hashing saves while breaking the hash/touch latency overlap
-  /// the per-key order gets for free (DESIGN.md section 13).
+  /// This is the production lane (the BLOOM policy feeds window arrivals
+  /// and evictions through it); insert()/erase() are its reference. There
+  /// is no SIMD kernel: the operator is bound by the k random counter
+  /// touches per key, and staging vector-hashed probe indices through a
+  /// table costs more memory traffic than the hashing saves while breaking
+  /// the hash/touch latency overlap the per-key order gets for free
+  /// (DESIGN.md section 13).
   void apply_batch(std::span<const std::uint64_t> keys,
                    std::span<const std::int32_t> deltas);
-
-  /// apply_batch with all +1 deltas (saturating counters reach
-  /// min(c + count, max) regardless of order, so any order is exact).
-  void insert_batch(std::span<const std::uint64_t> keys);
-  /// apply_batch with all -1 deltas (pinned counters stay pinned, the rest
-  /// reach max(c - count, 0)).
-  void erase_batch(std::span<const std::uint64_t> keys);
 
   std::size_t counter_count() const noexcept { return counters_.size(); }
   std::uint32_t hash_count() const noexcept { return hashes_; }
@@ -103,10 +98,6 @@ class CountingBloomFilter {
   BloomFilter snapshot() const;
 
  private:
-  /// Per-key batch bodies: one Prepared per key, probes in key order.
-  void insert_keys_scalar(const std::uint64_t* keys, std::size_t n);
-  void erase_keys_scalar(const std::uint64_t* keys, std::size_t n);
-
   std::uint32_t hashes_;
   std::uint64_t seed_;
   DoubleHash hash_;

@@ -113,21 +113,9 @@ class FourWiseHash {
     return (eval(x) & 1u) ? 1 : -1;
   }
 
-  /// sign() from precomputed key powers (identical result).
-  int sign_powers(const KeyPowers& p) const noexcept {
-    return (eval_powers(p) & 1u) ? 1 : -1;
-  }
-
   /// Bucket index in [0, buckets) (used by the Fast-AGMS variant).
   std::uint64_t bucket(std::uint64_t x, std::uint64_t buckets) const noexcept {
     return eval(x) % buckets;
-  }
-
-  /// The canonical polynomial coefficients c0..c3 (each < 2^61-1), exposed
-  /// for the simd:: batch kernels, which evaluate the same polynomial to
-  /// the same canonical residue as eval()/eval_powers().
-  const std::array<std::uint64_t, 4>& coefficients() const noexcept {
-    return coeff_;
   }
 
  private:

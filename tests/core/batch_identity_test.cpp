@@ -6,7 +6,9 @@
 //
 // Each test splits one input stream into randomly sized batches — including
 // empty and single-element batches — across three seeds, and compares full
-// observable state against a scalar twin fed element by element.
+// observable state against a scalar twin fed element by element. The last
+// section pins the SIMD match-scan kernels against their scalar reference at
+// every dispatch level.
 
 #include <cstdint>
 #include <vector>
@@ -46,6 +48,14 @@ std::vector<std::uint64_t> random_keys(std::size_t n, common::Xoshiro256& rng) {
   return out;
 }
 
+/// Keys hitting every M61 reduction edge: zero, the prime itself and its
+/// neighbors, 32-bit limb boundaries, and the top of the u64 range.
+std::vector<std::uint64_t> m61_edge_keys() {
+  constexpr std::uint64_t kP = sketch::kMersenne61;
+  return {0,      1,        kP - 1,   kP,      kP + 1,  (1ull << 32) - 1,
+          1ull << 32, 1ull << 61, 1ull << 62, ~0ull,   ~0ull - 1, 0xdeadbeefULL};
+}
+
 std::vector<stream::Tuple> random_tuples(std::size_t n, common::Xoshiro256& rng) {
   std::vector<stream::Tuple> out(n);
   double ts = 0.0;
@@ -64,32 +74,37 @@ TEST(BatchIdentity, SlidingDftMatchesScalarBitForBit) {
   for (const std::uint64_t seed : kSeeds) {
     common::Xoshiro256 rng(seed);
     const auto values = random_values(3000, rng);
+    // An odd K too, so the loops' tails (after any compiler vectorization)
+    // are covered.
+    for (const std::size_t retained : {std::size_t{16}, std::size_t{13}}) {
+      dsp::SlidingDft scalar(128, retained);
+      dsp::SlidingDft batched(128, retained);
+      // Window-aligned interval, as the DFT policies use: renormalizations
+      // land inside batches too and must fire at identical push counts.
+      scalar.set_renormalize_interval(4 * 128);
+      batched.set_renormalize_interval(4 * 128);
 
-    dsp::SlidingDft scalar(128, 16);
-    dsp::SlidingDft batched(128, 16);
-    // Window-aligned interval, as the DFT policies use: renormalizations
-    // land inside batches too and must fire at identical push counts.
-    scalar.set_renormalize_interval(4 * 128);
-    batched.set_renormalize_interval(4 * 128);
+      for (double v : values) scalar.push(v);
+      std::size_t i = 0;
+      while (i < values.size()) {
+        const std::size_t n = std::min(next_batch_size(rng), values.size() - i);
+        batched.push_batch(std::span<const double>(values).subspan(i, n));
+        i += n;
+      }
 
-    for (double v : values) scalar.push(v);
-    std::size_t i = 0;
-    while (i < values.size()) {
-      const std::size_t n = std::min(next_batch_size(rng), values.size() - i);
-      batched.push_batch(std::span<const double>(values).subspan(i, n));
-      i += n;
-    }
-
-    ASSERT_EQ(scalar.count(), batched.count());
-    EXPECT_EQ(scalar.phase_steps(), batched.phase_steps());
-    EXPECT_EQ(scalar.mean(), batched.mean());
-    EXPECT_EQ(scalar.variance(), batched.variance());
-    const auto sc = scalar.coefficients();
-    const auto bc = batched.coefficients();
-    ASSERT_EQ(sc.size(), bc.size());
-    for (std::size_t k = 0; k < sc.size(); ++k) {
-      EXPECT_EQ(sc[k].real(), bc[k].real()) << "k=" << k << " seed=" << seed;
-      EXPECT_EQ(sc[k].imag(), bc[k].imag()) << "k=" << k << " seed=" << seed;
+      ASSERT_EQ(scalar.count(), batched.count());
+      EXPECT_EQ(scalar.phase_steps(), batched.phase_steps());
+      EXPECT_EQ(scalar.mean(), batched.mean());
+      EXPECT_EQ(scalar.variance(), batched.variance());
+      const auto sc = scalar.coefficients();
+      const auto bc = batched.coefficients();
+      ASSERT_EQ(sc.size(), bc.size());
+      for (std::size_t k = 0; k < sc.size(); ++k) {
+        EXPECT_EQ(sc[k].real(), bc[k].real())
+            << "k=" << k << " K=" << retained << " seed=" << seed;
+        EXPECT_EQ(sc[k].imag(), bc[k].imag())
+            << "k=" << k << " K=" << retained << " seed=" << seed;
+      }
     }
   }
 }
@@ -127,33 +142,14 @@ TEST(BatchIdentity, AgmsSketchMatchesScalarBitForBit) {
       i += n;
     }
     EXPECT_EQ(scalar.counters(), batched.counters()) << "seed=" << seed;
-  }
-}
 
-TEST(BatchIdentity, FastAgmsSketchMatchesScalarBitForBit) {
-  for (const std::uint64_t seed : kSeeds) {
-    common::Xoshiro256 rng(seed);
-    const auto keys = random_keys(2000, rng);
-
-    sketch::FastAgmsSketch scalar(5, 96, 42);   // non-power-of-two buckets
-    sketch::FastAgmsSketch batched(5, 96, 42);
-    sketch::FastAgmsSketch scalar2(5, 256, 42);  // power-of-two buckets
-    sketch::FastAgmsSketch batched2(5, 256, 42);
-
-    for (const std::uint64_t k : keys) {
-      scalar.update(k, +1);
-      scalar2.update(k, +1);
-    }
-    std::size_t i = 0;
-    while (i < keys.size()) {
-      const std::size_t n = std::min(next_batch_size(rng), keys.size() - i);
-      const auto chunk = std::span<const std::uint64_t>(keys).subspan(i, n);
-      batched.update_batch(chunk, +1);
-      batched2.update_batch(chunk, +1);
-      i += n;
-    }
-    EXPECT_EQ(scalar.counters(), batched.counters()) << "seed=" << seed;
-    EXPECT_EQ(scalar2.counters(), batched2.counters()) << "seed=" << seed;
+    // The M61 reduction edges plus full-range u64 keys (where negative i64
+    // keys land), in one batch longer than the 1,024-key hashing chunk.
+    std::vector<std::uint64_t> wide = m61_edge_keys();
+    while (wide.size() < 1500) wide.push_back(rng.next());
+    for (const std::uint64_t k : wide) scalar.update(k, +1);
+    batched.update_batch(wide, +1);
+    EXPECT_EQ(scalar.counters(), batched.counters()) << "wide seed=" << seed;
   }
 }
 
@@ -188,19 +184,6 @@ TEST(BatchIdentity, CountingBloomMatchesScalarBitForBit) {
     }
     EXPECT_EQ(scalar.counters(), batched.counters()) << "seed=" << seed;
   }
-}
-
-TEST(BatchIdentity, CountingBloomInsertEraseBatchMatchScalar) {
-  common::Xoshiro256 rng(kSeeds[0]);
-  const auto keys = random_keys(500, rng);
-  sketch::CountingBloomFilter scalar(256, 3, 7);
-  sketch::CountingBloomFilter batched(256, 3, 7);
-  for (const std::uint64_t k : keys) scalar.insert(k);
-  batched.insert_batch(keys);
-  EXPECT_EQ(scalar.counters(), batched.counters());
-  for (const std::uint64_t k : keys) scalar.erase(k);
-  batched.erase_batch(keys);
-  EXPECT_EQ(scalar.counters(), batched.counters());
 }
 
 TEST(BatchIdentity, CountWindowMatchesScalarBitForBit) {
@@ -295,11 +278,11 @@ TEST(BatchIdentity, PhasorDriftStaysBoundedBelowResetThreshold) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD == scalar == serial: the dispatched kernels must be bit-identical to
-// the forced-scalar reference at EVERY level the host supports (DESIGN.md
-// section 13). The operator tests above already pin batch == serial at the
-// default (best) level; these pin each level against scalar directly, both
-// at the raw-kernel surface and through the operators.
+// SIMD == scalar: the dispatched match-scan kernels (the only hand-written
+// kernels, DESIGN.md section 13) must be bit-identical to the forced-scalar
+// reference at EVERY level the host supports.
+// tests/stream/tuple_store_property_test.cpp drives the TupleStore probes
+// through them at every level too.
 // ---------------------------------------------------------------------------
 
 namespace simd = common::simd;
@@ -320,154 +303,6 @@ struct ForcedLevel {
   explicit ForcedLevel(simd::Level level) { simd::force_level(level); }
   ~ForcedLevel() { simd::reset_level(); }
 };
-
-/// Keys hitting every M61 reduction edge: zero, the prime itself and its
-/// neighbors, 32-bit limb boundaries, and the top of the u64 range.
-std::vector<std::uint64_t> m61_edge_keys() {
-  constexpr std::uint64_t kP = sketch::kMersenne61;
-  return {0,      1,        kP - 1,   kP,      kP + 1,  (1ull << 32) - 1,
-          1ull << 32, 1ull << 61, 1ull << 62, ~0ull,   ~0ull - 1, 0xdeadbeefULL};
-}
-
-TEST(SimdIdentity, M61KernelsMatchScalarAtEveryLevel) {
-  common::Xoshiro256 rng(kSeeds[1]);
-  std::vector<std::uint64_t> keys = m61_edge_keys();
-  while (keys.size() < 4003) keys.push_back(rng.next());  // full u64 range
-  const std::size_t n = keys.size();  // odd: exercises every tail length
-
-  sketch::FourWiseHash hash(rng);
-
-  std::vector<std::uint64_t> sx1(n), sx2(n), sx3(n);
-  std::uint64_t sparity = 0;
-  {
-    ForcedLevel scalar(simd::Level::kScalar);
-    simd::m61_key_powers(keys.data(), n, sx1.data(), sx2.data(), sx3.data());
-    sparity = simd::m61_poly_parity_sum(hash.coefficients().data(), sx1.data(),
-                                        sx2.data(), sx3.data(), n);
-  }
-  // The scalar kernel restates KeyPowers::of; pin that too.
-  for (std::size_t j = 0; j < n; ++j) {
-    const sketch::KeyPowers p = sketch::KeyPowers::of(keys[j]);
-    ASSERT_EQ(sx1[j], p.x1) << "j=" << j;
-    ASSERT_EQ(sx2[j], p.x2) << "j=" << j;
-    ASSERT_EQ(sx3[j], p.x3) << "j=" << j;
-  }
-
-  for (const simd::Level level : supported_levels()) {
-    ForcedLevel forced(level);
-    std::vector<std::uint64_t> x1(n), x2(n), x3(n);
-    simd::m61_key_powers(keys.data(), n, x1.data(), x2.data(), x3.data());
-    EXPECT_EQ(sx1, x1) << simd::level_name(level);
-    EXPECT_EQ(sx2, x2) << simd::level_name(level);
-    EXPECT_EQ(sx3, x3) << simd::level_name(level);
-    // Every tail length in [0, 17] plus the full batch.
-    for (std::size_t len = 0; len <= 17; ++len) {
-      EXPECT_EQ(simd::m61_poly_parity_sum(hash.coefficients().data(), x1.data(),
-                                          x2.data(), x3.data(), len),
-                simd::m61_poly_parity_sum(hash.coefficients().data(), sx1.data(),
-                                          sx2.data(), sx3.data(), len))
-          << simd::level_name(level) << " len=" << len;
-    }
-    EXPECT_EQ(sparity, simd::m61_poly_parity_sum(hash.coefficients().data(),
-                                                 x1.data(), x2.data(), x3.data(), n))
-        << simd::level_name(level);
-  }
-}
-
-TEST(SimdIdentity, FastAgmsRowKernelMatchesSerialAtEveryLevel) {
-  common::Xoshiro256 rng(kSeeds[2]);
-  std::vector<std::uint64_t> keys = m61_edge_keys();
-  while (keys.size() < 1031) keys.push_back(rng.next());  // odd: tail shapes
-  const std::size_t n = keys.size();
-
-  sketch::FourWiseHash bucket_hash(rng);
-  sketch::FourWiseHash sign_hash(rng);
-  std::vector<std::uint64_t> x1(n), x2(n), x3(n);
-  {
-    ForcedLevel scalar(simd::Level::kScalar);
-    simd::m61_key_powers(keys.data(), n, x1.data(), x2.data(), x3.data());
-  }
-
-  // Pow2 buckets exercise the vector mask path; non-pow2 the `%` fallback.
-  for (const std::uint64_t buckets : {std::uint64_t{256}, std::uint64_t{250}}) {
-    for (const std::int64_t weight : {std::int64_t{1}, std::int64_t{-3}}) {
-      // Serial reference straight off the hash objects (the update() path).
-      std::vector<std::int64_t> want(buckets, 0);
-      for (const std::uint64_t key : keys) {
-        want[bucket_hash.bucket(key, buckets)] += weight * sign_hash.sign(key);
-      }
-      // Forced-scalar references for every tail length in [0, 17].
-      std::vector<std::vector<std::int64_t>> tail_refs;
-      {
-        ForcedLevel scalar(simd::Level::kScalar);
-        for (std::size_t len = 0; len <= 17; ++len) {
-          std::vector<std::int64_t> ref(buckets, 0);
-          simd::fast_agms_update_row(bucket_hash.coefficients().data(),
-                                     sign_hash.coefficients().data(), x1.data(),
-                                     x2.data(), x3.data(), len, buckets, weight,
-                                     ref.data());
-          tail_refs.push_back(std::move(ref));
-        }
-      }
-      for (const simd::Level level : supported_levels()) {
-        ForcedLevel forced(level);
-        std::vector<std::int64_t> row(buckets, 0);
-        simd::fast_agms_update_row(bucket_hash.coefficients().data(),
-                                   sign_hash.coefficients().data(), x1.data(),
-                                   x2.data(), x3.data(), n, buckets, weight,
-                                   row.data());
-        EXPECT_EQ(want, row) << simd::level_name(level) << " buckets=" << buckets
-                             << " weight=" << weight;
-        for (std::size_t len = 0; len <= 17; ++len) {
-          std::vector<std::int64_t> got(buckets, 0);
-          simd::fast_agms_update_row(bucket_hash.coefficients().data(),
-                                     sign_hash.coefficients().data(), x1.data(),
-                                     x2.data(), x3.data(), len, buckets, weight,
-                                     got.data());
-          EXPECT_EQ(tail_refs[len], got)
-              << simd::level_name(level) << " len=" << len
-              << " buckets=" << buckets;
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdIdentity, DftKernelsMatchScalarAtEveryLevel) {
-  common::Xoshiro256 rng(kSeeds[2]);
-  const std::size_t n = 1027;  // odd: vector body plus every tail shape
-  std::vector<double> cr0(n), ci0(n), pr0(n), pi0(n), ur(n), ui(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    cr0[k] = rng.next_double_in(-1e6, 1e6);
-    ci0[k] = rng.next_double_in(-1e6, 1e6);
-    pr0[k] = rng.next_double_in(-1.0, 1.0);
-    pi0[k] = rng.next_double_in(-1.0, 1.0);
-    ur[k] = rng.next_double_in(-1.0, 1.0);
-    ui[k] = rng.next_double_in(-1.0, 1.0);
-  }
-  const double delta = rng.next_double_in(-100.0, 100.0);
-
-  auto scr = cr0, sci = ci0, spr = pr0, spi = pi0;
-  {
-    ForcedLevel scalar(simd::Level::kScalar);
-    simd::dft_accum_rotate(scr.data(), sci.data(), spr.data(), spi.data(),
-                           ur.data(), ui.data(), n, delta);
-    simd::dft_accum(scr.data(), sci.data(), spr.data(), spi.data(), n, delta);
-    simd::dft_rotate(spr.data(), spi.data(), ur.data(), ui.data(), n);
-  }
-  for (const simd::Level level : supported_levels()) {
-    ForcedLevel forced(level);
-    auto cr = cr0, ci = ci0, pr = pr0, pi = pi0;
-    simd::dft_accum_rotate(cr.data(), ci.data(), pr.data(), pi.data(),
-                           ur.data(), ui.data(), n, delta);
-    simd::dft_accum(cr.data(), ci.data(), pr.data(), pi.data(), n, delta);
-    simd::dft_rotate(pr.data(), pi.data(), ur.data(), ui.data(), n);
-    EXPECT_EQ(scr, cr) << simd::level_name(level);
-    EXPECT_EQ(sci, ci) << simd::level_name(level);
-    EXPECT_EQ(spr, pr) << simd::level_name(level);
-    EXPECT_EQ(spi, pi) << simd::level_name(level);
-  }
-}
 
 TEST(SimdIdentity, MatchScanKernelsMatchScalarAtEveryLevel) {
   common::Xoshiro256 rng(kSeeds[1]);
@@ -531,47 +366,6 @@ TEST(SimdIdentity, MatchScanKernelsMatchScalarAtEveryLevel) {
         }
       }
     }
-  }
-}
-
-TEST(SimdIdentity, OperatorsMatchSerialAtEveryLevel) {
-  for (const simd::Level level : supported_levels()) {
-    ForcedLevel forced(level);
-    common::Xoshiro256 rng(kSeeds[2]);
-    const auto values = random_values(1500, rng);
-    const auto keys = random_keys(1500, rng);
-
-    // The per-tuple paths (push / update / insert) never touch the simd::
-    // kernels, so the serial twin is the fixed reference at every level.
-    dsp::SlidingDft dft_serial(128, 16), dft_batched(128, 16);
-    for (const double v : values) dft_serial.push(v);
-    dft_batched.push_batch(values);
-    const auto sc = dft_serial.coefficients();
-    const auto bc = dft_batched.coefficients();
-    ASSERT_EQ(sc.size(), bc.size());
-    for (std::size_t k = 0; k < sc.size(); ++k) {
-      EXPECT_EQ(sc[k], bc[k]) << simd::level_name(level) << " k=" << k;
-    }
-
-    sketch::AgmsSketch agms_serial(sketch::AgmsShape{10, 2}, 42);
-    sketch::AgmsSketch agms_batched(sketch::AgmsShape{10, 2}, 42);
-    for (const std::uint64_t k : keys) agms_serial.update(k, +1);
-    agms_batched.update_batch(keys, +1);
-    EXPECT_EQ(agms_serial.counters(), agms_batched.counters())
-        << simd::level_name(level);
-
-    sketch::FastAgmsSketch fast_serial(5, 96, 42), fast_batched(5, 96, 42);
-    for (const std::uint64_t k : keys) fast_serial.update(k, +1);
-    fast_batched.update_batch(keys, +1);
-    EXPECT_EQ(fast_serial.counters(), fast_batched.counters())
-        << simd::level_name(level);
-
-    sketch::CountingBloomFilter bloom_serial(384, 4, 42);
-    sketch::CountingBloomFilter bloom_batched(384, 4, 42);
-    for (const std::uint64_t k : keys) bloom_serial.insert(k);
-    bloom_batched.insert_batch(keys);
-    EXPECT_EQ(bloom_serial.counters(), bloom_batched.counters())
-        << simd::level_name(level);
   }
 }
 

@@ -6,6 +6,10 @@
 #include <numeric>
 #include <set>
 
+#include "dsjoin/core/substrate.hpp"
+#include "dsjoin/core/summary_state.hpp"
+#include "dsjoin/sketch/agms.hpp"
+
 namespace dsjoin::core {
 namespace {
 
@@ -336,6 +340,31 @@ TEST(SketchPolicy, BroadcastsSketchesEveryEpoch) {
   }
   // 3 epochs x 3 peers.
   EXPECT_EQ(broadcasts, 9);
+}
+
+TEST(SketchPolicy, IgnoresSketchOfAnotherShapeOrSeed) {
+  auto config = config_for(PolicyKind::kSketch, 3);
+  const auto policy = RoutingPolicy::create(config, 0);
+  for (int i = 0; i < 20; ++i) {
+    policy->observe_local(tuple_with(5, stream::StreamSide::kR, 0.1 * i));
+  }
+  // A 1x1 sketch (fewer counters than the local grid) and one of the local
+  // shape built from another seed (another hash family).
+  const sketch::AgmsSketch small(sketch::AgmsShape{1, 1}, 7);
+  const sketch::AgmsSketch reseeded(sketch::AgmsShape::for_budget(
+                                        config.summary_budget_bytes() / 4),
+                                    config.seed);
+  for (const sketch::AgmsSketch* foreign : {&small, &reseeded}) {
+    sketch::AgmsSketch remote = *foreign;
+    remote.update(5, 3);
+    common::BufferWriter writer;
+    summary_codec::encode_sketch(writer, stream::StreamSide::kS, remote);
+    ASSERT_TRUE(policy->on_summary(1, SummaryBlock{std::move(writer).take()})
+                    .is_ok());
+    auto& engine = policy->substrate().sketch();
+    EXPECT_FALSE(engine.remote_seeded(1, 1));
+    EXPECT_EQ(engine.refreshed_estimate(1, 0), 0.0);
+  }
 }
 
 TEST(SamplePolicy, BroadcastsSamplesEveryEpoch) {
