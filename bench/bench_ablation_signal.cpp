@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
                       core::PolicyKind::kSpectrum, core::PolicyKind::kDftt}) {
       for (double throttle : {0.3, 0.5, 0.7}) {
         auto config = bench::figure_config(workload, nodes, tuples);
-        config.policy = kind;
-        config.throttle = throttle;
+        config.queries.front().policy = kind;
+        config.queries.front().throttle = throttle;
         const auto result = core::run_experiment(config);
         table.add(core::to_string(kind), throttle, result.epsilon,
                   result.traffic.frames(net::FrameKind::kTuple),

@@ -53,10 +53,10 @@ core::SystemConfig golden_config(core::PolicyKind policy, bool quick) {
   config.nodes = 4;
   config.seed = 7;
   config.workload = "ZIPF";
-  config.policy = policy;
+  config.queries.front().policy = policy;
   config.tuples_per_node = quick ? 120 : 300;
   config.arrivals_per_second = 50.0;
-  config.join_half_width_s = 2.0;
+  config.queries.front().join_half_width_s = 2.0;
   config.dft_window = 256;
   config.kappa = 32.0;
   config.summary_epoch_tuples = 64;

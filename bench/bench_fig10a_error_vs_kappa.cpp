@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
     for (auto kind : {core::PolicyKind::kDftt, core::PolicyKind::kDft,
                       core::PolicyKind::kBloom, core::PolicyKind::kSketch}) {
       auto config = probe;
-      config.policy = kind;
-      config.throttle = flags.get_double("throttle");
+      config.queries.front().policy = kind;
+      config.queries.front().throttle = flags.get_double("throttle");
       bench::apply_workers_flag(flags, config);
       bench::apply_coalesce_flags(flags, config);
       const auto result = bench::run_with_backend(backend, config);

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   for (std::uint32_t n : {4u, 8u, 14u, 20u}) {
     for (auto kind : bench::evaluated_policies()) {
       auto config = bench::figure_config("ZIPF", n, tuples);
-      config.policy = kind;
+      config.queries.front().policy = kind;
       bench::apply_workers_flag(flags, config);
       bench::apply_coalesce_flags(flags, config);
       if (kind != core::PolicyKind::kBase) {
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
         calib_config.tuples_per_node = calib_tuples;
         const auto calibrated =
             core::calibrate_throttle(calib_config, target, 0.025, 4);
-        config.throttle = calibrated.throttle;
+        config.queries.front().throttle = calibrated.throttle;
       }
       const auto result = bench::run_with_backend(backend, config);
       table.add(n, core::to_string(kind), result.results_per_second,

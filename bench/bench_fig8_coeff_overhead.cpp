@@ -72,8 +72,8 @@ int main(int argc, char** argv) {
   for (std::uint32_t n : {2u, 4u, 6u, 8u, 12u, 16u, 20u}) {
     auto config = bench::figure_config(
         "ZIPF", n, static_cast<std::uint64_t>(flags.get_int("tuples")));
-    config.policy = core::PolicyKind::kDft;
-    config.throttle = flags.get_double("throttle");
+    config.queries.front().policy = core::PolicyKind::kDft;
+    config.queries.front().throttle = flags.get_double("throttle");
     bench::apply_workers_flag(flags, config);
     bench::apply_coalesce_flags(flags, config);
     bench::apply_quant_flag(flags, config);
@@ -100,8 +100,8 @@ int main(int argc, char** argv) {
     for (std::uint32_t bits : {0u, 16u, 8u}) {
       auto config = bench::figure_config(
           "ZIPF", n, static_cast<std::uint64_t>(flags.get_int("tuples")));
-      config.policy = core::PolicyKind::kDft;
-      config.throttle = flags.get_double("throttle");
+      config.queries.front().policy = core::PolicyKind::kDft;
+      config.queries.front().throttle = flags.get_double("throttle");
       config.summary_quant_bits = bits;
       bench::apply_workers_flag(flags, config);
       const auto result = bench::run_with_backend(backend, config);

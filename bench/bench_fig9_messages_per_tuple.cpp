@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     for (std::uint32_t n : {4u, 8u, 14u, 20u}) {
       for (auto kind : bench::evaluated_policies()) {
         auto config = bench::figure_config(workload, n, tuples);
-        config.policy = kind;
+        config.queries.front().policy = kind;
         bench::apply_workers_flag(flags, config);
         bench::apply_coalesce_flags(flags, config);
         // Calibration always runs on the simulator (it needs the in-run
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
             core::calibrate_throttle(config, target, 0.02, bisections);
         auto result = calibrated.result;
         if (backend != core::Backend::kSim) {
-          config.throttle = calibrated.throttle;
+          config.queries.front().throttle = calibrated.throttle;
           result = bench::run_with_backend(backend, config);
         }
         table.add(n, core::to_string(kind), result.messages_per_result,

@@ -554,9 +554,8 @@ Entry bench_metrics_aggregate(double min_time_s) {
   std::size_t items = 0;
   for (std::size_t n = 0; n < kNodes; ++n) {
     reports[n].node_id = static_cast<net::NodeId>(n);
-    reports[n].pairs = collectors[n].pairs();
-    reports[n].queries.emplace_back().pairs = reports[n].pairs;
-    items += reports[n].pairs.size();
+    reports[n].queries.emplace_back().pairs = collectors[n].pairs();
+    items += reports[n].queries.front().pairs.size();
   }
 
   volatile std::size_t sink = 0;

@@ -58,7 +58,8 @@ std::vector<core::QuerySpec> mixed_queries(const core::SystemConfig& base,
     spec.policy = kCycle[i % 4];
     spec.throttle = 0.3 + 0.1 * static_cast<double>(i % 5);
     spec.join_half_width_s =
-        base.join_half_width_s * (0.5 + 0.25 * static_cast<double>(i % 4));
+        base.queries.front().join_half_width_s *
+        (0.5 + 0.25 * static_cast<double>(i % 4));
     specs.push_back(spec);
   }
   return specs;
@@ -66,7 +67,6 @@ std::vector<core::QuerySpec> mixed_queries(const core::SystemConfig& base,
 
 Entry run_point(std::size_t query_count, std::uint64_t tuples) {
   auto config = bench::figure_config("ZIPF", 8, tuples);
-  config.policy = core::PolicyKind::kDftt;
   config.queries = mixed_queries(config, query_count);
   bench::validate_or_die(config);
 

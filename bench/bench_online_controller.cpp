@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   for (auto kind : {core::PolicyKind::kDftt, core::PolicyKind::kSketch}) {
     // Offline: bisect on full runs (what the figures do).
     auto config = bench::figure_config("ZIPF", nodes, tuples);
-    config.policy = kind;
+    config.queries.front().policy = kind;
     const auto offline = core::calibrate_throttle(config, target, 0.02, 5);
     table.add(std::string(core::to_string(kind)) + "/offline",
               offline.result.epsilon,
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     // Online: one run, controller active, from a deliberately bad start.
     for (double start : {0.1, 0.9}) {
       auto online_config = config;
-      online_config.throttle = start;
+      online_config.queries.front().throttle = start;
       online_config.online_target_eps = target;
       const auto online = core::run_experiment(online_config);
       table.add(std::string(core::to_string(kind)) + "/online(start=" +

@@ -64,9 +64,9 @@ int main(int argc, char** argv) {
     auto config = bench::figure_config("ZIPF", n, tuples,
                                        static_cast<std::uint64_t>(
                                            flags.get_int("seed")));
-    config.policy = core::PolicyKind::kDftt;
+    config.queries.front().policy = core::PolicyKind::kDftt;
     config.arrivals_per_second = flags.get_double("rate");
-    config.join_half_width_s = flags.get_double("window");
+    config.queries.front().join_half_width_s = flags.get_double("window");
     config.oracle_enabled = false;
     // Pure-latency WAN: bandwidth shaping off keeps the run compute-bound
     // at these rates and keeps backpressure — the one documented

@@ -49,8 +49,8 @@ struct Entry {
 Entry run_point(core::PolicyKind policy, double throttle,
                 std::uint32_t sample_capacity, std::uint64_t tuples) {
   auto config = bench::figure_config("ZIPF", 8, tuples);
-  config.policy = policy;
-  config.throttle = throttle;
+  config.queries.front().policy = policy;
+  config.queries.front().throttle = throttle;
   config.sample_capacity = sample_capacity;
 
   const auto start = std::chrono::steady_clock::now();

@@ -80,28 +80,6 @@ inline void validate_or_die(const core::SystemConfig& config) {
   }
 }
 
-/// Declares the shared `--queries` flag (multi-query serving).
-inline void add_queries_flag(common::CliFlags& flags) {
-  flags.add_string(
-      "queries", "",
-      "registered join queries, semicolon-separated POLICY[:throttle"
-      "[:half_width_s]] specs (e.g. \"DFTT:0.5:10;SMPL:0.7:4\"); omitted "
-      "fields inherit the base config; empty = single-query mode");
-}
-
-/// Applies `--queries`, rejecting syntax errors with the message from
-/// core::parse_queries. Call after the base scalars are applied so
-/// omitted per-query fields inherit the final values.
-inline void apply_queries_flag(const common::CliFlags& flags,
-                               core::SystemConfig& config) {
-  const auto parsed = core::parse_queries(flags.get_string("queries"), config);
-  if (!parsed) {
-    std::fprintf(stderr, "error: %s\n", parsed.status().message().c_str());
-    std::exit(1);
-  }
-  config.queries = parsed.value();
-}
-
 /// Declares the shared `--workers` flag (parallel simulator driver).
 inline void add_workers_flag(common::CliFlags& flags) {
   flags.add_int("workers", 0,

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   config.nodes = static_cast<std::uint32_t>(flags.get_int("domains"));
   config.regions = std::max(2u, config.nodes / 3);
   config.tuples_per_node = static_cast<std::uint64_t>(flags.get_int("packets"));
-  config.throttle = flags.get_double("throttle");
+  config.queries.front().throttle = flags.get_double("throttle");
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   std::printf("Correlating packet streams across %u domains...\n\n",
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
                     core::PolicyKind::kBloom, core::PolicyKind::kSketch,
                     core::PolicyKind::kDft, core::PolicyKind::kRoundRobin}) {
     auto run_config = config;
-    run_config.policy = kind;
+    run_config.queries.front().policy = kind;
     const auto result = core::run_experiment(run_config);
     menu.add(core::to_string(kind), result.reported_pairs,
              100.0 * result.epsilon, result.traffic.total_frames(),
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
 
   // Drill-down: per-domain discovery counts under DFTT.
   auto dftt_config = config;
-  dftt_config.policy = core::PolicyKind::kDftt;
+  dftt_config.queries.front().policy = core::PolicyKind::kDftt;
   core::DspSystem system(dftt_config);
   const auto result = system.run();
   common::TablePrinter drill("DFTT drill-down: discoveries per domain",

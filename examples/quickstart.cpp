@@ -1,13 +1,14 @@
 // Quickstart: run one distributed approximate window join and compare the
 // DFTT algorithm against the exact BASE broadcast.
 //
-//   ./quickstart [--nodes 6] [--workload ZIPF] [--policy DFTT] ...
+//   ./quickstart [--nodes 6] [--workload ZIPF] [--queries DFTT:0.5:10] ...
 //
-// Prints, for the chosen policy and for BASE: epsilon, messages per result
-// tuple, and throughput — the paper's three headline metrics (Section 6).
+// Prints, for the chosen query set and for the same set routed by BASE:
+// epsilon, messages per result tuple, and throughput — the paper's three
+// headline metrics (Section 6).
 #include <cstdint>
 #include <cstdio>
-#include <stdexcept>
+#include <string>
 
 #include "dsjoin/common/cli.hpp"
 #include "dsjoin/common/table.hpp"
@@ -21,9 +22,12 @@ int main(int argc, char** argv) {
       "dsjoin quickstart: one approximate distributed window join vs BASE");
   flags.add_int("nodes", 6, "number of processing nodes")
       .add_string("workload", "ZIPF", "UNI | ZIPF | FIN | NWRK")
-      .add_string("policy", "DFTT", core::policy_names_csv())
+      .add_string("queries", "DFTT:0.5:10",
+                  "registered join queries served against one shared "
+                  "summary substrate, semicolon-separated "
+                  "POLICY[:throttle[:half_width_s]] specs (DESIGN.md "
+                  "section 15); POLICY is one of " + core::policy_names_csv())
       .add_int("tuples", 3000, "tuples per node per stream side")
-      .add_double("throttle", 0.5, "forwarding budget knob in [0,1]")
       .add_int("kappa", 256, "DFT compression factor")
       .add_int("tolerance", 2, "DFTT membership tolerance (+/- keys)")
       .add_double("noise", 0.15, "background cold-tuple fraction")
@@ -31,12 +35,7 @@ int main(int argc, char** argv) {
       .add_int("workers", 0,
                "execution strands for the simulator (0 = serial driver; "
                "k >= 1 is bit-identical to serial unless backpressure "
-               "engages, see DESIGN.md section 6)")
-      .add_string("queries", "",
-                  "registered join queries served against one shared "
-                  "summary substrate, semicolon-separated "
-                  "POLICY[:throttle[:half_width_s]] specs (DESIGN.md "
-                  "section 15); empty = single-query mode");
+               "engages, see DESIGN.md section 6)");
   if (auto status = flags.parse(argc, argv); !status) {
     if (status.code() != common::ErrorCode::kFailedPrecondition) {
       std::fprintf(stderr, "error: %s\n", status.to_string().c_str());
@@ -48,14 +47,7 @@ int main(int argc, char** argv) {
   core::SystemConfig config;
   config.nodes = static_cast<std::uint32_t>(flags.get_int("nodes"));
   config.workload = flags.get_string("workload");
-  try {
-    config.policy = core::policy_from_string(flags.get_string("policy"));
-  } catch (const std::invalid_argument& err) {
-    std::fprintf(stderr, "error: %s\n", err.what());
-    return 1;
-  }
   config.tuples_per_node = static_cast<std::uint64_t>(flags.get_int("tuples"));
-  config.throttle = flags.get_double("throttle");
   config.kappa = static_cast<double>(flags.get_int("kappa"));
   config.membership_tolerance = flags.get_int("tolerance");
   config.noise = flags.get_double("noise");
@@ -67,7 +59,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   config.worker_threads = static_cast<std::uint32_t>(workers);
-  const auto queries = core::parse_queries(flags.get_string("queries"), config);
+  const std::string query_list = flags.get_string("queries");
+  const auto queries = core::parse_queries(query_list, config);
   if (!queries) {
     std::fprintf(stderr, "error: %s\n", queries.status().message().c_str());
     return 1;
@@ -75,19 +68,18 @@ int main(int argc, char** argv) {
   config.queries = queries.value();
 
   std::printf("Running %s on %s with %u nodes (%llu tuples/node/side)...\n",
-              core::to_string(config.policy), config.workload.c_str(),
-              config.nodes,
+              query_list.c_str(), config.workload.c_str(), config.nodes,
               static_cast<unsigned long long>(config.tuples_per_node));
   const auto approx = core::run_experiment(config);
 
+  // The exact reference: the same queries (same windows), each broadcast.
   std::printf("Running BASE reference...\n");
   core::SystemConfig base_config = config;
-  base_config.policy = core::PolicyKind::kBase;
+  for (auto& spec : base_config.queries) spec.policy = core::PolicyKind::kBase;
   const auto base = core::run_experiment(base_config);
 
-  common::TablePrinter table(
-      "quickstart: " + flags.get_string("policy") + " vs BASE",
-      {"metric", flags.get_string("policy"), "BASE"});
+  common::TablePrinter table("quickstart: " + query_list + " vs BASE",
+                             {"metric", query_list, "BASE"});
   table.add("epsilon (missed results)", approx.epsilon, base.epsilon);
   table.add("messages per result tuple", approx.messages_per_result,
             base.messages_per_result);

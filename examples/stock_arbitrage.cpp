@@ -31,21 +31,21 @@ int main(int argc, char** argv) {
 
   core::SystemConfig config;
   config.workload = "FIN";
-  config.policy = core::PolicyKind::kDftt;
+  config.queries.front().policy = core::PolicyKind::kDftt;
   config.nodes = static_cast<std::uint32_t>(flags.get_int("exchanges"));
   config.regions = std::max(2u, config.nodes / 3);
   config.tuples_per_node = static_cast<std::uint64_t>(flags.get_int("quotes"));
-  config.join_half_width_s = flags.get_double("window_s");
-  config.throttle = flags.get_double("throttle");
+  config.queries.front().join_half_width_s = flags.get_double("window_s");
+  config.queries.front().throttle = flags.get_double("throttle");
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   std::printf("Monitoring %u exchanges for bid/ask crosses (DFTT, window "
               "+/-%.0fs)...\n",
-              config.nodes, config.join_half_width_s);
+              config.nodes, config.queries.front().join_half_width_s);
   const auto result = core::run_experiment(config);
 
   core::SystemConfig base_config = config;
-  base_config.policy = core::PolicyKind::kBase;
+  base_config.queries.front().policy = core::PolicyKind::kBase;
   const auto base = core::run_experiment(base_config);
 
   common::TablePrinter table("arbitrage detection: DFTT vs exact broadcast",

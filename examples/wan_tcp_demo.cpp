@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
   config.nodes = static_cast<std::uint32_t>(flags.get_int("nodes"));
   config.regions = 2;
   try {
-    config.policy = core::policy_from_string(flags.get_string("policy"));
+    config.queries.front().policy =
+        core::policy_from_string(flags.get_string("policy"));
   } catch (const std::invalid_argument& err) {
     std::fprintf(stderr, "error: %s\n", err.what());
     return 1;
@@ -45,13 +46,13 @@ int main(int argc, char** argv) {
   config.workload = "ZIPF";
   config.tuples_per_node = static_cast<std::uint64_t>(flags.get_int("tuples"));
   config.arrivals_per_second = flags.get_double("rate");
-  config.join_half_width_s = 2.0;
+  config.queries.front().join_half_width_s = 2.0;
   config.dft_window = 512;
   config.kappa = 64.0;
   config.summary_epoch_tuples = 64;
 
   std::printf("Meshing %u daemon threads over loopback TCP (%s policy)...\n",
-              config.nodes, core::to_string(config.policy));
+              config.nodes, core::to_string(config.queries.front().policy));
   runtime::LocalOptions options;
   options.pace = flags.get_bool("pace");
   const runtime::RunReport report = runtime::run_local(config, options);

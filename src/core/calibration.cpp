@@ -1,14 +1,14 @@
 #include "dsjoin/core/calibration.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace dsjoin::core {
 
 namespace {
 
-ExperimentResult run_at(const SystemConfig& base, double throttle) {
-  SystemConfig config = base;
-  config.throttle = throttle;
+ExperimentResult run_at(SystemConfig config, double throttle) {
+  for (QuerySpec& spec : config.queries) spec.throttle = throttle;
   return run_experiment(config);
 }
 
@@ -17,9 +17,14 @@ ExperimentResult run_at(const SystemConfig& base, double throttle) {
 CalibrationResult calibrate_throttle(SystemConfig config, double target_epsilon,
                                      double tolerance, int max_bisections) {
   CalibrationResult out;
-  if (config.policy == PolicyKind::kBase) {
+  const bool all_base =
+      std::all_of(config.queries.begin(), config.queries.end(),
+                  [](const QuerySpec& spec) {
+                    return spec.policy == PolicyKind::kBase;
+                  });
+  if (all_base) {
     out.result = run_experiment(config);
-    out.throttle = config.throttle;
+    out.throttle = config.queries.front().throttle;
     out.converged = std::abs(out.result.epsilon - target_epsilon) <= tolerance;
     out.runs = 1;
     return out;

@@ -78,32 +78,9 @@ SummaryFamily family_of(PolicyKind kind) noexcept {
   return SummaryFamily::kNone;
 }
 
-std::vector<QuerySpec> effective_queries(const SystemConfig& config) {
-  if (!config.queries.empty()) return config.queries;
-  QuerySpec spec;
-  spec.id = 0;
-  spec.policy = config.policy;
-  spec.throttle = config.throttle;
-  spec.join_half_width_s = config.join_half_width_s;
-  return {spec};
-}
-
-bool multi_query_mode(const SystemConfig& config) {
-  return config.queries.size() > 1;
-}
-
-SystemConfig query_config(const SystemConfig& base, const QuerySpec& spec) {
-  SystemConfig view = base;
-  view.policy = spec.policy;
-  view.throttle = spec.throttle;
-  view.join_half_width_s = spec.join_half_width_s;
-  view.queries.clear();
-  return view;
-}
-
 double max_join_half_width(const SystemConfig& config) {
   double width = 0.0;
-  for (const auto& spec : effective_queries(config)) {
+  for (const auto& spec : config.queries) {
     width = std::max(width, spec.join_half_width_s);
   }
   return width;
@@ -117,6 +94,13 @@ common::Status validate_config(const SystemConfig& config) {
   };
   if (config.nodes < 2) {
     return fail(str_format("nodes must be >= 2, got %u", config.nodes));
+  }
+  // The arrival schedule draws exponential gaps at this rate: 0 puts every
+  // arrival at t = inf, a negative or NaN rate runs time backwards.
+  if (!std::isfinite(config.arrivals_per_second) ||
+      !(config.arrivals_per_second > 0.0)) {
+    return fail(str_format("rate must be finite and > 0, got %g",
+                           config.arrivals_per_second));
   }
   if (config.coalesce_frames < 1 || config.coalesce_frames > 0xFFFF) {
     return fail(str_format("coalesce-frames must be in [1, 65535], got %u",
@@ -171,18 +155,8 @@ common::Status validate_config(const SystemConfig& config) {
         "kappa %g keeps more than dft-window/2 + 1 = %u coefficients",
         config.kappa, config.dft_window / 2 + 1));
   }
-  if (!std::isfinite(config.throttle) || config.throttle < 0.0 ||
-      config.throttle > 1.0) {
-    return fail(str_format("throttle must be in [0, 1], got %g",
-                           config.throttle));
-  }
-  if (!std::isfinite(config.join_half_width_s) ||
-      !(config.join_half_width_s > 0.0)) {
-    return fail(str_format("half-width must be > 0, got %g",
-                           config.join_half_width_s));
-  }
-  if (config.queries.size() > kMaxQueries) {
-    return fail(str_format("at most %zu queries per run, got %zu",
+  if (config.queries.empty() || config.queries.size() > kMaxQueries) {
+    return fail(str_format("a run serves 1 to %zu queries, got %zu",
                            kMaxQueries, config.queries.size()));
   }
   std::set<std::uint32_t> ids;
@@ -206,8 +180,10 @@ common::Status validate_config(const SystemConfig& config) {
 
 common::Result<std::vector<QuerySpec>> parse_queries(
     const std::string& text, const SystemConfig& base) {
+  if (text.empty()) return base.queries;
+  const QuerySpec defaults =
+      base.queries.empty() ? QuerySpec{} : base.queries.front();
   std::vector<QuerySpec> specs;
-  if (text.empty()) return specs;
   std::size_t pos = 0;
   while (pos <= text.size()) {
     const std::size_t end = std::min(text.find(';', pos), text.size());
@@ -217,10 +193,8 @@ common::Result<std::vector<QuerySpec>> parse_queries(
       return common::Status(common::ErrorCode::kInvalidArgument,
                             "empty query spec in --queries");
     }
-    QuerySpec spec;
+    QuerySpec spec = defaults;
     spec.id = static_cast<std::uint32_t>(specs.size());
-    spec.throttle = base.throttle;
-    spec.join_half_width_s = base.join_half_width_s;
     // POLICY[:throttle[:half_width_s]]
     const std::size_t c1 = item.find(':');
     const std::string policy_name = item.substr(0, c1);
@@ -269,7 +243,6 @@ void serialize_config(const SystemConfig& config, common::BufferWriter& out) {
   out.write_i64(config.domain);
   out.write_f64(config.arrivals_per_second);
   out.write_u64(config.tuples_per_node);
-  out.write_f64(config.join_half_width_s);
   out.write_f64(config.retention_margin_s);
   out.write_u32(config.dft_window);
   out.write_f64(config.kappa);
@@ -279,8 +252,6 @@ void serialize_config(const SystemConfig& config, common::BufferWriter& out) {
   out.write_u32(config.piggyback_max_coeffs);
   out.write_i64(config.membership_tolerance);
   out.write_f64(config.coeff_delta_threshold);
-  out.write_string(to_string(config.policy));
-  out.write_f64(config.throttle);
   out.write_f64(config.uniform_detection_cv);
   out.write_f64(config.max_backlog_s);
   out.write_u32(config.coalesce_frames);
@@ -295,7 +266,7 @@ void serialize_config(const SystemConfig& config, common::BufferWriter& out) {
   out.write_u32(config.summary_quant_bits);
   out.write_u32(config.sample_capacity);
   out.write_u32(config.sample_strata);
-  // Protocol v6: the registered query list (empty = single-query mode).
+  // The query set, one entry at least (protocol v7).
   out.write_u32(static_cast<std::uint32_t>(config.queries.size()));
   for (const auto& spec : config.queries) {
     out.write_u32(spec.id);
@@ -327,7 +298,6 @@ common::Result<SystemConfig> deserialize_config(common::BufferReader& in) {
   DSJOIN_READ(domain, read_i64);
   DSJOIN_READ(arrivals_per_second, read_f64);
   DSJOIN_READ(tuples_per_node, read_u64);
-  DSJOIN_READ(join_half_width_s, read_f64);
   DSJOIN_READ(retention_margin_s, read_f64);
   DSJOIN_READ(dft_window, read_u32);
   DSJOIN_READ(kappa, read_f64);
@@ -342,17 +312,6 @@ common::Result<SystemConfig> deserialize_config(common::BufferReader& in) {
   DSJOIN_READ(piggyback_max_coeffs, read_u32);
   DSJOIN_READ(membership_tolerance, read_i64);
   DSJOIN_READ(coeff_delta_threshold, read_f64);
-  {
-    auto policy = in.read_string();
-    if (!policy) return policy.status();
-    try {
-      config.policy = policy_from_string(policy.value());
-    } catch (const std::invalid_argument&) {
-      return common::Status(common::ErrorCode::kDataLoss,
-                            "unknown policy: " + policy.value());
-    }
-  }
-  DSJOIN_READ(throttle, read_f64);
   DSJOIN_READ(uniform_detection_cv, read_f64);
   DSJOIN_READ(max_backlog_s, read_f64);
   DSJOIN_READ(coalesce_frames, read_u32);
@@ -393,6 +352,7 @@ common::Result<SystemConfig> deserialize_config(common::BufferReader& in) {
       return common::Status(common::ErrorCode::kDataLoss,
                             "query count out of range");
     }
+    config.queries.clear();
     config.queries.reserve(count.value());
     for (std::uint32_t i = 0; i < count.value(); ++i) {
       QuerySpec spec;
@@ -418,7 +378,7 @@ common::Result<SystemConfig> deserialize_config(common::BufferReader& in) {
   }
 #undef DSJOIN_READ
   // One shared validity gate for everything the field-level checks above
-  // do not cover (query ranges, throttle bounds, node count): a config
+  // do not cover (query count and ranges, node count, rate): a config
   // that decodes but fails validation is corrupt from the wire's view.
   if (auto valid = validate_config(config); !valid.is_ok()) {
     return common::Status(common::ErrorCode::kDataLoss, valid.message());

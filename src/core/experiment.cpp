@@ -73,48 +73,39 @@ void aggregate_node_reports(std::span<const NodeReport> reports,
     reported += out.reported_pairs;
   }
 
-  // The cross-query union; a report without per-query sections (pre-v6)
-  // contributes its node-level list. Aggregate count: sum over queries
-  // (each its own join), or the union when no report has sections.
+  // The cross-query union; the aggregate count is the sum over queries
+  // (each its own join).
   lists.clear();
   for (std::size_t q = 0; q < query_count; ++q) {
     lists.push_back(result->per_query[q].pairs);
   }
-  for (const auto& report : reports) {
-    if (report.queries.empty()) lists.push_back(report.pairs);
-  }
   result->pairs = merge_pair_lists(lists);
-  result->reported_pairs = query_count == 0 ? result->pairs.size() : reported;
+  result->reported_pairs = reported;
 }
 
 void verify_against_schedule(const SystemConfig& config,
-                             std::span<const stream::ResultPair> pairs,
+                             std::span<const stream::ResultPair>,
                              ExperimentResult* result) {
-  verify_against_schedule(config, ArrivalSchedule::build(config), pairs,
-                          result);
+  verify_against_schedule(config, ArrivalSchedule::build(config), result);
 }
 
 void verify_against_schedule(const SystemConfig& config,
                              const ArrivalSchedule& schedule,
-                             std::span<const stream::ResultPair> pairs,
                              ExperimentResult* result) {
-  if (result->per_query.empty()) {
-    result->exact_pairs = exact_pairs(schedule, config.join_half_width_s);
-    result->false_pairs =
-        count_false_pairs(schedule, config.join_half_width_s, pairs);
-    return;
+  // One entry per registered query, also when no node reported.
+  if (result->per_query.size() < config.queries.size()) {
+    result->per_query.resize(config.queries.size());
   }
   // Per-query verification: replay the one schedule against each query's
   // own window. Caching by half-width keeps N identical-width queries at
   // one oracle pass.
-  const auto specs = effective_queries(config);
   std::map<double, std::uint64_t> exact_by_width;
   result->exact_pairs = 0;
   result->false_pairs = 0;
-  for (std::size_t q = 0; q < result->per_query.size(); ++q) {
+  for (std::size_t q = 0; q < config.queries.size(); ++q) {
     QueryResult& query = result->per_query[q];
-    const double width = q < specs.size() ? specs[q].join_half_width_s
-                                          : config.join_half_width_s;
+    query.query_id = config.queries[q].id;
+    const double width = config.queries[q].join_half_width_s;
     auto [it, fresh] = exact_by_width.try_emplace(width, 0);
     if (fresh) it->second = exact_pairs(schedule, width);
     query.exact_pairs = it->second;

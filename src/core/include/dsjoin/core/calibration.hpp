@@ -22,10 +22,12 @@ struct CalibrationResult {
 };
 
 /// Finds a throttle whose measured epsilon is within +/- `tolerance` of
-/// `target_epsilon` (both in [0, 1]). BASE ignores the throttle and is
-/// returned as-is after one run. If even throttle 1 / 0 cannot reach the
-/// band (e.g. the policy's floor error exceeds the target), the closest
-/// endpoint is returned with converged = false.
+/// `target_epsilon` (both in [0, 1]), setting it on every query of
+/// `config.queries` (the figures calibrate one query). BASE ignores the
+/// throttle: an all-BASE query set is returned as-is after one run. If
+/// even throttle 1 / 0 cannot reach the band (e.g. the policy's floor
+/// error exceeds the target), the closest endpoint is returned with
+/// converged = false.
 CalibrationResult calibrate_throttle(SystemConfig config, double target_epsilon,
                                      double tolerance = 0.015,
                                      int max_bisections = 6);

@@ -1,9 +1,9 @@
 // Experiment configuration.
 //
 // One SystemConfig describes a complete distributed-join experiment: the
-// cluster, the WAN profile, the workload, the window semantics, the routing
-// policy under test and its summary budget. Every bench builds these and
-// hands them to DspSystem.
+// cluster, the WAN profile, the workload, the query set under test (each
+// query's routing policy, throttle and window) and the summary budget.
+// Every bench builds these and hands them to DspSystem.
 #pragma once
 
 #include <algorithm>
@@ -67,16 +67,20 @@ inline constexpr std::size_t kSummaryFamilies = 6;
 
 SummaryFamily family_of(PolicyKind kind) noexcept;
 
-/// One registered sliding-window join query (multi-query serving,
-/// DESIGN.md §15): its routing policy, forwarding aggressiveness and
-/// window half-width. Everything else — summary geometry, WAN profile,
-/// workload, batching — is base-config by construction, which is what
-/// makes the ingest-side summary substrate shareable across queries.
+/// One registered sliding-window join query (DESIGN.md §15): its routing
+/// policy, forwarding aggressiveness and window half-width. Everything
+/// else — summary geometry, WAN profile, workload, batching — is
+/// base-config by construction, which is what makes the ingest-side
+/// summary substrate shareable across queries.
 struct QuerySpec {
   std::uint32_t id = 0;        ///< unique within the run; travels on the wire
   PolicyKind policy = PolicyKind::kDftt;
-  double throttle = 0.5;       ///< forwarding aggressiveness in [0, 1]
-  double join_half_width_s = 10.0;  ///< pair (r,s) joins iff |Δt| <= this
+  /// Forwarding aggressiveness in [0, 1]; the epsilon calibrator bisects
+  /// this. Maps to a per-node budget T in [1, N-1] (policy-specific).
+  double throttle = 0.5;
+  /// Join semantics: pair (r, s) joins iff keys match and
+  /// |r.timestamp - s.timestamp| <= join_half_width_s.
+  double join_half_width_s = 10.0;
 };
 
 /// Hard cap on registered queries per run: the per-tuple wire mask is a
@@ -100,10 +104,8 @@ struct SystemConfig {
   double arrivals_per_second = 25.0;  ///< per node per stream side
   std::uint64_t tuples_per_node = 4000;  ///< arrivals per node per side
 
-  // Join semantics: pair (r, s) joins iff keys match and
-  // |r.timestamp - s.timestamp| <= join_half_width_s.
-  double join_half_width_s = 10.0;
-  /// Extra retention beyond the window so delayed arrivals still match.
+  /// Extra retention beyond the widest query window so delayed arrivals
+  /// still match.
   double retention_margin_s = 120.0;
 
   // Summaries.
@@ -149,19 +151,12 @@ struct SystemConfig {
   /// sample; each stratum gets capacity/strata slots.
   std::uint32_t sample_strata = 8;
 
-  // Policy under test.
-  PolicyKind policy = PolicyKind::kDftt;
-  /// Forwarding aggressiveness in [0, 1]; the epsilon calibrator bisects
-  /// this. Maps to a per-node budget T in [1, N-1] (policy-specific).
-  double throttle = 0.5;
-
-  /// Registered join queries (multi-query serving, DESIGN.md §15). Empty
-  /// keeps the historical single-query mode: one implicit query derived
-  /// from `policy`, `throttle` and `join_half_width_s` above (see
-  /// effective_queries()). A one-entry list is equivalent to overriding
-  /// those three fields — the engine and wire formats stay byte-identical
-  /// to single-query mode whenever the effective query count is 1.
-  std::vector<QuerySpec> queries;
+  /// The query set under test (DESIGN.md §15): one entry per registered
+  /// join, in canonical order. The default is the paper's one join — DFTT,
+  /// throttle 0.5, +/-10 s. The tuple and result wire formats carry
+  /// per-query fields only when more than one query is registered
+  /// (multi_query_mode). Never empty in a valid config.
+  std::vector<QuerySpec> queries = std::vector<QuerySpec>(1);
   /// Coefficient-of-variation threshold under which the flow filter
   /// declares the uniform worst case and falls back to round-robin
   /// (Section 5.2.2: "a very small variance in the filter probabilities
@@ -251,24 +246,20 @@ struct SystemConfig {
   }
 };
 
-/// The query set an engine actually serves: `config.queries` when set,
-/// otherwise the one implicit query the legacy scalar fields describe.
-/// Never empty for a valid config.
-std::vector<QuerySpec> effective_queries(const SystemConfig& config);
+/// The query set an engine serves: `config.queries` itself.
+inline const std::vector<QuerySpec>& effective_queries(
+    const SystemConfig& config) {
+  return config.queries;
+}
 
-/// True when the effective query count exceeds one — the engine switches
-/// to per-query wire fields, per-query metrics and substrate sharing.
-bool multi_query_mode(const SystemConfig& config);
+/// True when more than one query is registered — tuple frames then carry a
+/// query mask and result frames a query id.
+inline bool multi_query_mode(const SystemConfig& config) {
+  return config.queries.size() > 1;
+}
 
-/// Projects one query onto the base config: the returned config has the
-/// spec's policy/throttle/join_half_width_s in the legacy scalar fields
-/// and an empty query list. RoutingPolicy::create seeds from this view, so
-/// a query spec identical to the legacy fields routes bit-identically to
-/// the historical single-query engine.
-SystemConfig query_config(const SystemConfig& base, const QuerySpec& spec);
-
-/// Max effective window half-width across registered queries — the shared
-/// local windows retain to this horizon so every query can match.
+/// Max window half-width across registered queries — the shared local
+/// windows retain to this horizon so every query can match.
 double max_join_half_width(const SystemConfig& config);
 
 /// The one validity gate for a SystemConfig, shared by every CLI site,
@@ -279,9 +270,9 @@ common::Status validate_config(const SystemConfig& config);
 
 /// Parses a `--queries` CLI value: semicolon-separated query specs, each
 /// `POLICY[:throttle[:half_width_s]]` (e.g. "DFTT:0.5:10;SMPL:0.7:4").
-/// Omitted fields default to the base config's legacy scalars. IDs are
+/// Omitted fields default to those of base.queries.front(). IDs are
 /// assigned in order starting at 0. kInvalidArgument on syntax errors;
-/// an empty string yields an empty list (single-query mode).
+/// an empty string yields base.queries unchanged.
 common::Result<std::vector<QuerySpec>> parse_queries(
     const std::string& text, const SystemConfig& base);
 

@@ -77,9 +77,9 @@ struct NodeReport {
   double predicted_missed_mass = 0.0;
   double predicted_total_mass = 0.0;
   net::TrafficCounters traffic;       ///< frames this node sent
-  std::vector<stream::ResultPair> pairs;  ///< locally discovered, deduplicated
-  /// Per-query breakdown in canonical (effective_queries) order. One entry
-  /// even in single-query mode, where it restates the aggregates above.
+  /// Per-query breakdown in config.queries order, each with the node's
+  /// locally discovered, deduplicated pairs. With one query it restates the
+  /// aggregates above.
   std::vector<QueryNodeReport> queries;
 };
 
@@ -150,36 +150,38 @@ struct ExperimentResult {
   double ingest_per_second = 0.0;     ///< arrivals / makespan
   double summary_byte_fraction = 0.0; ///< Figure 8's ratio
 
-  /// Per-query outcomes in canonical (effective_queries) order. In
-  /// multi-query mode the run aggregates above are sums over this list
-  /// (reported/exact pairs are summed per query, NOT the union — every
-  /// query is its own join); `pairs` keeps the cross-query union for the
-  /// single-query-compatible surface. One entry in single-query mode.
+  /// Per-query outcomes in config.queries order. The run aggregates above
+  /// are sums over this list (reported/exact pairs are summed per query,
+  /// NOT the union — every query is its own join); `pairs` keeps the
+  /// cross-query union, which with one query is that query's pair set.
   std::vector<QueryResult> per_query;
 };
 
 /// Folds per-node reports into `result`: sums arrivals and decode
 /// failures, merges traffic, and merges the nodes' sorted pair lists per
-/// query, then across queries, into result->pairs (sorted — ready for
-/// oracle verification). Callers with a shared transport (one global
-/// counter, not per-node) pass `merge_traffic = false` and install the
-/// union themselves.
+/// query into result->per_query, then across queries into result->pairs
+/// (sorted). Callers with a shared transport (one global counter, not
+/// per-node) pass `merge_traffic = false` and install the union
+/// themselves.
 void aggregate_node_reports(std::span<const NodeReport> reports,
                             ExperimentResult* result,
                             bool merge_traffic = true);
 
-/// Recomputes the exact join from the deterministic arrival schedule and
-/// fills exact_pairs / false_pairs — how the socket backends (which have
-/// no in-run oracle) account epsilon honestly. `schedule` must be
-/// ArrivalSchedule::build(config): a driver that already built it passes
-/// its own.
+/// Recomputes each query's exact join from the deterministic arrival
+/// schedule under that query's window (config.queries) and fills the
+/// per-query and run exact_pairs / false_pairs from result->per_query's
+/// pair lists — how the socket backends (which have no in-run oracle)
+/// account epsilon honestly. A result with fewer per-query entries than
+/// config.queries (no node reported) gets one per query. `schedule` must
+/// be ArrivalSchedule::build(config): a driver that already built it
+/// passes its own.
 void verify_against_schedule(const SystemConfig& config,
                              const ArrivalSchedule& schedule,
-                             std::span<const stream::ResultPair> pairs,
                              ExperimentResult* result);
 
 /// The same, building the schedule from `config` — for callers that hold
-/// none (the coordinator).
+/// none (the coordinator). `pairs` is not read: the audit checks the
+/// per-query lists in `result`, whose union it is.
 void verify_against_schedule(const SystemConfig& config,
                              std::span<const stream::ResultPair> pairs,
                              ExperimentResult* result);

@@ -7,24 +7,21 @@
 // over the network in order to provide the complete result", Section 5.3).
 //
 // Multi-query serving (DESIGN.md §15): a node hosts every query of
-// effective_queries(config). The local stream windows and the summary
-// substrate are ingested once per tuple; each registered query keeps its
-// own routing policy, received-tuple stores, online controller and
-// MetricsCollector. With one query (the historical mode) every code path,
-// RNG draw and wire byte is identical to the single-query engine.
+// config.queries. The local stream windows and the summary substrate are
+// ingested once per tuple; each registered query keeps its own routing
+// policy, received-tuple stores, online controller and MetricsCollector.
+// With one query the tuple and result frames carry no per-query fields.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "dsjoin/common/thread_pool.hpp"
 #include "dsjoin/core/config.hpp"
 #include "dsjoin/core/metrics.hpp"
 #include "dsjoin/core/policy.hpp"
@@ -52,14 +49,14 @@ struct QueryCounters {
 
 class Node {
  public:
-  /// Multi-query constructor: one MetricsCollector per registered query, in
-  /// effective_queries(config) order. The transport and every collector
-  /// must outlive the node. The node registers no handler itself; the owner
-  /// wires on_frame to the transport.
+  /// One MetricsCollector per registered query, in config.queries order.
+  /// The transport and every collector must outlive the node. The node
+  /// registers no handler itself; the owner wires on_frame to the
+  /// transport.
   Node(const SystemConfig& config, net::NodeId self, net::Transport& transport,
        std::span<MetricsCollector* const> query_metrics);
 
-  /// Single-collector convenience (single-query mode only).
+  /// Single-collector convenience (one-query configs only).
   Node(const SystemConfig& config, net::NodeId self, net::Transport& transport,
        MetricsCollector& metrics);
 
@@ -80,15 +77,6 @@ class Node {
     external_summary_feed_ = enabled;
   }
 
-  /// Optional worker pool for multi-query evaluation: per-tuple query
-  /// evaluation (joins + routing) is sharded by summary family — queries
-  /// sharing an engine serialize in one shard, shards run concurrently,
-  /// and all cross-query effects (frames, inserts) are applied afterwards
-  /// in canonical query order. Results are bit-identical for every worker
-  /// count, including none. Ignored in single-query mode. The pool must
-  /// outlive the node.
-  void set_worker_pool(common::ThreadPool* pool) noexcept { pool_ = pool; }
-
   /// Buffers a stamped summary from `from` until its visibility boundary
   /// (SystemConfig::summary_visible_time). A summary whose boundary already
   /// passed locally is applied immediately and counted late — the flag that
@@ -96,8 +84,8 @@ class Node {
   void queue_summary(net::NodeId from, const SummaryStamp& stamp,
                      SummaryBlock block);
 
-  /// Query 0's policy — the whole story in single-query mode, diagnostics
-  /// only with several queries registered.
+  /// Query 0's policy — the whole story with one query, diagnostics only
+  /// with several registered.
   RoutingPolicy& policy() noexcept { return *queries_.front().policy; }
   const RoutingPolicy& policy() const noexcept {
     return *queries_.front().policy;
@@ -153,7 +141,6 @@ class Node {
   /// its online-controller state and its attribution counters.
   struct QueryRuntime {
     QuerySpec spec;
-    SystemConfig config;  ///< base with the spec's fields overlaid
     std::unique_ptr<RoutingPolicy> policy;
     MetricsCollector* metrics = nullptr;
     std::array<stream::TupleStore, 2> received;  // forwarded tuples, by side
@@ -185,10 +172,10 @@ class Node {
                  MetricsCollector* metrics);
   };
 
-  /// Per-tuple evaluation output of one query, produced (possibly on a
-  /// worker strand) before any cross-query effect is applied. All vectors
-  /// are cleared per tuple and keep their capacity — the result path is
-  /// allocation-free in steady state.
+  /// Per-tuple evaluation output of one query, produced before any
+  /// cross-query effect is applied. All vectors are cleared per tuple and
+  /// keep their capacity — the result path is allocation-free in steady
+  /// state.
   struct QueryEval {
     bool audited = false;
     std::vector<net::NodeId> destinations;
@@ -200,13 +187,9 @@ class Node {
     std::vector<stream::StoredTuple> matches;
   };
 
-  /// The audit draw plus routing decision for one query (thread-confined to
-  /// the query's shard: touches only per-query and per-family state).
+  /// The audit draw plus routing decision for one query.
   void evaluate_routing(QueryRuntime& query, const stream::Tuple& tuple,
                         QueryEval& eval);
-  /// Runs `task(q)` for every query, sharded by summary family when a pool
-  /// is set (multi-query only); otherwise serial in query order.
-  void for_each_query_sharded(const std::function<void(std::size_t)>& task);
   void send_result_frame(QueryRuntime& query, net::NodeId origin,
                          std::span<const stream::ResultPair> pairs);
   void evict(double now);
@@ -230,11 +213,6 @@ class Node {
   std::vector<QueryRuntime> queries_;
   bool multi_query_ = false;
   double max_half_width_ = 0.0;  ///< retention horizon across queries
-  common::ThreadPool* pool_ = nullptr;
-  /// Query indices grouped by summary family: one shard per family (its
-  /// queries share an engine and must serialize); BASE/RR queries share no
-  /// state and get a shard each.
-  std::vector<std::vector<std::size_t>> shards_;
   std::array<stream::TupleStore, 2> local_;  // own tuples, by side
   std::uint64_t local_tuples_ = 0;
   std::uint64_t received_tuples_ = 0;
@@ -269,8 +247,8 @@ class Node {
   };
   std::vector<ProbeGroup> probe_groups_;
   std::vector<std::size_t> group_of_query_;
-  /// Per-group local-window matches for the tuple in flight; built serially
-  /// before the sharded phase, read-only inside it.
+  /// Per-group local-window matches for the tuple in flight; built before
+  /// the per-query evaluation, read-only inside it.
   std::vector<std::vector<stream::StoredTuple>> group_matches_;
   /// Lazy per-frame collect flags (on_frame probes a group's window only
   /// when a masked query actually needs it).

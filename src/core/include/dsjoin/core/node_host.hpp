@@ -39,7 +39,6 @@
 #include <span>
 #include <vector>
 
-#include "dsjoin/common/thread_pool.hpp"
 #include "dsjoin/core/experiment.hpp"
 #include "dsjoin/core/metrics.hpp"
 #include "dsjoin/core/node.hpp"
@@ -50,10 +49,8 @@ class NodeHost {
  public:
   /// Socket backends: the host owns one private MetricsCollector per
   /// registered query (this node's discoveries only; global dedup happens
-  /// at aggregation). In multi-query mode with config.worker_threads >= 1
-  /// the host also owns a ThreadPool and wires it into the node, sharding
-  /// per-tuple query evaluation by summary family (results bit-identical
-  /// for every worker count).
+  /// at aggregation). The node evaluates its queries on the calling
+  /// thread; config.worker_threads drives only the simulator.
   NodeHost(const SystemConfig& config, net::NodeId id, net::Transport& transport);
 
   /// Simulator: all hosts share the system-wide collectors — one per
@@ -189,7 +186,6 @@ class NodeHost {
   net::Transport* transport_;
   std::vector<std::unique_ptr<MetricsCollector>> owned_metrics_;  // empty when shared
   std::vector<MetricsCollector*> metrics_;  // one per query, canonical order
-  std::unique_ptr<common::ThreadPool> worker_pool_;  // multi-query sockets only
   std::unique_ptr<Node> node_;
 
   double virtual_now_ = 0.0;  // latest local arrival timestamp

@@ -60,7 +60,7 @@ struct EpsilonBoundTerms {
 /// throttle, fallback flag and probability diagnostics. The summary state
 /// it consults (windows, coefficient stores, filters, sketches, samples)
 /// lives in a core::SummarySubstrate engine, either shared with other
-/// queries of the same family (the 3-arg factory) or privately owned (the
+/// queries of the same family (the 4-arg factory) or privately owned (the
 /// 2-arg factory — the historical self-contained policy object).
 class RoutingPolicy {
  public:
@@ -118,15 +118,17 @@ class RoutingPolicy {
   /// The substrate this policy's summaries live in.
   SummarySubstrate& substrate() noexcept { return *substrate_; }
 
-  /// Standalone factory: the policy owns a private substrate — the
-  /// pre-refactor self-contained object tests and calibration use.
+  /// Standalone factory: the policy of config.queries.front(), owning a
+  /// private substrate — the self-contained object the policy tests use.
   static std::unique_ptr<RoutingPolicy> create(const SystemConfig& config,
                                                net::NodeId self);
 
-  /// Shared-substrate factory (multi-query serving): the policy registers
-  /// its summary family's engine in `substrate` and keeps only routing
-  /// state of its own. `substrate` must outlive the policy.
+  /// Shared-substrate factory: the policy of `spec` on the node `config`
+  /// describes. It registers its summary family's engine in `substrate`
+  /// and keeps only routing state of its own. `substrate` must outlive the
+  /// policy.
   static std::unique_ptr<RoutingPolicy> create(const SystemConfig& config,
+                                               const QuerySpec& spec,
                                                net::NodeId self,
                                                SummarySubstrate& substrate);
 

@@ -46,7 +46,7 @@ class DspSystem {
   std::uint64_t restarts_executed() const noexcept { return restarts_executed_; }
 
   /// Access for tests. metrics()/oracle() are query 0's — the whole story
-  /// in single-query mode; per-query instances via query_metrics(i) /
+  /// with one query; per-query instances via query_metrics(i) /
   /// query_oracle(i).
   Node& node(net::NodeId id) { return hosts_[id]->node(); }
   const net::SimTransport& transport() const { return *transport_; }
@@ -103,7 +103,6 @@ class DspSystem {
   };
 
   SystemConfig config_;
-  std::vector<QuerySpec> specs_;  ///< effective_queries(config), canonical
   net::EventQueue queue_;
   std::unique_ptr<net::SimTransport> transport_;
   /// One collector and one oracle per registered query, canonical order.

@@ -24,8 +24,8 @@ Node::QueryRuntime::QueryRuntime(const SystemConfig& base,
                                  const QuerySpec& query_spec, net::NodeId self,
                                  SummarySubstrate& substrate,
                                  MetricsCollector* collector)
-    : spec(query_spec), config(query_config(base, query_spec)),
-      policy(RoutingPolicy::create(config, self, substrate)),
+    : spec(query_spec),
+      policy(RoutingPolicy::create(base, query_spec, self, substrate)),
       metrics(collector),
       // Same stream for every query (and identical to the single-query
       // engine's): queries draw independently, so N copies of one query
@@ -43,42 +43,25 @@ Node::Node(const SystemConfig& config, net::NodeId self,
       max_half_width_(max_join_half_width(config)),
       summary_frontier_(-std::numeric_limits<double>::infinity()),
       summary_seq_(config.nodes, 0) {
-  const auto specs = effective_queries(config);
+  const std::vector<QuerySpec>& specs = config.queries;
   assert(query_metrics.size() == specs.size() &&
          "one MetricsCollector per registered query");
-  multi_query_ = specs.size() > 1;
+  multi_query_ = multi_query_mode(config);
   substrate_.set_multi_query(multi_query_);
   queries_.reserve(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     queries_.emplace_back(config, specs[i], self, substrate_,
                           query_metrics[i]);
   }
-  // Shard plan: queries of one summary family share an engine, so they
-  // serialize in one shard; BASE/RR queries share nothing and shard alone.
-  std::array<int, kSummaryFamilies> family_shard;
-  family_shard.fill(-1);
-  for (std::size_t i = 0; i < queries_.size(); ++i) {
-    const auto family = family_of(queries_[i].spec.policy);
-    if (family == SummaryFamily::kNone) {
-      shards_.push_back({i});
-      continue;
-    }
-    auto& slot = family_shard[static_cast<std::size_t>(family)];
-    if (slot < 0) {
-      slot = static_cast<int>(shards_.size());
-      shards_.push_back({});
-    }
-    shards_[static_cast<std::size_t>(slot)].push_back(i);
-  }
   eval_scratch_.resize(queries_.size());
   for (auto& eval : eval_scratch_) eval.origin_pairs.resize(config_.nodes);
 
   // Probe groups: queries with the same half-width scan the shared local
-  // windows once per tuple (exact double equality — query_config overlays
-  // the same literal, so equal specs compare equal).
+  // windows once per tuple (exact double equality: equal specs compare
+  // equal).
   group_of_query_.resize(queries_.size());
   for (std::size_t i = 0; i < queries_.size(); ++i) {
-    const double hw = queries_[i].config.join_half_width_s;
+    const double hw = queries_[i].spec.join_half_width_s;
     std::size_t g = 0;
     while (g < probe_groups_.size() && probe_groups_[g].half_width != hw) ++g;
     if (g == probe_groups_.size()) probe_groups_.push_back(ProbeGroup{hw, {}});
@@ -113,26 +96,6 @@ void Node::evaluate_routing(QueryRuntime& query, const stream::Tuple& tuple,
   if (controller_on) track_sent(query, tuple.id, eval.audited);
 }
 
-void Node::for_each_query_sharded(
-    const std::function<void(std::size_t)>& task) {
-  if (!multi_query_ || pool_ == nullptr || shards_.size() <= 1) {
-    for (std::size_t i = 0; i < queries_.size(); ++i) task(i);
-    return;
-  }
-  // One pool task per shard; within a shard queries run in index order.
-  // Every shard touches only its own queries' state plus its family's
-  // engine, and engine cache refreshes are idempotent, so the interleaving
-  // of shards cannot change any result.
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    tasks.push_back([&task, &shard] {
-      for (const std::size_t index : shard) task(index);
-    });
-  }
-  pool_->run_batch(tasks);
-}
-
 void Node::send_result_frame(QueryRuntime& query, net::NodeId origin,
                              std::span<const stream::ResultPair> pairs) {
   ResultPayload results;
@@ -164,9 +127,7 @@ void Node::on_local_tuple(const stream::Tuple& tuple, double now) {
   substrate_.observe_local(tuple);
 
   // Shared local-window probe: one scan per distinct half-width, consumed
-  // by every query of that group (probe sharing, DESIGN.md §16). Built
-  // serially here, read-only inside the shards, so results are identical
-  // for every worker count.
+  // by every query of that group (probe sharing, DESIGN.md §16).
   for (std::size_t g = 0; g < probe_groups_.size(); ++g) {
     auto& matches = group_matches_[g];
     matches.clear();
@@ -175,15 +136,15 @@ void Node::on_local_tuple(const stream::Tuple& tuple, double now) {
   }
 
   // Per-query evaluation: the local joins under the query's window and the
-  // query's routing decision. Thread-confined per shard; all cross-query
-  // effects (inserts, frames) are applied afterwards in canonical order.
+  // query's routing decision. All cross-query effects (inserts, frames)
+  // are applied afterwards in canonical order.
   //
   // Local-local pairs need no network at all. Local-received pairs were
   // made possible by a peer's earlier forward; the complete result is
   // shipped back to that peer (it owns the matched tuple), which also
   // closes the feedback loop the online controller relies on.
   const bool controller_on = config_.online_target_eps >= 0.0;
-  for_each_query_sharded([&](std::size_t i) {
+  for (std::size_t i = 0; i < queries_.size(); ++i) {
     QueryRuntime& query = queries_[i];
     QueryEval& eval = eval_scratch_[i];
     eval.audited = false;
@@ -194,7 +155,7 @@ void Node::on_local_tuple(const stream::Tuple& tuple, double now) {
     }
     eval.matches.clear();
     query.received[opposite].collect_matches(tuple.key, tuple.timestamp,
-                                             query.config.join_half_width_s,
+                                             query.spec.join_half_width_s,
                                              eval.matches);
     for (const auto& match : eval.matches) {
       const auto pair = make_pair(tuple, match);
@@ -202,7 +163,7 @@ void Node::on_local_tuple(const stream::Tuple& tuple, double now) {
       if (match.origin != self_) eval.origin_pairs[match.origin].push_back(pair);
     }
     evaluate_routing(query, tuple, eval);
-  });
+  }
 
   local_[side].insert(tuple);
 
@@ -395,7 +356,7 @@ void Node::evict(double now) {
   for (auto& store : local_) store.evict_before(local_horizon);
   for (auto& query : queries_) {
     const double horizon =
-        now - 2.0 * query.config.join_half_width_s - config_.retention_margin_s;
+        now - 2.0 * query.spec.join_half_width_s - config_.retention_margin_s;
     for (auto& store : query.received) store.evict_before(horizon);
   }
 }

@@ -24,7 +24,7 @@ NodeHost::NodeHost(const SystemConfig& config, net::NodeId id,
       transport_(&transport),
       wm_sync_epoch_s_(config.summary_sync_epoch_s),
       wm_sync_lead_s_(config.wan.latency_min_s) {
-  const std::size_t query_count = effective_queries(config).size();
+  const std::size_t query_count = config.queries.size();
   owned_metrics_.reserve(query_count);
   metrics_.reserve(query_count);
   for (std::size_t q = 0; q < query_count; ++q) {
@@ -35,10 +35,6 @@ NodeHost::NodeHost(const SystemConfig& config, net::NodeId id,
   node_ = std::make_unique<Node>(
       config, id_, *transport_,
       std::span<MetricsCollector* const>(metrics_.data(), metrics_.size()));
-  if (multi_query_mode(config) && config.worker_threads > 0) {
-    worker_pool_ = std::make_unique<common::ThreadPool>(config.worker_threads);
-    node_->set_worker_pool(worker_pool_.get());
-  }
   fin1_seen_.assign(nodes_, false);
   fin2_seen_.assign(nodes_, false);
   peer_dead_.assign(nodes_, false);
@@ -153,15 +149,6 @@ NodeReport NodeHost::report(net::TrafficCounters traffic) const {
     report.predicted_missed_mass += bound.missed_mass;
     report.predicted_total_mass += bound.total_mass;
   }
-  // The node-level pair set stays the cross-query union (queries rarely
-  // overlap, but identical registered queries do — single-query reports are
-  // byte-identical to the historical shape).
-  std::vector<std::span<const stream::ResultPair>> lists;
-  lists.reserve(report.queries.size());
-  for (const QueryNodeReport& slice : report.queries) {
-    lists.push_back(slice.pairs);
-  }
-  report.pairs = merge_pair_lists(lists);
   return report;
 }
 

@@ -107,33 +107,39 @@ std::vector<double> allocate_flow_probabilities(std::span<const double> scores,
 std::unique_ptr<RoutingPolicy> RoutingPolicy::create(const SystemConfig& config,
                                                      net::NodeId self) {
   auto substrate = std::make_unique<SummarySubstrate>(config, self);
-  auto policy = create(config, self, *substrate);
+  auto policy = create(config, config.queries.front(), self, *substrate);
   if (policy != nullptr) policy->owned_ = std::move(substrate);
   return policy;
 }
 
 std::unique_ptr<RoutingPolicy> RoutingPolicy::create(const SystemConfig& config,
+                                                     const QuerySpec& spec,
                                                      net::NodeId self,
                                                      SummarySubstrate& substrate) {
-  switch (config.policy) {
+  const double throttle = spec.throttle;
+  switch (spec.policy) {
     case PolicyKind::kBase:
       return std::make_unique<BasePolicy>(config, self, substrate);
     case PolicyKind::kRoundRobin:
-      return std::make_unique<RoundRobinPolicy>(config, self, substrate);
+      return std::make_unique<RoundRobinPolicy>(config, throttle, self,
+                                                substrate);
     case PolicyKind::kDft:
-      return std::make_unique<DftFamilyPolicy>(config, self, substrate,
+      return std::make_unique<DftFamilyPolicy>(config, throttle, self,
+                                               substrate,
                                                /*reconstruct=*/false);
     case PolicyKind::kDftt:
-      return std::make_unique<DftFamilyPolicy>(config, self, substrate,
+      return std::make_unique<DftFamilyPolicy>(config, throttle, self,
+                                               substrate,
                                                /*reconstruct=*/true);
     case PolicyKind::kBloom:
-      return std::make_unique<BloomPolicy>(config, self, substrate);
+      return std::make_unique<BloomPolicy>(config, throttle, self, substrate);
     case PolicyKind::kSketch:
-      return std::make_unique<SketchPolicy>(config, self, substrate);
+      return std::make_unique<SketchPolicy>(config, throttle, self, substrate);
     case PolicyKind::kSpectrum:
-      return std::make_unique<SpectrumPolicy>(config, self, substrate);
+      return std::make_unique<SpectrumPolicy>(config, throttle, self,
+                                              substrate);
     case PolicyKind::kSample:
-      return std::make_unique<SamplePolicy>(config, self, substrate);
+      return std::make_unique<SamplePolicy>(config, throttle, self, substrate);
   }
   assert(false && "unknown policy kind");
   return nullptr;
@@ -190,10 +196,11 @@ std::vector<net::NodeId> BasePolicy::route(const stream::Tuple&) {
   return out;
 }
 
-RoundRobinPolicy::RoundRobinPolicy(const SystemConfig& config, net::NodeId self,
+RoundRobinPolicy::RoundRobinPolicy(const SystemConfig& config,
+                                   double throttle, net::NodeId self,
                                    SummarySubstrate& substrate)
     : RoutingPolicy(substrate), self_(self), nodes_(config.nodes),
-      throttle_(config.throttle) {}
+      throttle_(throttle) {}
 
 std::vector<net::NodeId> RoundRobinPolicy::route(const stream::Tuple&) {
   const auto budget = throttle_to_budget(throttle_, nodes_);

@@ -92,10 +92,10 @@ std::vector<OutboundSummary> BloomSummaryEngine::maintenance(double /*now*/) {
   return out;
 }
 
-BloomPolicy::BloomPolicy(const SystemConfig& config, net::NodeId self,
-                         SummarySubstrate& substrate)
+BloomPolicy::BloomPolicy(const SystemConfig& config, double throttle,
+                         net::NodeId self, SummarySubstrate& substrate)
     : RoutingPolicy(substrate), config_(config), self_(self),
-      throttle_(config.throttle), engine_(&substrate.bloom()),
+      throttle_(throttle), engine_(&substrate.bloom()),
       rng_(config.seed ^ (0xb100'beefULL + self)) {}
 
 std::vector<net::NodeId> BloomPolicy::route(const stream::Tuple& tuple) {

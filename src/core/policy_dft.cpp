@@ -238,10 +238,11 @@ double DftSummaryEngine::refreshed_rho(net::NodeId peer, std::size_t tuple_side)
   return state.rho[tuple_side];
 }
 
-DftFamilyPolicy::DftFamilyPolicy(const SystemConfig& config, net::NodeId self,
-                                 SummarySubstrate& substrate, bool reconstruct)
+DftFamilyPolicy::DftFamilyPolicy(const SystemConfig& config, double throttle,
+                                 net::NodeId self, SummarySubstrate& substrate,
+                                 bool reconstruct)
     : RoutingPolicy(substrate), config_(config), self_(self),
-      reconstruct_(reconstruct), throttle_(config.throttle),
+      reconstruct_(reconstruct), throttle_(throttle),
       engine_(&substrate.coeff()),
       rng_(config.seed ^ (0xd5f7'0000ULL + self)) {}
 

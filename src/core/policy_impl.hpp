@@ -36,8 +36,8 @@ class BasePolicy final : public RoutingPolicy {
 /// for the detected uniform worst case, also usable standalone.
 class RoundRobinPolicy final : public RoutingPolicy {
  public:
-  RoundRobinPolicy(const SystemConfig& config, net::NodeId self,
-                   SummarySubstrate& substrate);
+  RoundRobinPolicy(const SystemConfig& config, double throttle,
+                   net::NodeId self, SummarySubstrate& substrate);
 
   const char* name() const noexcept override {
     return to_string(PolicyKind::kRoundRobin);
@@ -56,8 +56,9 @@ class RoundRobinPolicy final : public RoutingPolicy {
 /// flow filter from the shared DftSummaryEngine's coefficients.
 class DftFamilyPolicy : public RoutingPolicy {
  public:
-  DftFamilyPolicy(const SystemConfig& config, net::NodeId self,
-                  SummarySubstrate& substrate, bool reconstruct);
+  DftFamilyPolicy(const SystemConfig& config, double throttle,
+                  net::NodeId self, SummarySubstrate& substrate,
+                  bool reconstruct);
 
   const char* name() const noexcept override {
     return to_string(reconstruct_ ? PolicyKind::kDftt : PolicyKind::kDft);
@@ -82,7 +83,7 @@ class DftFamilyPolicy : public RoutingPolicy {
 /// BLOOM: routing on membership in peers' counting-Bloom snapshots.
 class BloomPolicy final : public RoutingPolicy {
  public:
-  BloomPolicy(const SystemConfig& config, net::NodeId self,
+  BloomPolicy(const SystemConfig& config, double throttle, net::NodeId self,
               SummarySubstrate& substrate);
 
   const char* name() const noexcept override {
@@ -104,7 +105,7 @@ class BloomPolicy final : public RoutingPolicy {
 /// SKCH: flow weights from pairwise AGMS join-size estimates.
 class SketchPolicy final : public RoutingPolicy {
  public:
-  SketchPolicy(const SystemConfig& config, net::NodeId self,
+  SketchPolicy(const SystemConfig& config, double throttle, net::NodeId self,
                SummarySubstrate& substrate);
 
   const char* name() const noexcept override {
@@ -127,7 +128,7 @@ class SketchPolicy final : public RoutingPolicy {
 /// join-size estimate — the deterministic counterpart of SKCH.
 class SpectrumPolicy final : public RoutingPolicy {
  public:
-  SpectrumPolicy(const SystemConfig& config, net::NodeId self,
+  SpectrumPolicy(const SystemConfig& config, double throttle, net::NodeId self,
                  SummarySubstrate& substrate);
 
   const char* name() const noexcept override {
@@ -151,7 +152,7 @@ class SpectrumPolicy final : public RoutingPolicy {
 /// epsilon upper bound from the estimator's variance (DESIGN.md §14).
 class SamplePolicy final : public RoutingPolicy {
  public:
-  SamplePolicy(const SystemConfig& config, net::NodeId self,
+  SamplePolicy(const SystemConfig& config, double throttle, net::NodeId self,
                SummarySubstrate& substrate);
 
   const char* name() const noexcept override {

@@ -17,11 +17,10 @@ sampling::ReservoirOptions reservoir_options(const SystemConfig& config) {
   options.strata = config.sample_strata;
   // The other policies summarize a dft_window-tuple count window; the
   // reservoir tracks the same span expressed in time at the configured
-  // arrival rate, so the sampled populations are comparable.
+  // arrival rate (validate_config keeps it finite and > 0), so the sampled
+  // populations are comparable.
   options.window_s =
-      config.arrivals_per_second > 0.0
-          ? static_cast<double>(config.dft_window) / config.arrivals_per_second
-          : 2.0 * config.join_half_width_s;
+      static_cast<double>(config.dft_window) / config.arrivals_per_second;
   return options;
 }
 
@@ -97,10 +96,10 @@ std::vector<OutboundSummary> SampleSummaryEngine::maintenance(double /*now*/) {
   return out;
 }
 
-SamplePolicy::SamplePolicy(const SystemConfig& config, net::NodeId self,
-                           SummarySubstrate& substrate)
+SamplePolicy::SamplePolicy(const SystemConfig& config, double throttle,
+                           net::NodeId self, SummarySubstrate& substrate)
     : RoutingPolicy(substrate), config_(config), self_(self),
-      throttle_(config.throttle), engine_(&substrate.sample()),
+      throttle_(throttle), engine_(&substrate.sample()),
       rng_(config.seed ^ (0x5a3f'beefULL + self)) {}
 
 std::vector<net::NodeId> SamplePolicy::route(const stream::Tuple& tuple) {

@@ -116,10 +116,10 @@ double SketchSummaryEngine::refreshed_estimate(net::NodeId peer,
   return state.est[tuple_side];
 }
 
-SketchPolicy::SketchPolicy(const SystemConfig& config, net::NodeId self,
-                           SummarySubstrate& substrate)
+SketchPolicy::SketchPolicy(const SystemConfig& config, double throttle,
+                           net::NodeId self, SummarySubstrate& substrate)
     : RoutingPolicy(substrate), config_(config), self_(self),
-      throttle_(config.throttle), engine_(&substrate.sketch()),
+      throttle_(throttle), engine_(&substrate.sketch()),
       rng_(config.seed ^ (0x5ce7'beefULL + self)) {}
 
 std::vector<net::NodeId> SketchPolicy::route(const stream::Tuple& tuple) {

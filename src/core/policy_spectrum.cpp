@@ -117,10 +117,10 @@ double SpectrumSummaryEngine::refreshed_estimate(net::NodeId peer,
   return state.est[tuple_side];
 }
 
-SpectrumPolicy::SpectrumPolicy(const SystemConfig& config, net::NodeId self,
-                               SummarySubstrate& substrate)
+SpectrumPolicy::SpectrumPolicy(const SystemConfig& config, double throttle,
+                               net::NodeId self, SummarySubstrate& substrate)
     : RoutingPolicy(substrate), config_(config), self_(self),
-      throttle_(config.throttle), engine_(&substrate.spectrum()),
+      throttle_(throttle), engine_(&substrate.spectrum()),
       rng_(config.seed ^ (0x4e57'beefULL + self)) {}
 
 std::vector<net::NodeId> SpectrumPolicy::route(const stream::Tuple& tuple) {

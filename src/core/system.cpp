@@ -9,7 +9,7 @@
 namespace dsjoin::core {
 
 DspSystem::DspSystem(const SystemConfig& config)
-    : config_(config), specs_(effective_queries(config)), source_(config) {
+    : config_(config), source_(config) {
   if (config.nodes < 2) {
     throw std::invalid_argument("a distributed join needs at least 2 nodes");
   }
@@ -18,10 +18,10 @@ DspSystem::DspSystem(const SystemConfig& config)
   transport_->set_summary_sink(
       [this](const net::Frame& frame) { tee_summary(frame); });
 
-  query_metrics_.reserve(specs_.size());
-  metrics_ptrs_.reserve(specs_.size());
-  oracles_.reserve(specs_.size());
-  for (const QuerySpec& spec : specs_) {
+  query_metrics_.reserve(config.queries.size());
+  metrics_ptrs_.reserve(config.queries.size());
+  oracles_.reserve(config.queries.size());
+  for (const QuerySpec& spec : config.queries) {
     query_metrics_.push_back(std::make_unique<MetricsCollector>());
     query_metrics_.back()->set_node_count(config.nodes);
     query_metrics_.back()->set_epoch_group(this);
@@ -174,12 +174,13 @@ ExperimentResult DspSystem::run() {
 
   // Per-query outcomes; the run aggregates are their sums (each query is
   // its own join), with result.pairs keeping the cross-query union.
-  result.per_query.resize(specs_.size());
+  const std::vector<QuerySpec>& specs = config_.queries;
+  result.per_query.resize(specs.size());
   std::vector<std::span<const stream::ResultPair>> lists;
-  lists.reserve(specs_.size());
-  for (std::size_t q = 0; q < specs_.size(); ++q) {
+  lists.reserve(specs.size());
+  for (std::size_t q = 0; q < specs.size(); ++q) {
     QueryResult& query = result.per_query[q];
-    query.query_id = specs_[q].id;
+    query.query_id = specs[q].id;
     query.exact_pairs = oracles_[q].total_pairs();
     query.reported_pairs = query_metrics_[q]->distinct_pairs();
     query.pairs = query_metrics_[q]->pairs();

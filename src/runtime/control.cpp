@@ -184,7 +184,6 @@ MetricsReportMsg MetricsReportMsg::from_node_report(core::NodeReport report) {
   msg.predicted_total_mass = report.predicted_total_mass;
   msg.traffic = report.traffic;
   msg.queries = std::move(report.queries);
-  msg.pairs = std::move(report.pairs);
   return msg;
 }
 
@@ -199,12 +198,13 @@ core::NodeReport MetricsReportMsg::to_node_report() const {
   report.predicted_total_mass = predicted_total_mass;
   report.traffic = traffic;
   report.queries = queries;
-  report.pairs = pairs;
   return report;
 }
 
 std::vector<std::uint8_t> MetricsReportMsg::encode() const {
-  common::BufferWriter out(64 + pairs.size() * 16);
+  std::size_t pair_count = 0;
+  for (const auto& query : queries) pair_count += query.pairs.size();
+  common::BufferWriter out(128 + queries.size() * 64 + pair_count * 16);
   out.write_u32(node_id);
   out.write_u64(local_tuples);
   out.write_u64(received_tuples);
@@ -213,8 +213,6 @@ std::vector<std::uint8_t> MetricsReportMsg::encode() const {
   out.write_f64(predicted_missed_mass);
   out.write_f64(predicted_total_mass);
   serialize_traffic(traffic, out);
-  // Per-query sections (v6) precede the pair list so the trailing
-  // count-vs-remaining check on the pairs stays exact.
   out.write_u32(static_cast<std::uint32_t>(queries.size()));
   for (const auto& query : queries) {
     out.write_u32(query.query_id);
@@ -229,11 +227,6 @@ std::vector<std::uint8_t> MetricsReportMsg::encode() const {
       out.write_u64(pair.r_id);
       out.write_u64(pair.s_id);
     }
-  }
-  out.write_u64(pairs.size());
-  for (const auto& pair : pairs) {
-    out.write_u64(pair.r_id);
-    out.write_u64(pair.s_id);
   }
   return std::move(out).take();
 }
@@ -268,7 +261,7 @@ common::Result<MetricsReportMsg> MetricsReportMsg::decode(
   msg.traffic = traffic.value();
   auto query_count = in.read_u32();
   if (!query_count) return query_count.status();
-  if (query_count.value() > 64) {
+  if (query_count.value() > core::kMaxQueries) {
     return common::Status(common::ErrorCode::kDataLoss,
                           "implausible query section count");
   }
@@ -298,7 +291,9 @@ common::Result<MetricsReportMsg> MetricsReportMsg::decode(
     slice.predicted_total_mass = q_total.value();
     auto pair_count = in.read_u64();
     if (!pair_count) return pair_count.status();
-    if (pair_count.value() * 16 > in.remaining()) {
+    // Against remaining / 16, not count * 16: the product wraps for a
+    // hostile count and would pass the check.
+    if (pair_count.value() > in.remaining() / 16) {
       return common::Status(common::ErrorCode::kDataLoss,
                             "query pair count exceeds payload size");
     }
@@ -312,19 +307,9 @@ common::Result<MetricsReportMsg> MetricsReportMsg::decode(
     }
     msg.queries.push_back(std::move(slice));
   }
-  auto count = in.read_u64();
-  if (!count) return count.status();
-  if (count.value() * 16 != in.remaining()) {
+  if (in.remaining() != 0) {
     return common::Status(common::ErrorCode::kDataLoss,
-                          "pair count mismatches payload size");
-  }
-  msg.pairs.reserve(count.value());
-  for (std::uint64_t i = 0; i < count.value(); ++i) {
-    auto r_id = in.read_u64();
-    if (!r_id) return r_id.status();
-    auto s_id = in.read_u64();
-    if (!s_id) return s_id.status();
-    msg.pairs.push_back({r_id.value(), s_id.value()});
+                          "trailing bytes after the query sections");
   }
   return msg;
 }
@@ -341,7 +326,7 @@ common::Result<DrainMsg> DrainMsg::decode(std::span<const std::uint8_t> bytes) {
   DrainMsg msg;
   auto count = in.read_u32();
   if (!count) return count.status();
-  if (count.value() * 4 != in.remaining()) {
+  if (in.remaining() % 4 != 0 || count.value() != in.remaining() / 4) {
     return common::Status(common::ErrorCode::kDataLoss,
                           "dead-node count mismatches payload size");
   }

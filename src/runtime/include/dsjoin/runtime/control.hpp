@@ -12,7 +12,7 @@
 //   coordinator -> daemon: START
 //   daemon -> coordinator: HEARTBEAT (kRunning ... kDone), periodic
 //   coordinator -> daemon: DRAIN (with the dead-node list)
-//   daemon -> coordinator: METRICS_REPORT (discovered pairs + counters)
+//   daemon -> coordinator: METRICS_REPORT (counters + per-query pairs)
 //   coordinator -> daemon: BYE
 //
 // Messages are versioned as one unit: kProtocolVersion changes whenever any
@@ -43,7 +43,11 @@ namespace dsjoin::runtime {
 // a query mask and result payloads a query id, summary blocks may carry
 // query-scope wrappers (tag 'Q'), and METRICS_REPORT carries per-query
 // sections.
-inline constexpr std::uint32_t kProtocolVersion = 6;
+// v7: the query list is the only description of the query set — CONFIG
+// drops the scalar policy, throttle and half-width fields and carries at
+// least one query — and METRICS_REPORT ends after its last query section
+// (the node-level pair list is gone).
+inline constexpr std::uint32_t kProtocolVersion = 7;
 
 enum class ControlType : std::uint8_t {
   kHello = 1,
@@ -103,11 +107,13 @@ struct HeartbeatMsg {
 };
 
 /// METRICS_REPORT: a daemon's final accounting — core::NodeReport in wire
-/// form. The pair list is the wire-metrics contract: every distinct
-/// (r_id, s_id) the node discovered, deduplicated locally and sorted by
-/// (r_id, s_id) so the encoding is byte-identical across runs; the
-/// coordinator performs the *global* dedup (a pair may be discovered at
-/// both owners) and computes epsilon against the oracle.
+/// form. Each query section's pair list is the wire-metrics contract:
+/// every distinct (r_id, s_id) the node discovered for that query,
+/// deduplicated locally and sorted by (r_id, s_id) so the encoding is
+/// byte-identical across runs; the coordinator performs the *global* dedup
+/// (a pair may be discovered at both owners) and computes epsilon against
+/// the oracle. The message ends after its last query section; the decoder
+/// rejects trailing bytes and any count the remaining payload cannot hold.
 struct MetricsReportMsg {
   net::NodeId node_id = 0;
   std::uint64_t local_tuples = 0;
@@ -117,10 +123,9 @@ struct MetricsReportMsg {
   double predicted_missed_mass = 0.0;
   double predicted_total_mass = 0.0;
   net::TrafficCounters traffic;  ///< frames this daemon sent, by kind
-  /// Per-query sections in canonical (effective_queries) order — the wire
-  /// form of NodeReport::queries (v6).
+  /// Per-query sections in config.queries order — the wire form of
+  /// NodeReport::queries.
   std::vector<core::QueryNodeReport> queries;
-  std::vector<stream::ResultPair> pairs;
 
   static MetricsReportMsg from_node_report(core::NodeReport report);
   core::NodeReport to_node_report() const;

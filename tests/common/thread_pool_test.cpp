@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -48,16 +50,22 @@ TEST(ThreadPool, EmptyBatchIsANoOp) {
 TEST(ThreadPool, SpreadsWorkAcrossThreads) {
   ThreadPool pool(3);
   std::mutex mutex;
+  std::condition_variable second_thread;
   std::set<std::thread::id> seen;
+  // Every task waits until a second thread has started one, so the caller
+  // cannot drain the whole batch before a worker wakes. The shared deadline
+  // bounds the test: a pool that never runs a second thread fails the
+  // assertion after 10 s instead of hanging.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
   std::vector<std::function<void()>> batch;
   for (int i = 0; i < 256; ++i) {
     batch.push_back([&] {
-      // Enough work per task that no single thread can drain the batch
-      // before the others wake.
-      volatile std::uint64_t sink = 0;
-      for (int j = 0; j < 20000; ++j) sink = sink + static_cast<std::uint64_t>(j);
-      std::lock_guard<std::mutex> lock(mutex);
+      std::unique_lock<std::mutex> lock(mutex);
       seen.insert(std::this_thread::get_id());
+      second_thread.notify_all();
+      second_thread.wait_until(lock, deadline,
+                               [&] { return seen.size() >= 2; });
     });
   }
   pool.run_batch(batch);

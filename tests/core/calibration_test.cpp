@@ -7,7 +7,7 @@ namespace {
 
 SystemConfig calib_config(PolicyKind kind) {
   SystemConfig config;
-  config.policy = kind;
+  config.queries.front().policy = kind;
   config.nodes = 5;
   config.tuples_per_node = 1200;
   config.seed = 21;

@@ -11,12 +11,12 @@ namespace {
 
 SystemConfig controlled_config(double start_throttle, double target) {
   SystemConfig config;
-  config.policy = PolicyKind::kDftt;
+  config.queries.front().policy = PolicyKind::kDftt;
   config.nodes = 6;
   config.regions = 3;
   config.tuples_per_node = 2500;
   config.seed = 31;
-  config.throttle = start_throttle;
+  config.queries.front().throttle = start_throttle;
   config.online_target_eps = target;
   return config;
 }

@@ -10,7 +10,7 @@ namespace {
 SystemConfig lossy_config(double drop, double corrupt,
                           PolicyKind kind = PolicyKind::kBase) {
   SystemConfig config;
-  config.policy = kind;
+  config.queries.front().policy = kind;
   config.nodes = 4;
   config.tuples_per_node = 600;
   config.seed = 13;

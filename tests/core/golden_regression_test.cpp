@@ -51,7 +51,7 @@ constexpr Golden kGoldens[] = {
 
 SystemConfig golden_config(PolicyKind kind) {
   SystemConfig config;
-  config.policy = kind;
+  config.queries.front().policy = kind;
   config.workload = "ZIPF";
   config.nodes = 4;
   config.tuples_per_node = 400;

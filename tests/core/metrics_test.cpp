@@ -268,16 +268,10 @@ TEST(AggregateNodeReports, MergesPerQueryThenAcrossQueries) {
   reports[0].queries.resize(2);
   reports[0].queries[0].pairs = {{1, 1}, {2, 2}};
   reports[0].queries[1].pairs = {{5, 1}};
-  reports[0].pairs = {{1, 1}, {2, 2}, {5, 1}};
   reports[1].node_id = 1;
   reports[1].queries.resize(2);
   reports[1].queries[0].pairs = {{2, 2}, {3, 3}};
   reports[1].queries[1].pairs = {{3, 3}, {4, 0}};
-  reports[1].pairs = {{2, 2}, {3, 3}, {4, 0}};
-  // A report without per-query sections (pre-v6) joins the union only.
-  NodeReport sectionless;
-  sectionless.node_id = 2;
-  sectionless.pairs = {{0, 9}, {1, 1}};
 
   ExperimentResult result;
   aggregate_node_reports(reports, &result);
@@ -290,20 +284,6 @@ TEST(AggregateNodeReports, MergesPerQueryThenAcrossQueries) {
   EXPECT_EQ(result.reported_pairs, 6u);  // each query is its own join
   EXPECT_EQ(result.pairs, (std::vector<stream::ResultPair>{
                               {1, 1}, {2, 2}, {3, 3}, {4, 0}, {5, 1}}));
-
-  reports.push_back(sectionless);
-  ExperimentResult mixed;
-  aggregate_node_reports(reports, &mixed);
-  EXPECT_EQ(mixed.reported_pairs, 6u);
-  EXPECT_EQ(mixed.pairs, (std::vector<stream::ResultPair>{
-                             {0, 9}, {1, 1}, {2, 2}, {3, 3}, {4, 0}, {5, 1}}));
-
-  ExperimentResult old_only;
-  aggregate_node_reports(std::span<const NodeReport>(&sectionless, 1),
-                         &old_only);
-  EXPECT_TRUE(old_only.per_query.empty());
-  EXPECT_EQ(old_only.reported_pairs, 2u);
-  EXPECT_EQ(old_only.pairs, sectionless.pairs);
 }
 
 }  // namespace

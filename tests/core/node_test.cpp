@@ -17,9 +17,9 @@ namespace {
 
 struct Harness {
   explicit Harness(PolicyKind kind, std::uint32_t nodes = 2) {
-    config.policy = kind;
+    config.queries.front().policy = kind;
     config.nodes = nodes;
-    config.join_half_width_s = 5.0;
+    config.queries.front().join_half_width_s = 5.0;
     transport = std::make_unique<net::SimTransport>(queue, nodes,
                                                     net::WanProfile::ideal(), 1);
     metrics.set_node_count(nodes);
@@ -227,9 +227,9 @@ TEST(Node, PiggybackedSummariesReachPeerPolicies) {
 // ideal simulated network.
 struct HostHarness {
   HostHarness() {
-    config.policy = PolicyKind::kBase;
+    config.queries.front().policy = PolicyKind::kBase;
     config.nodes = 2;
-    config.join_half_width_s = 5.0;
+    config.queries.front().join_half_width_s = 5.0;
     transport = std::make_unique<net::SimTransport>(
         queue, config.nodes, net::WanProfile::ideal(), 1);
     for (net::NodeId id = 0; id < config.nodes; ++id) {
@@ -269,12 +269,12 @@ TEST(NodeHost, PairsDiscoveredMidRunLeavesReportUnchanged) {
   for (net::NodeId id = 0; id < 2; ++id) {
     const NodeReport want = quiet.hosts[id]->report({});
     const NodeReport got = polled.hosts[id]->report({});
-    EXPECT_EQ(got.pairs, want.pairs);
     ASSERT_EQ(got.queries.size(), 1u);
     ASSERT_EQ(want.queries.size(), 1u);
     EXPECT_EQ(got.queries[0].pairs, want.queries[0].pairs);
-    EXPECT_EQ(polled.hosts[id]->pairs_discovered(), got.pairs.size());
-    discovered += got.pairs.size();
+    EXPECT_EQ(polled.hosts[id]->pairs_discovered(),
+              got.queries[0].pairs.size());
+    discovered += got.queries[0].pairs.size();
   }
   // Enough pairs per host that its collector folds on log size too.
   EXPECT_GT(discovered, 4'096u);

@@ -12,7 +12,7 @@ namespace {
 
 SystemConfig base_config(PolicyKind kind, std::uint64_t seed) {
   SystemConfig config;
-  config.policy = kind;
+  config.queries.front().policy = kind;
   config.workload = "ZIPF";
   config.nodes = 4;
   config.tuples_per_node = 350;

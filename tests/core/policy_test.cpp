@@ -15,7 +15,7 @@ namespace {
 
 SystemConfig config_for(PolicyKind kind, std::uint32_t nodes = 6) {
   SystemConfig config;
-  config.policy = kind;
+  config.queries.front().policy = kind;
   config.nodes = nodes;
   config.seed = 99;
   return config;
@@ -137,7 +137,7 @@ TEST(BasePolicy, BroadcastsToAllPeers) {
 
 TEST(RoundRobinPolicy, CyclesThroughPeersEvenly) {
   auto config = config_for(PolicyKind::kRoundRobin, 4);
-  config.throttle = 0.0;  // T = 1
+  config.queries.front().throttle = 0.0;  // T = 1
   const auto policy = RoutingPolicy::create(config, 1);
   std::map<net::NodeId, int> counts;
   for (int i = 0; i < 300; ++i) {
@@ -152,7 +152,7 @@ TEST(RoundRobinPolicy, CyclesThroughPeersEvenly) {
 
 TEST(RoundRobinPolicy, ThrottleWidensFanout) {
   auto config = config_for(PolicyKind::kRoundRobin, 6);
-  config.throttle = 1.0;  // T = 5
+  config.queries.front().throttle = 1.0;  // T = 5
   const auto policy = RoutingPolicy::create(config, 0);
   const auto dests = policy->route(tuple_with(1, stream::StreamSide::kR));
   EXPECT_EQ(dests.size(), 5u);
@@ -166,7 +166,8 @@ TEST_P(MembershipPolicyTest, LearnsFromSummariesAndRoutesToOwners) {
   config.dft_window = 256;
   config.kappa = 16.0;  // 16 coefficients
   config.summary_epoch_tuples = 32;
-  config.throttle = 0.0;  // stingiest budget; scores must decide
+  // Stingiest budget: the scores must decide.
+  config.queries.front().throttle = 0.0;
   config.membership_tolerance = 8;
 
   // Three policies: node 0 (router under test), node 1 (whose stream sits
@@ -389,7 +390,8 @@ TEST(SamplePolicy, LearnsMatchingPeerFromSampleSummaries) {
   auto config = config_for(PolicyKind::kSample, 3);
   config.summary_epoch_tuples = 16;
   config.sample_capacity = 256;  // exact samples at this scale
-  config.throttle = 0.5;         // budget sqrt(2) < n-1: ranking must show
+  // Budget sqrt(2) < n-1: the ranking must show.
+  config.queries.front().throttle = 0.5;
   const auto sender = RoutingPolicy::create(config, 1);
   const auto receiver = RoutingPolicy::create(config, 0);
   double now = 0.0;
@@ -421,7 +423,7 @@ TEST(SamplePolicy, AccumulatesEpsilonBoundTerms) {
   auto config = config_for(PolicyKind::kSample, 4);
   config.summary_epoch_tuples = 16;
   config.sample_capacity = 64;
-  config.throttle = 0.5;
+  config.queries.front().throttle = 0.5;
   const auto policy = RoutingPolicy::create(config, 0);
   EXPECT_DOUBLE_EQ(policy->epsilon_bound_terms().total_mass, 0.0);
   double now = 0.0;

@@ -66,7 +66,7 @@ class SystemPropertyTest : public ::testing::TestWithParam<Combo> {};
 TEST_P(SystemPropertyTest, InvariantsHoldOnSmallRuns) {
   const auto [kind, workload] = GetParam();
   SystemConfig config;
-  config.policy = kind;
+  config.queries.front().policy = kind;
   config.workload = workload;
   config.nodes = 5;
   config.tuples_per_node = 350;
@@ -112,13 +112,13 @@ class ThrottlePropertyTest : public ::testing::TestWithParam<PolicyKind> {};
 
 TEST_P(ThrottlePropertyTest, TrafficGrowsWithThrottle) {
   SystemConfig config;
-  config.policy = GetParam();
+  config.queries.front().policy = GetParam();
   config.nodes = 5;
   config.tuples_per_node = 400;
   config.seed = 77;
   std::vector<std::uint64_t> frames;
   for (double throttle : {0.0, 0.5, 1.0}) {
-    config.throttle = throttle;
+    config.queries.front().throttle = throttle;
     frames.push_back(
         run_experiment(config).traffic.frames(net::FrameKind::kTuple));
   }

@@ -10,7 +10,7 @@ namespace {
 
 SystemConfig restart_config(PolicyKind kind) {
   SystemConfig config;
-  config.policy = kind;
+  config.queries.front().policy = kind;
   config.nodes = 4;
   config.tuples_per_node = 1500;
   config.seed = 17;

@@ -12,11 +12,11 @@ namespace {
 
 SystemConfig bound_config(std::uint64_t seed) {
   SystemConfig config;
-  config.policy = PolicyKind::kSample;
+  config.queries.front().policy = PolicyKind::kSample;
   config.workload = "ZIPF";
   config.nodes = 4;
   config.tuples_per_node = 300;
-  config.throttle = 0.5;
+  config.queries.front().throttle = 0.5;
   config.sample_capacity = 256;
   config.summary_epoch_tuples = 64;
   config.seed = seed;
@@ -40,9 +40,9 @@ TEST(SampleBound, TightensAsThrottleRises) {
   // More budget -> fewer tuples skipped -> the accumulated missed-mass
   // numerator (and so the bound) must not grow with throttle.
   auto open = bound_config(5);
-  open.throttle = 1.0;  // full broadcast
+  open.queries.front().throttle = 1.0;  // full broadcast
   auto tight = bound_config(5);
-  tight.throttle = 0.0;  // budget 1 of n-1 = 3
+  tight.queries.front().throttle = 0.0;  // budget 1 of n-1 = 3
   const auto open_result = run_experiment(open);
   const auto tight_result = run_experiment(tight);
   ASSERT_TRUE(open_result.clean) << open_result.error;
@@ -54,7 +54,7 @@ TEST(SampleBound, TightensAsThrottleRises) {
 
 TEST(SampleBound, NonSamplePoliciesReportNoBound) {
   auto config = bound_config(3);
-  config.policy = PolicyKind::kBase;
+  config.queries.front().policy = PolicyKind::kBase;
   config.sample_capacity = 0;
   const auto result = run_experiment(config);
   ASSERT_TRUE(result.clean) << result.error;

@@ -7,7 +7,7 @@ namespace {
 
 SystemConfig small_config(PolicyKind kind, const std::string& workload = "ZIPF") {
   SystemConfig config;
-  config.policy = kind;
+  config.queries.front().policy = kind;
   config.workload = workload;
   config.nodes = 4;
   config.tuples_per_node = 600;
@@ -62,7 +62,7 @@ class ApproximatePolicyTest : public ::testing::TestWithParam<PolicyKind> {};
 
 TEST_P(ApproximatePolicyTest, TradesAccuracyForTraffic) {
   auto config = small_config(GetParam());
-  config.throttle = 0.5;
+  config.queries.front().throttle = 0.5;
   const auto result = run_experiment(config);
   const auto base = run_experiment(small_config(PolicyKind::kBase));
   EXPECT_LT(result.traffic.frames(net::FrameKind::kTuple),
@@ -81,7 +81,7 @@ INSTANTIATE_TEST_SUITE_P(Policies, ApproximatePolicyTest,
 
 TEST(DspSystem, ThrottleOneApproachesBase) {
   auto config = small_config(PolicyKind::kDftt);
-  config.throttle = 1.0;
+  config.queries.front().throttle = 1.0;
   const auto result = run_experiment(config);
   EXPECT_LT(result.epsilon, 0.02);
 }
@@ -89,9 +89,9 @@ TEST(DspSystem, ThrottleOneApproachesBase) {
 TEST(DspSystem, ThrottleMonotonicityInEpsilon) {
   auto config = small_config(PolicyKind::kDftt);
   config.tuples_per_node = 1000;
-  config.throttle = 0.1;
+  config.queries.front().throttle = 0.1;
   const double eps_low = run_experiment(config).epsilon;
-  config.throttle = 0.9;
+  config.queries.front().throttle = 0.9;
   const double eps_high = run_experiment(config).epsilon;
   EXPECT_GT(eps_low, eps_high);
 }
@@ -147,10 +147,10 @@ TEST(DspSystem, BackpressureStretchesBaseMakespan) {
   SystemConfig config;
   config.nodes = 10;
   config.tuples_per_node = 400;
-  config.policy = PolicyKind::kBase;
+  config.queries.front().policy = PolicyKind::kBase;
   const auto base = run_experiment(config);
-  config.policy = PolicyKind::kDftt;
-  config.throttle = 0.3;
+  config.queries.front().policy = PolicyKind::kDftt;
+  config.queries.front().throttle = 0.3;
   const auto dftt = run_experiment(config);
   EXPECT_GT(base.makespan_s, 1.3 * dftt.makespan_s);
   EXPECT_GT(dftt.results_per_second, base.results_per_second);

@@ -82,15 +82,29 @@ TEST(ValidateConfig, RejectsSampleKnobsOutOfRange) {
 
 TEST(ValidateConfig, RejectsThrottleAndWidthOutOfRange) {
   auto config = valid_config();
-  config.throttle = -0.1;
+  config.queries.front().throttle = -0.1;
   EXPECT_FALSE(validate_config(config).is_ok());
-  config.throttle = 1.1;
+  config.queries.front().throttle = 1.1;
   EXPECT_FALSE(validate_config(config).is_ok());
-  config.throttle = 0.5;
-  config.join_half_width_s = 0.0;
+  config.queries.front().throttle = 0.5;
+  config.queries.front().join_half_width_s = 0.0;
   EXPECT_FALSE(validate_config(config).is_ok());
-  config.join_half_width_s = std::numeric_limits<double>::infinity();
+  config.queries.front().join_half_width_s =
+      std::numeric_limits<double>::infinity();
   EXPECT_FALSE(validate_config(config).is_ok());
+}
+
+TEST(ValidateConfig, RejectsNonPositiveOrNonFiniteArrivalRate) {
+  // The schedule draws exponential gaps at this rate: 0 puts every arrival
+  // at t = inf, a negative rate runs time backwards, NaN poisons it all.
+  auto config = valid_config();
+  for (double rate : {0.0, -5.0, std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity()}) {
+    config.arrivals_per_second = rate;
+    EXPECT_FALSE(validate_config(config).is_ok()) << rate;
+  }
+  config.arrivals_per_second = 1e-3;
+  EXPECT_TRUE(validate_config(config).is_ok());
 }
 
 TEST(ValidateConfig, RejectsMembershipToleranceOutOfRange) {
@@ -141,8 +155,16 @@ TEST(ValidateConfig, RejectsMoreCoefficientsThanHalfSpectrum) {
   EXPECT_TRUE(validate_config(config).is_ok());
 }
 
+TEST(ValidateConfig, RejectsEmptyQueryList) {
+  auto config = valid_config();
+  ASSERT_EQ(config.queries.size(), 1u);  // the default: one query
+  config.queries.clear();
+  EXPECT_FALSE(validate_config(config).is_ok());
+}
+
 TEST(ValidateConfig, RejectsTooManyQueries) {
   auto config = valid_config();
+  config.queries.clear();
   for (std::uint32_t i = 0; i <= kMaxQueries; ++i) {
     QuerySpec spec;
     spec.id = i;
@@ -166,6 +188,7 @@ TEST(ValidateConfig, RejectsDuplicateQueryIds) {
 
 TEST(ValidateConfig, RejectsPerQueryRangeViolations) {
   auto config = valid_config();
+  config.queries.clear();
   QuerySpec spec;
   spec.id = 0;
   spec.throttle = 1.5;

@@ -39,10 +39,10 @@ core::SystemConfig batched_parity_config(core::PolicyKind policy,
   config.nodes = 3;
   config.seed = 7;
   config.workload = "ZIPF";
-  config.policy = policy;
+  config.queries.front().policy = policy;
   config.tuples_per_node = 100;
   config.arrivals_per_second = 50.0;
-  config.join_half_width_s = 2.0;
+  config.queries.front().join_half_width_s = 2.0;
   config.dft_window = 256;
   config.kappa = 32.0;
   config.summary_epoch_tuples = 64;  // summaries live: epochs do complete

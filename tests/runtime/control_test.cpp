@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <string>
 
 #include "dsjoin/core/metrics.hpp"
 
@@ -35,11 +38,11 @@ TEST(ControlCodec, ConfigRoundTripCarriesFullSystemConfig) {
   msg.config.nodes = 7;
   msg.config.seed = 0xfeedULL;
   msg.config.workload = "NWRK";
-  msg.config.policy = core::PolicyKind::kBloom;
+  msg.config.queries.front().policy = core::PolicyKind::kBloom;
   msg.config.tuples_per_node = 12345;
   msg.config.arrivals_per_second = 33.5;
-  msg.config.join_half_width_s = 4.25;
-  msg.config.throttle = 0.75;
+  msg.config.queries.front().join_half_width_s = 4.25;
+  msg.config.queries.front().throttle = 0.75;
   msg.config.dft_window = 1024;
   msg.config.kappa = 128.0;
   msg.peers = {{"10.0.0.1", 1111}, {"10.0.0.2", 2222}, {"10.0.0.3", 3333}};
@@ -54,11 +57,11 @@ TEST(ControlCodec, ConfigRoundTripCarriesFullSystemConfig) {
   EXPECT_EQ(got.config.nodes, 7u);
   EXPECT_EQ(got.config.seed, 0xfeedULL);
   EXPECT_EQ(got.config.workload, "NWRK");
-  EXPECT_EQ(got.config.policy, core::PolicyKind::kBloom);
+  EXPECT_EQ(got.config.queries.front().policy, core::PolicyKind::kBloom);
   EXPECT_EQ(got.config.tuples_per_node, 12345u);
   EXPECT_DOUBLE_EQ(got.config.arrivals_per_second, 33.5);
-  EXPECT_DOUBLE_EQ(got.config.join_half_width_s, 4.25);
-  EXPECT_DOUBLE_EQ(got.config.throttle, 0.75);
+  EXPECT_DOUBLE_EQ(got.config.queries.front().join_half_width_s, 4.25);
+  EXPECT_DOUBLE_EQ(got.config.queries.front().throttle, 0.75);
   EXPECT_EQ(got.config.dft_window, 1024u);
   EXPECT_DOUBLE_EQ(got.config.kappa, 128.0);
   ASSERT_EQ(got.peers.size(), 3u);
@@ -75,6 +78,14 @@ TEST(ControlCodec, ConfigRejectsEveryTruncation) {
     const auto decoded = ConfigMsg::decode(std::span(bytes.data(), cut));
     EXPECT_FALSE(decoded.is_ok()) << "prefix of " << cut << " bytes decoded";
   }
+}
+
+TEST(ControlCodec, ConfigRejectsEmptyQueryList) {
+  ConfigMsg msg;
+  msg.config.queries.clear();
+  const auto decoded = ConfigMsg::decode(msg.encode());
+  ASSERT_FALSE(decoded.is_ok());
+  EXPECT_EQ(decoded.status().code(), common::ErrorCode::kDataLoss);
 }
 
 TEST(ControlCodec, ConfigRejectsImplausiblePeerCount) {
@@ -127,7 +138,7 @@ TEST(ControlCodec, MetricsReportRoundTrip) {
   sample.payload.assign(26, 0);
   sample.piggyback_bytes = 12;
   msg.traffic.record(sample);
-  msg.pairs = {{1, 2}, {3, 4}, {1000000007, 42}};
+  msg.queries.emplace_back().pairs = {{1, 2}, {3, 4}, {1000000007, 42}};
 
   const auto decoded = MetricsReportMsg::decode(msg.encode());
   ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
@@ -138,8 +149,9 @@ TEST(ControlCodec, MetricsReportRoundTrip) {
   EXPECT_EQ(got.decode_failures, 1u);
   EXPECT_EQ(got.traffic.frames(net::FrameKind::kTuple), 1u);
   EXPECT_EQ(got.traffic.piggyback_bytes, 12u);
-  ASSERT_EQ(got.pairs.size(), 3u);
-  EXPECT_EQ(got.pairs[2], (stream::ResultPair{1000000007, 42}));
+  ASSERT_EQ(got.queries.size(), 1u);
+  ASSERT_EQ(got.queries[0].pairs.size(), 3u);
+  EXPECT_EQ(got.queries[0].pairs[2], (stream::ResultPair{1000000007, 42}));
 }
 
 TEST(ControlCodec, MetricsReportEncodeIsInsertionOrderIndependent) {
@@ -161,9 +173,9 @@ TEST(ControlCodec, MetricsReportEncodeIsInsertionOrderIndependent) {
   EXPECT_EQ(a.pairs(), forward);  // already in (r_id, s_id) order
 
   core::NodeReport report_a;
-  report_a.pairs = a.pairs();
+  report_a.queries.emplace_back().pairs = a.pairs();
   core::NodeReport report_b;
-  report_b.pairs = b.pairs();
+  report_b.queries.emplace_back().pairs = b.pairs();
   const auto bytes_a = MetricsReportMsg::from_node_report(report_a).encode();
   const auto bytes_b = MetricsReportMsg::from_node_report(report_b).encode();
   EXPECT_EQ(bytes_a, bytes_b);
@@ -171,7 +183,7 @@ TEST(ControlCodec, MetricsReportEncodeIsInsertionOrderIndependent) {
 
 TEST(ControlCodec, MetricsReportRejectsPairCountMismatch) {
   MetricsReportMsg msg;
-  msg.pairs = {{1, 2}, {3, 4}};
+  msg.queries.emplace_back().pairs = {{1, 2}, {3, 4}};
   auto bytes = msg.encode();
   // The pair count is the u64 right before the 2 * 16 pair bytes.
   const std::size_t count_at = bytes.size() - 2 * 16 - 8;
@@ -185,6 +197,59 @@ TEST(ControlCodec, MetricsReportRejectsPairCountMismatch) {
   auto honest = msg.encode();
   honest.resize(honest.size() - 7);
   EXPECT_FALSE(MetricsReportMsg::decode(honest).is_ok());
+}
+
+// The offset of the one query section's pair count in `bytes`: the u64
+// right after the section's predicted_total_mass, found by its value.
+std::size_t pair_count_offset(const std::vector<std::uint8_t>& bytes,
+                              double total_mass) {
+  std::uint8_t pattern[8];
+  std::memcpy(pattern, &total_mass, sizeof(pattern));
+  const auto it = std::search(bytes.begin(), bytes.end(), std::begin(pattern),
+                              std::end(pattern));
+  EXPECT_NE(it, bytes.end());
+  return static_cast<std::size_t>(it - bytes.begin()) + sizeof(pattern);
+}
+
+TEST(ControlCodec, MetricsReportRejectsOverflowingPairCount) {
+  // 2^60 pairs * 16 bytes wraps to 0 in u64: a count checked as a product
+  // passes, and reserving 2^60 pairs throws out of the decoder.
+  MetricsReportMsg msg;
+  core::QueryNodeReport& section = msg.queries.emplace_back();
+  section.predicted_total_mass = 12345.625;
+  section.pairs = {{1, 2}};
+  auto bytes = msg.encode();
+  const std::size_t count_at = pair_count_offset(bytes, 12345.625);
+  const std::uint64_t hostile = std::uint64_t{1} << 60;
+  std::memcpy(bytes.data() + count_at, &hostile, sizeof(hostile));
+  const auto decoded = MetricsReportMsg::decode(bytes);
+  ASSERT_FALSE(decoded.is_ok());
+  EXPECT_EQ(decoded.status().code(), common::ErrorCode::kDataLoss);
+}
+
+TEST(ControlCodec, MetricsReportRejectsTrailingBytes) {
+  // The report ends right after its last query section.
+  MetricsReportMsg msg;
+  msg.queries.emplace_back().pairs = {{1, 2}};
+  auto bytes = msg.encode();
+  ASSERT_TRUE(MetricsReportMsg::decode(bytes).is_ok());
+  bytes.insert(bytes.end(), 8, 0);  // e.g. an empty pre-v7 node pair list
+  const auto decoded = MetricsReportMsg::decode(bytes);
+  ASSERT_FALSE(decoded.is_ok());
+  EXPECT_EQ(decoded.status().code(), common::ErrorCode::kDataLoss);
+}
+
+TEST(ControlCodec, DrainRejectsOverflowingCount) {
+  // 2^30 dead nodes * 4 bytes wraps to 0 in u32, which equals the empty
+  // body: the count check must reject it before anything is reserved or
+  // read.
+  common::BufferWriter out(4);
+  out.write_u32(std::uint32_t{1} << 30);
+  const auto decoded = DrainMsg::decode(std::move(out).take());
+  ASSERT_FALSE(decoded.is_ok());
+  EXPECT_EQ(decoded.status().code(), common::ErrorCode::kDataLoss);
+  EXPECT_NE(decoded.status().message().find("count"), std::string::npos)
+      << decoded.status().message();
 }
 
 TEST(ControlCodec, DrainRoundTripAndValidation) {

@@ -43,21 +43,21 @@ core::SystemConfig experiment_config() {
   config.nodes = 4;
   config.seed = 7;
   config.workload = "ZIPF";
-  config.policy = core::PolicyKind::kRoundRobin;
+  config.queries.front().policy = core::PolicyKind::kRoundRobin;
   config.tuples_per_node = 250;
   config.arrivals_per_second = 50.0;
-  config.join_half_width_s = 2.0;
+  config.queries.front().join_half_width_s = 2.0;
   return config;
 }
 
 std::vector<std::string> coord_args(const std::string& port_file) {
   return {DSJOIN_COORD_BIN,   "--port",      "0",
           "--port-file",      port_file,     "--nodes",
-          "4",                "--policy",    "RR",
+          "4",                "--queries",   "RR:0.5:2.0",
           "--workload",       "ZIPF",        "--tuples",
           "250",              "--rate",      "50",
-          "--half-width",     "2.0",         "--seed",
-          "7",                "--admit-timeout", "60"};
+          "--seed",           "7",           "--admit-timeout",
+          "60"};
 }
 
 /// fork/exec with stdout redirected to `stdout_path` (empty = inherit).

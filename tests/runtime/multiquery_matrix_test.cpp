@@ -35,7 +35,6 @@ core::SystemConfig mixed_config(std::uint32_t coalesce_frames) {
   config.workload = "ZIPF";
   config.tuples_per_node = 100;
   config.arrivals_per_second = 50.0;
-  config.join_half_width_s = 2.0;
   config.dft_window = 256;
   config.kappa = 32.0;
   config.summary_epoch_tuples = 64;
@@ -52,6 +51,7 @@ core::SystemConfig mixed_config(std::uint32_t coalesce_frames) {
       {core::PolicyKind::kDftt, 0.5, 3.0},
       {core::PolicyKind::kSample, 0.7, 1.5},
   };
+  config.queries.clear();
   std::uint32_t id = 0;
   for (const auto& q : kQueries) {
     core::QuerySpec spec;

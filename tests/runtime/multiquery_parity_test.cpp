@@ -14,8 +14,9 @@
 //      attributed to exactly one query), so the sums are exact, not
 //      approximate.
 //
-// MultiQuerySim additionally pins worker-count independence: the sharded
-// per-tuple query evaluation is bit-identical for any --workers value.
+// MultiQuerySim additionally pins worker-count independence: the
+// simulator's parallel epoch driver gives every query the same results for
+// any --workers value.
 //
 // MultiQueryBackendParity forks the multiprocess backend and is excluded
 // from the TSan job (like BackendParityMatrix); MultiQuerySim is
@@ -37,10 +38,10 @@ core::SystemConfig baseline_config() {
   config.nodes = 3;
   config.seed = 7;
   config.workload = "ZIPF";
-  config.policy = core::PolicyKind::kDftt;
+  config.queries.front().policy = core::PolicyKind::kDftt;
   config.tuples_per_node = 100;
   config.arrivals_per_second = 50.0;
-  config.join_half_width_s = 2.0;
+  config.queries.front().join_half_width_s = 2.0;
   config.dft_window = 256;
   config.kappa = 32.0;
   config.summary_epoch_tuples = 64;
@@ -52,12 +53,14 @@ core::SystemConfig baseline_config() {
 /// registered explicitly.
 core::SystemConfig replicated_config(std::size_t count) {
   auto config = baseline_config();
+  const core::QuerySpec baseline = config.queries.front();
+  config.queries.clear();
   for (std::size_t i = 0; i < count; ++i) {
     core::QuerySpec spec;
     spec.id = static_cast<std::uint32_t>(i);
-    spec.policy = config.policy;
-    spec.throttle = config.throttle;
-    spec.join_half_width_s = config.join_half_width_s;
+    spec.policy = baseline.policy;
+    spec.throttle = baseline.throttle;
+    spec.join_half_width_s = baseline.join_half_width_s;
     config.queries.push_back(spec);
   }
   return config;

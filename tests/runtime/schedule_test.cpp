@@ -16,7 +16,7 @@ core::SystemConfig small_config() {
   config.workload = "ZIPF";
   config.tuples_per_node = 64;
   config.arrivals_per_second = 50.0;
-  config.join_half_width_s = 2.0;
+  config.queries.front().join_half_width_s = 2.0;
   return config;
 }
 
@@ -108,33 +108,35 @@ TEST(ArrivalSchedule, ForNodePartitionsTheSchedule) {
 TEST(ArrivalSchedule, ExactPairsMatchesBruteForce) {
   const auto config = small_config();
   const auto schedule = ArrivalSchedule::build(config);
-  const auto exact = exact_pairs(schedule, config.join_half_width_s);
-  EXPECT_EQ(exact, brute_force_pairs(schedule, config.join_half_width_s));
+  const double w = config.queries.front().join_half_width_s;
+  const auto exact = exact_pairs(schedule, w);
+  EXPECT_EQ(exact, brute_force_pairs(schedule, w));
   EXPECT_GT(exact, 0u) << "degenerate workload: no joining pairs at all";
 }
 
 TEST(ArrivalSchedule, CountFalsePairsPassesGenuineResults) {
   const auto config = small_config();
   const auto schedule = ArrivalSchedule::build(config);
+  const double w = config.queries.front().join_half_width_s;
   // Collect every genuine pair; none of them may be flagged.
   std::vector<stream::ResultPair> genuine;
   for (const auto& r : schedule.tuples) {
     if (r.side != stream::StreamSide::kR) continue;
     for (const auto& s : schedule.tuples) {
       if (s.side == stream::StreamSide::kS && r.key == s.key &&
-          std::abs(r.timestamp - s.timestamp) <= config.join_half_width_s) {
+          std::abs(r.timestamp - s.timestamp) <= w) {
         genuine.push_back({r.id, s.id});
       }
     }
   }
   ASSERT_FALSE(genuine.empty());
-  EXPECT_EQ(count_false_pairs(schedule, config.join_half_width_s, genuine), 0u);
+  EXPECT_EQ(count_false_pairs(schedule, w, genuine), 0u);
 }
 
 TEST(ArrivalSchedule, CountFalsePairsFlagsFabrications) {
   const auto config = small_config();
   const auto schedule = ArrivalSchedule::build(config);
-  const double w = config.join_half_width_s;
+  const double w = config.queries.front().join_half_width_s;
 
   // Index tuples by side for targeted fabrication.
   std::unordered_map<std::uint64_t, stream::Tuple> by_id;
@@ -200,7 +202,7 @@ TEST(ArrivalSchedule, UniformWorkloadAlsoBuilds) {
 TEST(ArrivalSchedule, CountFalsePairsNeedsEachIdAtItsDenseSlot) {
   const auto config = small_config();
   const auto schedule = ArrivalSchedule::build(config);
-  const double w = config.join_half_width_s;
+  const double w = config.queries.front().join_half_width_s;
   stream::Tuple r;
   stream::Tuple s;
   for (const auto& a : schedule.tuples) {

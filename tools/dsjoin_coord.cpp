@@ -6,7 +6,6 @@
 // Exit code 0 means the protocol ran to completion — including degraded
 // runs where daemons died mid-stream; only setup failures exit nonzero.
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 
 #include "dsjoin/common/cli.hpp"
@@ -36,12 +35,13 @@ int main(int argc, char** argv) {
   flags.add_int("port", 0, "control port (0 = ephemeral)")
       .add_string("port-file", "", "write the bound control port to this file")
       .add_int("nodes", 4, "number of daemons to admit")
-      .add_string("policy", "RR", "routing policy: " + core::policy_names_csv())
+      .add_string("queries", "RR:0.5:2",
+                  "registered join queries, semicolon-separated "
+                  "POLICY[:throttle[:half_width_s]] specs; POLICY is one of " +
+                      core::policy_names_csv())
       .add_string("workload", "ZIPF", "workload (UNI|ZIPF|FIN|NWRK)")
       .add_int("tuples", 250, "tuples per node per stream side")
       .add_double("rate", 50.0, "arrivals per node per side per second")
-      .add_double("half-width", 2.0, "join window half width (s)")
-      .add_double("throttle", 0.5, "policy forwarding aggressiveness [0,1]")
       .add_int("seed", 7, "experiment seed")
       .add_double("admit-timeout", 30.0, "seconds to wait for all daemons")
       .add_double("run-timeout", 120.0, "ceiling on the ingest phase (s)")
@@ -61,10 +61,6 @@ int main(int argc, char** argv) {
                "SMPL reservoir capacity per (node, side); 0 derives it from "
                "the summary byte budget (max 32768)")
       .add_int("sample-strata", 8, "SMPL hash strata per reservoir (1..4096)")
-      .add_string("queries", "",
-                  "registered join queries, semicolon-separated "
-                  "POLICY[:throttle[:half_width_s]] specs; empty = "
-                  "single-query mode")
       .add_bool("verify", true, "recompute the oracle for epsilon/false pairs")
       .add_bool("verbose", false, "log protocol progress");
   if (auto s = flags.parse(argc, argv); !s) {
@@ -81,19 +77,10 @@ int main(int argc, char** argv) {
   options.verify = flags.get_bool("verify");
   options.config.nodes = static_cast<std::uint32_t>(flags.get_int("nodes"));
   options.config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  try {
-    options.config.policy =
-        core::policy_from_string(flags.get_string("policy"));
-  } catch (const std::invalid_argument& err) {
-    std::fprintf(stderr, "error: %s\n", err.what());
-    return 1;
-  }
   options.config.workload = flags.get_string("workload");
   options.config.tuples_per_node =
       static_cast<std::uint64_t>(flags.get_int("tuples"));
   options.config.arrivals_per_second = flags.get_double("rate");
-  options.config.join_half_width_s = flags.get_double("half-width");
-  options.config.throttle = flags.get_double("throttle");
   options.config.coalesce_frames =
       static_cast<std::uint32_t>(flags.get_int("coalesce-frames"));
   options.config.coalesce_bytes =
