@@ -1,5 +1,5 @@
 // Scalar vs. batch vs. SIMD ingestion cost for every hot-path operator
-// (sliding DFT, AGMS sketch, counting Bloom filter, window stores), plus
+// (sliding DFT, AGMS sketch, counting Bloom filter, the join window), plus
 // DFTT's summary reads and result accounting.
 //
 // Each operator runs the same value/key stream through three paths:
@@ -10,12 +10,12 @@
 // and reports ns per item plus the scalar/batch and batch/simd speedups.
 // Results go to stdout as an aligned table and to BENCH_hotpath.json (one
 // entry per operator per config) so later changes have a machine-readable
-// perf trajectory. Only the TupleStore probe rows reach a hand-written
-// kernel (the match-scan pair, DESIGN.md section 13); every other row runs
-// the same portable code in its batch and simd columns, so its simd ratio
-// is noise. The TupleStore has no batch API, so its rows time the point
-// calls production makes and repeat the scalar measurement in the batch
-// column. The fft and coeff_store rows time DFTT's summary reads (one
+// perf trajectory. Only the TupleStore probe row reaches a hand-written
+// kernel (the match-collect scan, DESIGN.md section 13); every other row
+// runs the same portable code in its batch and simd columns, so its simd
+// ratio is noise. The TupleStore has no batch API, so its rows time the
+// point calls production makes and repeat the scalar measurement in the
+// batch column. The fft and coeff_store rows time DFTT's summary reads (one
 // band-limited inverse transform, one reconstruction-cache rebuild, one
 // membership estimate) as point calls too. The metrics rows time result
 // accounting the same way: a node's collector taking reports and handing
@@ -233,32 +233,6 @@ Entry bench_counting_bloom(std::size_t counters, std::size_t expected_keys,
   return e;
 }
 
-Entry bench_count_window(std::size_t capacity, double min_time_s) {
-  Entry e;
-  e.op = "count_window";
-  e.config = "W=" + std::to_string(capacity);
-  const auto tuples = random_tuples(4 * kBatchSize, 15);
-
-  stream::CountWindow scalar(capacity);
-  e.scalar_ns = measure_ns_per_item(tuples.size(), min_time_s, [&] {
-    for (const auto& t : tuples) (void)scalar.insert(t);
-  });
-
-  std::optional<stream::CountWindow> batch;
-  std::vector<stream::Tuple> evicted;
-  measure_batch_and_simd(
-      e, tuples.size(), min_time_s, [&] { batch.emplace(capacity); },
-      [&] {
-        for (std::size_t base = 0; base < tuples.size(); base += kBatchSize) {
-          evicted.clear();
-          batch->insert_batch(
-              std::span<const stream::Tuple>(tuples).subspan(base, kBatchSize),
-              evicted);
-        }
-      });
-  return e;
-}
-
 // The TupleStore has no batch API: the node inserts, evicts and probes one
 // tuple at a time. Its rows time exactly those calls. The loop runs once
 // with the kernels forced scalar (reported in both the scalar and the batch
@@ -318,27 +292,6 @@ ProbeFixture make_probe_fixture(std::uint64_t seed) {
     f.probes[i].side = stream::StreamSide::kS;
   }
   return f;
-}
-
-// count_matches per probe: the exact-join oracle's call.
-Entry bench_tuple_store_probe(double min_time_s) {
-  Entry e;
-  e.op = "tuple_store";
-  e.config = "probe count";
-  e.has_kernel = true;
-  const ProbeFixture f = make_probe_fixture(17);
-
-  volatile std::uint64_t sink = 0;
-  measure_point_path(
-      e, f.probes.size(), min_time_s, [] {},
-      [&] {
-        std::uint64_t total = 0;
-        for (const auto& p : f.probes) {
-          total += f.store.count_matches(p.key, p.timestamp, f.half_width);
-        }
-        sink = sink + total;
-      });
-  return e;
 }
 
 // collect_matches per probe into a reused vector: the node's call, which
@@ -624,9 +577,7 @@ int main(int argc, char** argv) {
     entries.push_back(bench_sliding_dft(2048, 32, min_time_s));
     entries.push_back(bench_agms(80, min_time_s));
     entries.push_back(bench_counting_bloom(16384, 2048, min_time_s));
-    entries.push_back(bench_count_window(2048, min_time_s));
     entries.push_back(bench_tuple_store(min_time_s));
-    entries.push_back(bench_tuple_store_probe(min_time_s));
     entries.push_back(bench_tuple_store_collect(min_time_s));
     entries.push_back(bench_fft_band_inverse(min_time_s));
     entries.push_back(bench_coeff_store_rebuild(min_time_s));
@@ -643,10 +594,7 @@ int main(int argc, char** argv) {
     entries.push_back(bench_agms(320, min_time_s));
     entries.push_back(bench_counting_bloom(16384, 2048, min_time_s));
     entries.push_back(bench_counting_bloom(65536, 2048, min_time_s));
-    entries.push_back(bench_count_window(2048, min_time_s));
-    entries.push_back(bench_count_window(8192, min_time_s));
     entries.push_back(bench_tuple_store(min_time_s));
-    entries.push_back(bench_tuple_store_probe(min_time_s));
     entries.push_back(bench_tuple_store_collect(min_time_s));
     entries.push_back(bench_fft_band_inverse(min_time_s));
     entries.push_back(bench_coeff_store_rebuild(min_time_s));

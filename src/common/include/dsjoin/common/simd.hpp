@@ -1,15 +1,15 @@
-// Runtime-dispatched SIMD kernels for the TupleStore match-scan probes.
+// Runtime-dispatched SIMD kernel for the TupleStore match-scan probes.
 //
 // A hand-written kernel lives here only while it moves an end-to-end
-// workload (DESIGN.md section 13): today that is the match-scan pair, which
-// the partitioned TupleStore's probes run on every arrival. The summary
-// operators (SlidingDft, AGMS) run plain C++ loops instead.
+// workload (DESIGN.md section 13): today that is the match-collect scan,
+// which the partitioned TupleStore's probes run on every arrival. The
+// summary operators (SlidingDft, AGMS) run plain C++ loops instead.
 //
-// Every kernel is BIT-IDENTICAL to its scalar reference at every dispatch
+// The kernel is BIT-IDENTICAL to its scalar reference at every dispatch
 // level: key equality and ordered double compares have exactly one answer
-// per lane, so any correct vectorization returns the same count and the
-// same ascending index list. tests/core/batch_identity_test.cpp pins each
-// level the host supports against the forced-scalar level.
+// per lane, so any correct vectorization returns the same ascending index
+// list. tests/core/batch_identity_test.cpp pins each level the host
+// supports against the forced-scalar level.
 //
 // Dispatch is process-global: the best detected level is used by default,
 // `DSJOIN_SIMD=scalar|neon|avx2|avx512` caps it at startup, and
@@ -49,19 +49,14 @@ void force_level(Level level) noexcept;
 /// Clears a force_level() override; dispatch returns to the default.
 void reset_level() noexcept;
 
-// --- Window match-scan kernels (partitioned TupleStore probes) -------------
+// --- Window match-scan kernel (partitioned TupleStore probes) --------------
 //
-// Linear scans over a store partition's SoA columns: entry j matches when
+// A linear scan over a store partition's SoA columns: entry j matches when
 // keys[j] == key and lo <= ts[j] <= hi (both bounds inclusive, IEEE-754
 // ordered compares; timestamps are never NaN). Equality and ordered
 // comparison have exactly one answer per lane, so every vector level is
 // bit-identical to the scalar reference by construction. `keys` and `ts`
 // must not alias.
-
-/// Number of entries matching (key, [lo, hi]).
-std::uint64_t match_count_scan(const std::int64_t* keys, const double* ts,
-                               std::size_t n, std::int64_t key, double lo,
-                               double hi) noexcept;
 
 /// Writes the ascending indices of matching entries to `out` (which must
 /// have room for n values) and returns how many matched. Index order is

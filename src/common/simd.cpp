@@ -18,19 +18,9 @@ namespace dsjoin::common::simd {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Scalar reference kernels. The identity tests pin every vector level
-// against these.
+// Scalar reference kernel. The identity test pins every vector level
+// against it.
 // ---------------------------------------------------------------------------
-
-std::uint64_t match_count_scalar(const std::int64_t* keys, const double* ts,
-                                 std::size_t n, std::int64_t key, double lo,
-                                 double hi) noexcept {
-  std::uint64_t count = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (keys[j] == key && ts[j] >= lo && ts[j] <= hi) ++count;
-  }
-  return count;
-}
 
 std::size_t match_collect_scalar(const std::int64_t* keys, const double* ts,
                                  std::size_t n, std::int64_t key, double lo,
@@ -45,9 +35,9 @@ std::size_t match_collect_scalar(const std::int64_t* keys, const double* ts,
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 kernels. Compiled with per-function target attributes so the
+// AVX2 kernel. Compiled with a per-function target attribute so the
 // translation unit builds at the portable baseline; dispatch guarantees
-// these only run on hosts with AVX2.
+// it only runs on hosts with AVX2.
 // ---------------------------------------------------------------------------
 #if DSJOIN_SIMD_X86
 
@@ -55,30 +45,8 @@ std::size_t match_collect_scalar(const std::int64_t* keys, const double* ts,
 #define DSJOIN_AVX512 __attribute__((target("avx512f,avx512dq")))
 
 // Four-lane match scan: i64 key equality and double range compares produce
-// a 4-bit lane mask (movemask over the double-compare domain); counting is
-// a popcount, collection walks the set bits in ascending lane order.
-DSJOIN_AVX2 std::uint64_t match_count_avx2(const std::int64_t* keys,
-                                           const double* ts, std::size_t n,
-                                           std::int64_t key, double lo,
-                                           double hi) noexcept {
-  const __m256i vkey = _mm256_set1_epi64x(static_cast<long long>(key));
-  const __m256d vlo = _mm256_set1_pd(lo);
-  const __m256d vhi = _mm256_set1_pd(hi);
-  std::uint64_t count = 0;
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256i k =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + j));
-    const __m256d t = _mm256_loadu_pd(ts + j);
-    const __m256d keq = _mm256_castsi256_pd(_mm256_cmpeq_epi64(k, vkey));
-    const __m256d ge = _mm256_cmp_pd(t, vlo, _CMP_GE_OQ);
-    const __m256d le = _mm256_cmp_pd(t, vhi, _CMP_LE_OQ);
-    const int m = _mm256_movemask_pd(_mm256_and_pd(keq, _mm256_and_pd(ge, le)));
-    count += static_cast<std::uint64_t>(__builtin_popcount(static_cast<unsigned>(m)));
-  }
-  return count + match_count_scalar(keys + j, ts + j, n - j, key, lo, hi);
-}
-
+// a 4-bit lane mask (movemask over the double-compare domain); collection
+// walks the set bits in ascending lane order.
 DSJOIN_AVX2 std::size_t match_collect_avx2(const std::int64_t* keys,
                                            const double* ts, std::size_t n,
                                            std::int64_t key, double lo,
@@ -113,33 +81,12 @@ DSJOIN_AVX2 std::size_t match_collect_avx2(const std::int64_t* keys,
 }
 
 // ---------------------------------------------------------------------------
-// AVX-512 kernels: the same scan at 8 lanes.
+// AVX-512 kernel: the same scan at 8 lanes.
 // ---------------------------------------------------------------------------
 
 // Eight-lane match scan: compare results land directly in __mmask8
-// registers (no movemask detour); counting is a popcount over the mask,
-// collection walks the set bits in ascending lane order.
-DSJOIN_AVX512 std::uint64_t match_count_avx512(const std::int64_t* keys,
-                                               const double* ts, std::size_t n,
-                                               std::int64_t key, double lo,
-                                               double hi) noexcept {
-  const __m512i vkey = _mm512_set1_epi64(static_cast<long long>(key));
-  const __m512d vlo = _mm512_set1_pd(lo);
-  const __m512d vhi = _mm512_set1_pd(hi);
-  std::uint64_t count = 0;
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512i k = _mm512_loadu_si512(keys + j);
-    const __m512d t = _mm512_loadu_pd(ts + j);
-    const __mmask8 keq = _mm512_cmpeq_epi64_mask(k, vkey);
-    const __mmask8 ge = _mm512_cmp_pd_mask(t, vlo, _CMP_GE_OQ);
-    const __mmask8 le = _mm512_cmp_pd_mask(t, vhi, _CMP_LE_OQ);
-    const unsigned m = static_cast<unsigned>(keq & ge & le);
-    count += static_cast<std::uint64_t>(__builtin_popcount(m));
-  }
-  return count + match_count_scalar(keys + j, ts + j, n - j, key, lo, hi);
-}
-
+// registers (no movemask detour); collection walks the set bits in
+// ascending lane order.
 DSJOIN_AVX512 std::size_t match_collect_avx512(const std::int64_t* keys,
                                                const double* ts, std::size_t n,
                                                std::int64_t key, double lo,
@@ -174,33 +121,13 @@ DSJOIN_AVX512 std::size_t match_collect_avx512(const std::int64_t* keys,
 #endif  // DSJOIN_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// NEON kernels.
+// NEON kernel.
 // ---------------------------------------------------------------------------
 #if DSJOIN_SIMD_NEON
 
 // Two-lane match scan. NEON has no movemask, so the combined predicate is
 // read back per lane; at two lanes that is still cheaper than the branchy
 // scalar loop on mostly-miss partitions.
-std::uint64_t match_count_neon(const std::int64_t* keys, const double* ts,
-                               std::size_t n, std::int64_t key, double lo,
-                               double hi) noexcept {
-  const int64x2_t vkey = vdupq_n_s64(key);
-  const float64x2_t vlo = vdupq_n_f64(lo);
-  const float64x2_t vhi = vdupq_n_f64(hi);
-  std::uint64_t count = 0;
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const uint64x2_t keq = vceqq_s64(vld1q_s64(keys + j), vkey);
-    const float64x2_t t = vld1q_f64(ts + j);
-    const uint64x2_t ge = vcgeq_f64(t, vlo);
-    const uint64x2_t le = vcleq_f64(t, vhi);
-    const uint64x2_t m = vandq_u64(keq, vandq_u64(ge, le));
-    count += vgetq_lane_u64(m, 0) & 1u;
-    count += vgetq_lane_u64(m, 1) & 1u;
-  }
-  return count + match_count_scalar(keys + j, ts + j, n - j, key, lo, hi);
-}
-
 std::size_t match_collect_neon(const std::int64_t* keys, const double* ts,
                                std::size_t n, std::int64_t key, double lo,
                                double hi, std::uint32_t* out) noexcept {
@@ -298,24 +225,8 @@ void reset_level() noexcept {
   g_forced.store(0xFF, std::memory_order_relaxed);
 }
 
-// Each kernel dispatches on the active level; a level without an
+// The kernel dispatches on the active level; a level without an
 // implementation on this architecture falls through to the scalar reference.
-
-std::uint64_t match_count_scan(const std::int64_t* keys, const double* ts,
-                               std::size_t n, std::int64_t key, double lo,
-                               double hi) noexcept {
-  switch (active_level()) {
-#if DSJOIN_SIMD_X86
-    case Level::kAvx512: return match_count_avx512(keys, ts, n, key, lo, hi);
-    case Level::kAvx2: return match_count_avx2(keys, ts, n, key, lo, hi);
-#endif
-#if DSJOIN_SIMD_NEON
-    case Level::kNeon: return match_count_neon(keys, ts, n, key, lo, hi);
-#endif
-    default: break;
-  }
-  return match_count_scalar(keys, ts, n, key, lo, hi);
-}
 
 std::size_t match_collect_scan(const std::int64_t* keys, const double* ts,
                                std::size_t n, std::int64_t key, double lo,

@@ -249,10 +249,7 @@ void serialize_config(const SystemConfig& config, common::BufferWriter& out) {
   out.write_u32(config.summary_epoch_tuples);
   out.write_f64(config.summary_sync_epoch_s);
   out.write_u32(config.stale_flush_epochs);
-  out.write_u32(config.piggyback_max_coeffs);
   out.write_i64(config.membership_tolerance);
-  out.write_f64(config.coeff_delta_threshold);
-  out.write_f64(config.uniform_detection_cv);
   out.write_f64(config.max_backlog_s);
   out.write_u32(config.coalesce_frames);
   out.write_u32(config.coalesce_bytes);
@@ -260,13 +257,10 @@ void serialize_config(const SystemConfig& config, common::BufferWriter& out) {
   out.write_u32(config.worker_threads);
   out.write_u8(config.oracle_enabled ? 1 : 0);
   out.write_f64(config.online_target_eps);
-  out.write_f64(config.audit_probability);
-  out.write_f64(config.controller_gain);
-  out.write_u32(config.controller_interval_tuples);
   out.write_u32(config.summary_quant_bits);
   out.write_u32(config.sample_capacity);
   out.write_u32(config.sample_strata);
-  // The query set, one entry at least (protocol v7).
+  // The query set, one entry at least (since protocol v7).
   out.write_u32(static_cast<std::uint32_t>(config.queries.size()));
   for (const auto& spec : config.queries) {
     out.write_u32(spec.id);
@@ -309,10 +303,7 @@ common::Result<SystemConfig> deserialize_config(common::BufferReader& in) {
                           "summary sync epoch out of range");
   }
   DSJOIN_READ(stale_flush_epochs, read_u32);
-  DSJOIN_READ(piggyback_max_coeffs, read_u32);
   DSJOIN_READ(membership_tolerance, read_i64);
-  DSJOIN_READ(coeff_delta_threshold, read_f64);
-  DSJOIN_READ(uniform_detection_cv, read_f64);
   DSJOIN_READ(max_backlog_s, read_f64);
   DSJOIN_READ(coalesce_frames, read_u32);
   DSJOIN_READ(coalesce_bytes, read_u32);
@@ -324,9 +315,6 @@ common::Result<SystemConfig> deserialize_config(common::BufferReader& in) {
     config.oracle_enabled = oracle.value() != 0;
   }
   DSJOIN_READ(online_target_eps, read_f64);
-  DSJOIN_READ(audit_probability, read_f64);
-  DSJOIN_READ(controller_gain, read_f64);
-  DSJOIN_READ(controller_interval_tuples, read_u32);
   DSJOIN_READ(summary_quant_bits, read_u32);
   if (config.summary_quant_bits != 0 && config.summary_quant_bits != 8 &&
       config.summary_quant_bits != 16) {

@@ -123,15 +123,7 @@ struct SystemConfig {
   /// updates ride almost entirely on tuple traffic (Figure 7 line 5), so
   /// summary bytes track — rather than outgrow — the net data (Figure 8).
   std::uint32_t stale_flush_epochs = 8;
-  /// At most this many coefficient deltas (per stream side) ride on one
-  /// tuple frame; the largest-magnitude changes go first. Keeps piggyback
-  /// overhead a bounded fraction of tuple traffic; standalone flushes are
-  /// uncapped. 0 disables the cap.
-  std::uint32_t piggyback_max_coeffs = 4;
   std::int64_t membership_tolerance = 32;  ///< +/- slack for reconstructed keys
-  /// Coefficient-change threshold for piggybacked deltas, as a fraction of
-  /// sqrt(spectral energy / W) (adaptive to signal scale).
-  double coeff_delta_threshold = 0.05;
   /// Preferred fixed-point mantissa width for coefficient summaries
   /// (wire format v4): 0 disables quantization (coefficients ship as f64,
   /// the historical format), 8 or 16 quantize each coefficient block to
@@ -157,12 +149,6 @@ struct SystemConfig {
   /// per-query fields only when more than one query is registered
   /// (multi_query_mode). Never empty in a valid config.
   std::vector<QuerySpec> queries = std::vector<QuerySpec>(1);
-  /// Coefficient-of-variation threshold under which the flow filter
-  /// declares the uniform worst case and falls back to round-robin
-  /// (Section 5.2.2: "a very small variance in the filter probabilities
-  /// indicates equal correlation with all neighbors"). Relative spread is
-  /// used so the detector is scale-free in the score magnitudes.
-  double uniform_detection_cv = 0.25;
 
   // Flow control.
   /// Ingestion stalls while the node's worst outgoing-link backlog exceeds
@@ -205,11 +191,9 @@ struct SystemConfig {
   // comparing the remote-match rate of audited vs policy-routed tuples
   // yields an unbiased online estimate of the missed-result fraction, which
   // a proportional controller drives to the target by adjusting the
-  // throttle. Disabled when online_target_eps < 0.
+  // throttle (its audit rate, gain and cadence are constants in node.cpp).
+  // Disabled when online_target_eps < 0.
   double online_target_eps = -1.0;
-  double audit_probability = 0.05;   ///< P(tuple is broadcast as an audit)
-  double controller_gain = 0.3;      ///< throttle step per unit of error
-  std::uint32_t controller_interval_tuples = 512;  ///< adjustment cadence
 
   /// Summary budget per epoch in bytes (all policies are granted the same
   /// budget, Section 6). Derived from the DFT geometry: K complex coeffs.

@@ -4,13 +4,19 @@
 // and coexisting timestamps, over all tuples of all nodes, by streaming the
 // arrivals in global timestamp order. The distributed system's deduplicated
 // reports are measured against this total.
+//
+// Only a count is needed, so the oracle keeps no tuples: one FIFO of live
+// (key, timestamp) entries per side, in arrival order, and a live count per
+// key and side. Memory is bounded by the tuples inside one half-width of
+// the newest arrival.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <deque>
+#include <unordered_map>
 
 #include "dsjoin/stream/tuple.hpp"
-#include "dsjoin/stream/window.hpp"
 
 namespace dsjoin::core {
 
@@ -27,10 +33,16 @@ class ExactJoinOracle {
   std::uint64_t total_pairs() const noexcept { return pairs_; }
 
  private:
+  struct Live {
+    std::int64_t key;
+    double timestamp;
+  };
+
   double half_width_;
-  std::array<stream::TupleStore, 2> store_;  // by side
+  std::array<std::deque<Live>, 2> live_;  // by side, arrival order
+  /// Live entries per key, by side; a key leaves when both reach zero.
+  std::unordered_map<std::int64_t, std::array<std::uint64_t, 2>> counts_;
   std::uint64_t pairs_ = 0;
-  std::uint64_t observed_ = 0;
 };
 
 }  // namespace dsjoin::core

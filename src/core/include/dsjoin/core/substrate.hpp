@@ -137,7 +137,7 @@ class BloomSummaryEngine {
     std::array<BloomStore, 2> remote;  // by remote side
   };
 
-  /// Applies the side's buffered tuples to the window and counting filter
+  /// Applies the side's buffered keys to the window and counting filter
   /// as one batch (only read at snapshot time).
   void flush_pending(std::size_t side);
 
@@ -145,8 +145,7 @@ class BloomSummaryEngine {
   net::NodeId self_;
   std::array<sketch::CountingBloomFilter, 2> counting_;
   std::array<stream::CountWindow, 2> window_;
-  std::array<std::vector<stream::Tuple>, 2> pending_;
-  std::vector<stream::Tuple> evicted_scratch_;
+  std::array<std::vector<std::int64_t>, 2> pending_;  // keys, by side
   std::vector<std::uint64_t> key_scratch_;
   std::vector<std::int32_t> delta_scratch_;
   std::vector<PeerState> peers_;
@@ -183,9 +182,9 @@ class SketchSummaryEngine {
   net::NodeId self_;
   std::array<sketch::AgmsSketch, 2> local_;
   std::array<stream::CountWindow, 2> window_;
-  std::array<std::vector<stream::Tuple>, 2> pending_;
-  std::vector<stream::Tuple> evicted_scratch_;
+  std::array<std::vector<std::int64_t>, 2> pending_;  // keys, by side
   std::vector<std::uint64_t> key_scratch_;
+  std::vector<std::uint64_t> evicted_scratch_;
   std::vector<PeerState> peers_;
   std::uint64_t local_tuples_ = 0;
   std::uint64_t last_broadcast_tuple_ = 0;

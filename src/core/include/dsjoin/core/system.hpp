@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -46,18 +47,16 @@ class DspSystem {
   std::uint64_t restarts_executed() const noexcept { return restarts_executed_; }
 
   /// Access for tests. metrics()/oracle() are query 0's — the whole story
-  /// with one query; per-query instances via query_metrics(i) /
-  /// query_oracle(i).
+  /// with one query; per-query collectors via query_metrics(i).
   Node& node(net::NodeId id) { return hosts_[id]->node(); }
   const net::SimTransport& transport() const { return *transport_; }
   const MetricsCollector& metrics() const { return *query_metrics_.front(); }
-  const ExactJoinOracle& oracle() const { return oracles_.front(); }
+  const ExactJoinOracle& oracle() const {
+    return oracles_.at(config_.queries.front().join_half_width_s);
+  }
   std::size_t query_count() const noexcept { return query_metrics_.size(); }
   const MetricsCollector& query_metrics(std::size_t q) const {
     return *query_metrics_[q];
-  }
-  const ExactJoinOracle& query_oracle(std::size_t q) const {
-    return oracles_[q];
   }
 
  private:
@@ -105,12 +104,14 @@ class DspSystem {
   SystemConfig config_;
   net::EventQueue queue_;
   std::unique_ptr<net::SimTransport> transport_;
-  /// One collector and one oracle per registered query, canonical order.
-  /// All collectors share one epoch group (this), so the parallel driver
-  /// binds worker slots once per task and every query's reports buffer.
+  /// One collector per registered query, canonical order. All collectors
+  /// share one epoch group (this), so the parallel driver binds worker
+  /// slots once per task and every query's reports buffer.
   std::vector<std::unique_ptr<MetricsCollector>> query_metrics_;
   std::vector<MetricsCollector*> metrics_ptrs_;  ///< span over query_metrics_
-  std::vector<ExactJoinOracle> oracles_;
+  /// One oracle per distinct query half-width: queries of equal width
+  /// share one count.
+  std::map<double, ExactJoinOracle> oracles_;
   /// Streaming arrival truth: rng tree, key streams, quotas and the dense
   /// global tuple-id counter (ArrivalSchedule::build materializes the same
   /// generator for the socket backends).

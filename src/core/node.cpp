@@ -18,6 +18,13 @@ stream::ResultPair make_pair(const stream::Tuple& tuple,
              ? stream::ResultPair{tuple.id, match.id}
              : stream::ResultPair{match.id, tuple.id};
 }
+
+// Online epsilon controller (when online_target_eps >= 0): the chance a
+// tuple is broadcast as an audit, the throttle step per unit of epsilon
+// error, and the local tuples between adjustments.
+constexpr double kAuditProbability = 0.05;
+constexpr double kControllerGain = 0.3;
+constexpr std::uint64_t kControllerIntervalTuples = 512;
 }  // namespace
 
 Node::QueryRuntime::QueryRuntime(const SystemConfig& base,
@@ -84,7 +91,7 @@ void Node::evaluate_routing(QueryRuntime& query, const stream::Tuple& tuple,
   // comparing it with the policy-routed tuples' rate yields epsilon online.
   const bool controller_on = config_.online_target_eps >= 0.0;
   eval.audited =
-      controller_on && query.audit_rng.next_bool(config_.audit_probability);
+      controller_on && query.audit_rng.next_bool(kAuditProbability);
   if (eval.audited) {
     eval.destinations.reserve(config_.nodes - 1);
     for (net::NodeId j = 0; j < config_.nodes; ++j) {
@@ -227,7 +234,7 @@ void Node::on_local_tuple(const stream::Tuple& tuple, double now) {
     send_summary(summary.peer, std::move(summary.block), now);
   }
 
-  if (controller_on && local_tuples_ % config_.controller_interval_tuples == 0) {
+  if (controller_on && local_tuples_ % kControllerIntervalTuples == 0) {
     for (auto& query : queries_) run_controller(query);
   }
   if (local_tuples_ % 128 == 0) evict(now);
@@ -411,8 +418,7 @@ void Node::run_controller(QueryRuntime& query) {
   // open the throttle; overshooting the accuracy target -> save messages.
   query.throttle = std::clamp(
       query.throttle +
-          config_.controller_gain *
-              (query.eps_estimate - config_.online_target_eps),
+          kControllerGain * (query.eps_estimate - config_.online_target_eps),
       0.0, 1.0);
   query.policy->set_throttle(query.throttle);
   // Decay the window so the estimate tracks the current operating point

@@ -7,15 +7,24 @@ ExactJoinOracle::ExactJoinOracle(double half_width) : half_width_(half_width) {}
 void ExactJoinOracle::observe(const stream::Tuple& tuple) {
   const auto opposite = static_cast<std::size_t>(stream::opposite(tuple.side));
   const auto side = static_cast<std::size_t>(tuple.side);
-  // Arrivals come in timestamp order: every counted partner is earlier, so
+  // Arrivals come in timestamp order: every live partner is earlier, so
   // each unordered pair is counted exactly once (when its later member
-  // arrives).
-  pairs_ += store_[opposite].count_matches(tuple.key, tuple.timestamp, half_width_);
-  store_[side].insert(tuple);
-  if (++observed_ % 512 == 0) {
-    store_[0].evict_before(tuple.timestamp - half_width_ - 1.0);
-    store_[1].evict_before(tuple.timestamp - half_width_ - 1.0);
+  // arrives), and an entry older than lo can never pair again. lo is the
+  // window's lower bound, inclusive: a partner exactly half_width_ earlier
+  // still counts.
+  const double lo = tuple.timestamp - half_width_;
+  for (std::size_t s = 0; s < 2; ++s) {
+    auto& fifo = live_[s];
+    while (!fifo.empty() && fifo.front().timestamp < lo) {
+      const auto it = counts_.find(fifo.front().key);
+      if (--it->second[s] == 0 && it->second[1 - s] == 0) counts_.erase(it);
+      fifo.pop_front();
+    }
   }
+  auto& count = counts_[tuple.key];
+  pairs_ += count[opposite];
+  ++count[side];
+  live_[side].push_back(Live{tuple.key, tuple.timestamp});
 }
 
 }  // namespace dsjoin::core

@@ -34,33 +34,26 @@ BloomSummaryEngine::BloomSummaryEngine(const SystemConfig& config,
 
 void BloomSummaryEngine::observe_local(const stream::Tuple& tuple) {
   // Deferred: routing consults peer snapshots only, so the local counting
-  // filter is not read until the next broadcast. The tuple joins the
+  // filter is not read until the next broadcast. The key joins the
   // pending batch; flush_pending applies it through the filter's two-pass
   // batch update at snapshot time.
-  pending_[static_cast<std::size_t>(tuple.side)].push_back(tuple);
+  pending_[static_cast<std::size_t>(tuple.side)].push_back(tuple.key);
   ++local_tuples_;
 }
 
 void BloomSummaryEngine::flush_pending(std::size_t side) {
   auto& pending = pending_[side];
   if (pending.empty()) return;
-  auto& window = window_[side];
-  // Reconstruct the scalar insert/erase interleaving: the first `free`
-  // inserts cannot evict; each later insert is immediately followed by the
-  // eviction insert_batch reports for it (in order). The interleaving
-  // matters because counting-Bloom clamps make updates order-dependent.
-  const std::size_t free_slots =
-      std::min(window.capacity() - window.size(), pending.size());
-  evicted_scratch_.clear();
-  window.insert_batch(pending, evicted_scratch_);
+  // Each insert is followed by the erase of the key it evicted: the
+  // interleaving matters because counting-Bloom clamps make updates
+  // order-dependent.
   key_scratch_.clear();
   delta_scratch_.clear();
-  for (std::size_t j = 0; j < pending.size(); ++j) {
-    key_scratch_.push_back(static_cast<std::uint64_t>(pending[j].key));
+  for (const std::int64_t key : pending) {
+    key_scratch_.push_back(static_cast<std::uint64_t>(key));
     delta_scratch_.push_back(+1);
-    if (j >= free_slots) {
-      key_scratch_.push_back(
-          static_cast<std::uint64_t>(evicted_scratch_[j - free_slots].key));
+    if (const auto evicted = window_[side].insert(key)) {
+      key_scratch_.push_back(static_cast<std::uint64_t>(*evicted));
       delta_scratch_.push_back(-1);
     }
   }

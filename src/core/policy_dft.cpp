@@ -14,6 +14,18 @@ namespace {
 std::size_t side_index(stream::StreamSide side) {
   return static_cast<std::size_t>(side);
 }
+
+// At most this many coefficient deltas (per stream side) ride on one tuple
+// frame; the largest-magnitude changes go first. Keeps piggyback overhead a
+// bounded fraction of tuple traffic; standalone flushes are uncapped.
+constexpr std::size_t kPiggybackMaxCoeffs = 4;
+
+// Coefficient of variation under which the flow filter declares the
+// uniform worst case and falls back to round-robin (Section 5.2.2: "a very
+// small variance in the filter probabilities indicates equal correlation
+// with all neighbors"). Relative spread keeps the detector scale-free in
+// the score magnitudes.
+constexpr double kUniformDetectionCv = 0.25;
 }  // namespace
 
 DftSummaryEngine::DftSummaryEngine(const SystemConfig& config, net::NodeId self)
@@ -146,7 +158,7 @@ SummaryBlock DftSummaryEngine::block_for(net::NodeId peer,
 
 SummaryBlock DftSummaryEngine::piggyback_for(net::NodeId peer) {
   peers_[peer].tuples_since_contact = 0;
-  return block_for(peer, config_.piggyback_max_coeffs);
+  return block_for(peer, kPiggybackMaxCoeffs);
 }
 
 void DftSummaryEngine::apply_deltas(net::NodeId peer, stream::StreamSide side,
@@ -293,7 +305,7 @@ std::vector<net::NodeId> DftFamilyPolicy::route(const stream::Tuple& tuple) {
     var /= static_cast<double>(rhos.size());
     // Scale-free detection: equal correlation with all neighbors means the
     // scores' relative spread vanishes, not their absolute variance.
-    fallback_ = mean > 0.0 && std::sqrt(var) < config_.uniform_detection_cv * mean;
+    fallback_ = mean > 0.0 && std::sqrt(var) < kUniformDetectionCv * mean;
   }
   if (fallback_) {
     const auto k = static_cast<std::uint32_t>(std::lround(budget));

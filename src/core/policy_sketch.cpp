@@ -35,28 +35,25 @@ SketchSummaryEngine::SketchSummaryEngine(const SystemConfig& config,
 
 void SketchSummaryEngine::observe_local(const stream::Tuple& tuple) {
   // Deferred: nothing reads local_[side] until the next estimate refresh or
-  // broadcast, so the tuple only joins the pending batch here. flush_pending
+  // broadcast, so the key only joins the pending batch here. flush_pending
   // runs the sketch's batched two-pass update at the first read.
-  pending_[static_cast<std::size_t>(tuple.side)].push_back(tuple);
+  pending_[static_cast<std::size_t>(tuple.side)].push_back(tuple.key);
   ++local_tuples_;
 }
 
 void SketchSummaryEngine::flush_pending(std::size_t side) {
   auto& pending = pending_[side];
   if (pending.empty()) return;
-  evicted_scratch_.clear();
-  window_[side].insert_batch(pending, evicted_scratch_);
   key_scratch_.clear();
-  key_scratch_.reserve(pending.size());
-  for (const auto& t : pending) {
-    key_scratch_.push_back(static_cast<std::uint64_t>(t.key));
+  evicted_scratch_.clear();
+  for (const std::int64_t key : pending) {
+    key_scratch_.push_back(static_cast<std::uint64_t>(key));
+    if (const auto evicted = window_[side].insert(key)) {
+      evicted_scratch_.push_back(static_cast<std::uint64_t>(*evicted));
+    }
   }
   local_[side].update_batch(key_scratch_, +1);
-  key_scratch_.clear();
-  for (const auto& t : evicted_scratch_) {
-    key_scratch_.push_back(static_cast<std::uint64_t>(t.key));
-  }
-  local_[side].update_batch(key_scratch_, -1);
+  local_[side].update_batch(evicted_scratch_, -1);
   pending.clear();
 }
 

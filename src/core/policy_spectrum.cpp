@@ -41,11 +41,9 @@ SpectrumSummaryEngine::SpectrumSummaryEngine(const SystemConfig& config,
 
 void SpectrumSummaryEngine::observe_local(const stream::Tuple& tuple) {
   const auto side = static_cast<std::size_t>(tuple.side);
-  const auto evicted = window_[side].insert(tuple);
+  const auto evicted = window_[side].insert(tuple.key);
   local_[side].add(tuple.key, +1);
-  if (evicted.valid) {
-    local_[side].add(evicted.tuple.key, -1);
-  }
+  if (evicted) local_[side].add(*evicted, -1);
   ++local_tuples_;
 }
 

@@ -20,13 +20,12 @@ DspSystem::DspSystem(const SystemConfig& config)
 
   query_metrics_.reserve(config.queries.size());
   metrics_ptrs_.reserve(config.queries.size());
-  oracles_.reserve(config.queries.size());
   for (const QuerySpec& spec : config.queries) {
     query_metrics_.push_back(std::make_unique<MetricsCollector>());
     query_metrics_.back()->set_node_count(config.nodes);
     query_metrics_.back()->set_epoch_group(this);
     metrics_ptrs_.push_back(query_metrics_.back().get());
-    oracles_.emplace_back(spec.join_half_width_s);
+    oracles_.try_emplace(spec.join_half_width_s, spec.join_half_width_s);
   }
   hosts_.resize(config.nodes);
   for (net::NodeId id = 0; id < config.nodes; ++id) {
@@ -123,7 +122,7 @@ void DspSystem::schedule_arrival(net::NodeId node, stream::StreamSide side,
     // therefore stays on the (serial) dispatch path; the node's per-tuple
     // work is what the parallel driver fans out.
     if (config_.oracle_enabled) {
-      for (ExactJoinOracle& oracle : oracles_) oracle.observe(tuple);
+      for (auto& [width, oracle] : oracles_) oracle.observe(tuple);
     }
     defer_arrival(node, now, tuple);
 
@@ -181,7 +180,7 @@ ExperimentResult DspSystem::run() {
   for (std::size_t q = 0; q < specs.size(); ++q) {
     QueryResult& query = result.per_query[q];
     query.query_id = specs[q].id;
-    query.exact_pairs = oracles_[q].total_pairs();
+    query.exact_pairs = oracles_.at(specs[q].join_half_width_s).total_pairs();
     query.reported_pairs = query_metrics_[q]->distinct_pairs();
     query.pairs = query_metrics_[q]->pairs();
     lists.push_back(query.pairs);

@@ -33,6 +33,11 @@ Coordinator::Coordinator(CoordinatorOptions options)
     // stream::Tuple serializes the origin node as one byte.
     throw std::invalid_argument("the wire format addresses at most 255 nodes");
   }
+  // Every daemon's CONFIG decoder runs the same gate; an invalid config
+  // would only surface as daemons dying while the mesh forms.
+  if (auto valid = core::validate_config(options_.config); !valid.is_ok()) {
+    throw std::invalid_argument(valid.message());
+  }
   auto listener = net::tcp_listen(options_.port, 64);
   if (!listener) {
     throw std::runtime_error("coordinator listen: " +

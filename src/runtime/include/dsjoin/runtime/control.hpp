@@ -47,7 +47,10 @@ namespace dsjoin::runtime {
 // drops the scalar policy, throttle and half-width fields and carries at
 // least one query — and METRICS_REPORT ends after its last query section
 // (the node-level pair list is gone).
-inline constexpr std::uint32_t kProtocolVersion = 7;
+// v8: CONFIG drops six fields nothing set — piggyback_max_coeffs,
+// coeff_delta_threshold, uniform_detection_cv, audit_probability,
+// controller_gain and controller_interval_tuples are constants now.
+inline constexpr std::uint32_t kProtocolVersion = 8;
 
 enum class ControlType : std::uint8_t {
   kHello = 1,

@@ -19,6 +19,13 @@
 namespace dsjoin::runtime {
 
 RunReport run_local(const core::SystemConfig& config, LocalOptions options) {
+  // The same gate as runtime::run_experiment: an invalid config fails here,
+  // named, before the coordinator or any daemon thread starts.
+  if (auto valid = core::validate_config(config); !valid.is_ok()) {
+    RunReport report;
+    report.error = valid.message();
+    return report;
+  }
   CoordinatorOptions coordinator_options;
   coordinator_options.port = 0;
   coordinator_options.config = config;

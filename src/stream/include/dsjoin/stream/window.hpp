@@ -2,22 +2,20 @@
 //
 // Section 2 of the paper defines the window in terms of time duration,
 // number of tuples, or a landmark, and notes the approach is agnostic to the
-// choice. All three policies are implemented:
+// choice. Two are implemented, one per job:
 //
-//  * TupleStore      — timestamp-retained, key-indexed store used by the
-//                      distributed join (time-duration semantics with a
-//                      retention margin so delayed arrivals still match);
-//  * CountWindow     — last-W tuples ring (also the window the DFT sees);
-//  * LandmarkWindow  — everything since the most recent landmark.
+//  * TupleStore   — timestamp-retained, key-indexed store used by the
+//                   distributed join (time-duration semantics with a
+//                   retention margin so delayed arrivals still match);
+//  * CountWindow  — ring of the last W keys: the window the BLOOM, SKCH
+//                   and SPEC summaries see.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
-#include <span>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "dsjoin/stream/tuple.hpp"
@@ -55,13 +53,9 @@ class TupleStore {
   /// Drops every tuple with timestamp < min_timestamp.
   void evict_before(double min_timestamp);
 
-  /// Number of stored tuples with the given key and timestamp within
-  /// [center - half_width, center + half_width].
-  std::uint64_t count_matches(std::int64_t key, double center,
-                              double half_width) const;
-
-  /// Appends every match to `out` (same predicate as count_matches), in
-  /// per-key insertion order.
+  /// Appends every stored tuple with the given key and timestamp within
+  /// [center - half_width, center + half_width] to `out`, in per-key
+  /// insertion order.
   void collect_matches(std::int64_t key, double center, double half_width,
                        std::vector<StoredTuple>& out) const;
 
@@ -110,56 +104,25 @@ class TupleStore {
   std::size_t size_ = 0;
 };
 
-/// Ring of the last W tuples (count-based window).
+/// Ring of the last W keys (count-based window). The summaries read only
+/// which key falls out, so that is all the window keeps.
 class CountWindow {
  public:
   explicit CountWindow(std::size_t capacity);
 
-  /// Inserts a tuple; returns the evicted tuple's key if the window was
-  /// full (the caller unwinds index structures with it).
-  struct Evicted {
-    bool valid = false;
-    Tuple tuple;
-  };
-  Evicted insert(const Tuple& tuple);
+  /// Appends a key; once the window is full, returns the oldest key, which
+  /// the new one displaces (the caller unwinds its summary with it).
+  std::optional<std::int64_t> insert(std::int64_t key);
 
-  /// Inserts every tuple in order, appending each eviction (in eviction
-  /// order) to `evicted`. Final window and index state is identical to
-  /// calling insert() per tuple; batches that cannot evict skip the
-  /// per-tuple capacity bookkeeping entirely.
-  void insert_batch(std::span<const Tuple> tuples, std::vector<Tuple>& evicted);
-
-  std::uint64_t count_matches(std::int64_t key) const;
   std::size_t size() const noexcept { return ring_.size(); }
-  std::size_t capacity() const noexcept { return capacity_; }
   bool full() const noexcept { return ring_.size() == capacity_; }
 
  private:
   std::size_t capacity_;
-  std::deque<Tuple> ring_;
-  std::unordered_map<std::int64_t, std::uint64_t> key_counts_;
-};
-
-/// Everything since the last landmark (e.g. "since market open").
-class LandmarkWindow {
- public:
-  explicit LandmarkWindow(double landmark_time = 0.0);
-
-  /// Inserts if the tuple is at or after the landmark; pre-landmark tuples
-  /// are ignored and false is returned.
-  bool insert(const Tuple& tuple);
-
-  /// Moves the landmark forward, discarding older tuples.
-  void reset_landmark(double landmark_time);
-
-  std::uint64_t count_matches(std::int64_t key) const;
-  std::size_t size() const noexcept { return size_; }
-  double landmark() const noexcept { return landmark_; }
-
- private:
-  double landmark_;
-  std::unordered_map<std::int64_t, std::vector<StoredTuple>> by_key_;
-  std::size_t size_ = 0;
+  // Grows to capacity_ on first fill (most windows never fill, and a node
+  // holds several), then wraps: head_ is the oldest slot.
+  std::vector<std::int64_t> ring_;
+  std::size_t head_ = 0;
 };
 
 /// Brute-force reference join: all pairs (r, s) with equal keys and

@@ -1,22 +1,10 @@
 #include "dsjoin/stream/window.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "dsjoin/common/simd.hpp"
 
 namespace dsjoin::stream {
-
-namespace {
-
-// First insert into a bucket reserves a few slots so the 1 -> 2 -> 4
-// growth reallocations never happen for the typical short bucket.
-void bucket_push(std::vector<StoredTuple>& bucket, const Tuple& tuple) {
-  if (bucket.capacity() == 0) bucket.reserve(4);
-  bucket.push_back(StoredTuple{tuple.id, tuple.timestamp, tuple.origin});
-}
-
-}  // namespace
 
 void TupleStore::insert(const Tuple& tuple) {
   Partition& part = parts_[part_of(tuple.key)];
@@ -97,22 +85,6 @@ void TupleStore::evict_before(double min_timestamp) {
   }
 }
 
-std::uint64_t TupleStore::count_matches(std::int64_t key, double center,
-                                        double half_width) const {
-  const double lo = center - half_width;
-  const double hi = center + half_width;
-  const Partition& part = parts_[part_of(key)];
-  std::uint64_t n = 0;
-  for (const auto& chunk : part.chunks) {
-    const Chunk& c = *chunk;
-    if (c.live() == 0 || c.max_ts < lo || c.live_min > hi) continue;
-    n += common::simd::match_count_scan(c.keys.data() + c.live_begin,
-                                        c.ts.data() + c.live_begin, c.live(),
-                                        key, lo, hi);
-  }
-  return n;
-}
-
 void TupleStore::collect_matches(std::int64_t key, double center,
                                  double half_width,
                                  std::vector<StoredTuple>& out) const {
@@ -137,69 +109,15 @@ CountWindow::CountWindow(std::size_t capacity) : capacity_(capacity) {
   assert(capacity >= 1);
 }
 
-CountWindow::Evicted CountWindow::insert(const Tuple& tuple) {
-  Evicted evicted;
-  if (ring_.size() == capacity_) {
-    evicted.valid = true;
-    evicted.tuple = ring_.front();
-    auto it = key_counts_.find(evicted.tuple.key);
-    assert(it != key_counts_.end());
-    if (--it->second == 0) key_counts_.erase(it);
-    ring_.pop_front();
+std::optional<std::int64_t> CountWindow::insert(std::int64_t key) {
+  if (ring_.size() < capacity_) {
+    ring_.push_back(key);
+    return std::nullopt;
   }
-  ring_.push_back(tuple);
-  ++key_counts_[tuple.key];
+  const std::int64_t evicted = ring_[head_];
+  ring_[head_] = key;
+  if (++head_ == capacity_) head_ = 0;
   return evicted;
-}
-
-void CountWindow::insert_batch(std::span<const Tuple> tuples,
-                               std::vector<Tuple>& evicted) {
-  std::size_t i = 0;
-  // While the window still has room for the whole remaining batch, no
-  // insert can evict: skip the capacity check and front-eviction
-  // bookkeeping per tuple.
-  const std::size_t room = capacity_ - ring_.size();
-  const std::size_t free_fill = std::min(room, tuples.size());
-  for (; i < free_fill; ++i) {
-    ring_.push_back(tuples[i]);
-    ++key_counts_[tuples[i].key];
-  }
-  for (; i < tuples.size(); ++i) {
-    Evicted e = insert(tuples[i]);
-    if (e.valid) evicted.push_back(std::move(e.tuple));
-  }
-}
-
-std::uint64_t CountWindow::count_matches(std::int64_t key) const {
-  const auto it = key_counts_.find(key);
-  return it == key_counts_.end() ? 0 : it->second;
-}
-
-LandmarkWindow::LandmarkWindow(double landmark_time) : landmark_(landmark_time) {}
-
-bool LandmarkWindow::insert(const Tuple& tuple) {
-  if (tuple.timestamp < landmark_) return false;
-  bucket_push(by_key_[tuple.key], tuple);
-  ++size_;
-  return true;
-}
-
-void LandmarkWindow::reset_landmark(double landmark_time) {
-  landmark_ = landmark_time;
-  for (auto it = by_key_.begin(); it != by_key_.end();) {
-    auto& bucket = it->second;
-    const auto before = bucket.size();
-    std::erase_if(bucket, [&](const StoredTuple& st) {
-      return st.timestamp < landmark_;
-    });
-    size_ -= before - bucket.size();
-    it = bucket.empty() ? by_key_.erase(it) : std::next(it);
-  }
-}
-
-std::uint64_t LandmarkWindow::count_matches(std::int64_t key) const {
-  const auto it = by_key_.find(key);
-  return it == by_key_.end() ? 0 : it->second.size();
 }
 
 std::vector<ResultPair> reference_join(const std::vector<Tuple>& r_tuples,

@@ -7,8 +7,8 @@
 // Each test splits one input stream into randomly sized batches — including
 // empty and single-element batches — across three seeds, and compares full
 // observable state against a scalar twin fed element by element. The last
-// section pins the SIMD match-scan kernels against their scalar reference at
-// every dispatch level.
+// section pins the SIMD match-collect kernel against its scalar reference
+// at every dispatch level.
 
 #include <cstdint>
 #include <vector>
@@ -21,7 +21,6 @@
 #include "dsjoin/sketch/agms.hpp"
 #include "dsjoin/sketch/bloom.hpp"
 #include "dsjoin/sketch/hash.hpp"
-#include "dsjoin/stream/window.hpp"
 
 namespace dsjoin {
 namespace {
@@ -54,20 +53,6 @@ std::vector<std::uint64_t> m61_edge_keys() {
   constexpr std::uint64_t kP = sketch::kMersenne61;
   return {0,      1,        kP - 1,   kP,      kP + 1,  (1ull << 32) - 1,
           1ull << 32, 1ull << 61, 1ull << 62, ~0ull,   ~0ull - 1, 0xdeadbeefULL};
-}
-
-std::vector<stream::Tuple> random_tuples(std::size_t n, common::Xoshiro256& rng) {
-  std::vector<stream::Tuple> out(n);
-  double ts = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i].id = i + 1;
-    out[i].key = static_cast<std::int64_t>(rng.next() % 64);
-    ts += rng.next_double_in(0.0, 0.01);
-    out[i].timestamp = ts;
-    out[i].origin = 0;
-    out[i].side = stream::StreamSide::kR;
-  }
-  return out;
 }
 
 TEST(BatchIdentity, SlidingDftMatchesScalarBitForBit) {
@@ -183,39 +168,6 @@ TEST(BatchIdentity, CountingBloomMatchesScalarBitForBit) {
       i += n;
     }
     EXPECT_EQ(scalar.counters(), batched.counters()) << "seed=" << seed;
-  }
-}
-
-TEST(BatchIdentity, CountWindowMatchesScalarBitForBit) {
-  for (const std::uint64_t seed : kSeeds) {
-    common::Xoshiro256 rng(seed);
-    const auto tuples = random_tuples(1200, rng);
-
-    stream::CountWindow scalar(256);
-    stream::CountWindow batched(256);
-    std::vector<stream::Tuple> scalar_evicted;
-    std::vector<stream::Tuple> batch_evicted;
-
-    std::size_t i = 0;
-    while (i < tuples.size()) {
-      const std::size_t n = std::min(next_batch_size(rng), tuples.size() - i);
-      for (std::size_t j = 0; j < n; ++j) {
-        auto e = scalar.insert(tuples[i + j]);
-        if (e.valid) scalar_evicted.push_back(e.tuple);
-      }
-      batched.insert_batch(std::span<const stream::Tuple>(tuples).subspan(i, n),
-                           batch_evicted);
-      i += n;
-    }
-    ASSERT_EQ(scalar.size(), batched.size());
-    ASSERT_EQ(scalar_evicted.size(), batch_evicted.size()) << "seed=" << seed;
-    for (std::size_t j = 0; j < scalar_evicted.size(); ++j) {
-      EXPECT_EQ(scalar_evicted[j].id, batch_evicted[j].id) << "seed=" << seed;
-    }
-    for (std::int64_t key = 0; key < 64; ++key) {
-      EXPECT_EQ(scalar.count_matches(key), batched.count_matches(key))
-          << "seed=" << seed << " key=" << key;
-    }
   }
 }
 
@@ -336,24 +288,16 @@ TEST(SimdIdentity, MatchScanKernelsMatchScalarAtEveryLevel) {
                             std::size_t{3}, std::size_t{4}, std::size_t{7},
                             std::size_t{8}, std::size_t{9}, std::size_t{15},
                             std::size_t{16}, std::size_t{17}, n}) {
-      std::uint64_t want_count = 0;
       std::vector<std::uint32_t> want_idx(len);
       std::size_t want_m = 0;
       {
         ForcedLevel scalar(simd::Level::kScalar);
-        want_count = simd::match_count_scan(keys.data(), ts.data(), len,
-                                            probe.key, probe.lo, probe.hi);
         want_m = simd::match_collect_scan(keys.data(), ts.data(), len,
                                           probe.key, probe.lo, probe.hi,
                                           want_idx.data());
       }
-      ASSERT_EQ(want_count, want_m);
       for (const simd::Level level : supported_levels()) {
         ForcedLevel forced(level);
-        EXPECT_EQ(want_count,
-                  simd::match_count_scan(keys.data(), ts.data(), len, probe.key,
-                                         probe.lo, probe.hi))
-            << simd::level_name(level) << " len=" << len << " key=" << probe.key;
         std::vector<std::uint32_t> idx(len);
         const std::size_t m =
             simd::match_collect_scan(keys.data(), ts.data(), len, probe.key,

@@ -1,4 +1,5 @@
-// Golden regression pins: N=4, seed 42, ZIPF, 400 tuples/node/side.
+// Golden regression pins: N=4, seed 42, ZIPF, 400 tuples/node/side, plus
+// evicting-window pins for the count-window policies (800 tuples, W = 64).
 //
 // The simulator is deterministic end to end (fixed-seed xoshiro streams,
 // virtual time, -ffp-contract=off builds), so the headline figure metrics —
@@ -93,6 +94,51 @@ TEST_P(GoldenRegression, ParallelDriverMatchesGoldens) {
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, GoldenRegression,
                          ::testing::ValuesIn(kGoldens),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param.policy));
+                         });
+
+// Pins with evicting summary windows: W = 64 against 800 tuples per node
+// and side, so every BLOOM / SKCH / SPEC count window fills and evicts,
+// and the summaries broadcast every 64 tuples. The rows above never evict
+// (400 tuples against W = 2048), and the parity suites compare backends
+// with each other, so only these rows catch a changed eviction order.
+constexpr Golden kEvictingGoldens[] = {
+    {PolicyKind::kBloom, 18460ull, 15889ull, 7647ull, 300ull, 0ull,
+     0.13927410617551461, 0.48127635471080621},
+    {PolicyKind::kSketch, 18460ull, 16699ull, 16406ull, 300ull, 0ull,
+     0.095395449620801709, 0.98245403916402185},
+    {PolicyKind::kSpectrum, 18460ull, 17388ull, 18901ull, 300ull, 0ull,
+     0.058071505958829928, 1.0870140326662066},
+};
+
+SystemConfig evicting_config(PolicyKind kind) {
+  SystemConfig config = golden_config(kind);
+  config.tuples_per_node = 800;
+  config.dft_window = 64;
+  config.kappa = 8.0;
+  config.summary_epoch_tuples = 64;
+  return config;
+}
+
+class GoldenEvictingWindows : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(GoldenEvictingWindows, PinnedMetricsUnchanged) {
+  const Golden& golden = GetParam();
+  const auto result = run_experiment(evicting_config(golden.policy));
+  EXPECT_EQ(result.exact_pairs, golden.exact_pairs);
+  EXPECT_EQ(result.reported_pairs, golden.reported_pairs);
+  EXPECT_EQ(result.traffic.total_frames(), golden.total_frames);
+  EXPECT_EQ(result.traffic.frames(net::FrameKind::kSummary),
+            golden.summary_frames);
+  EXPECT_EQ(result.traffic.piggyback_bytes, golden.piggyback_bytes);
+  EXPECT_DOUBLE_EQ(result.epsilon, golden.epsilon);
+  EXPECT_DOUBLE_EQ(result.messages_per_result, golden.messages_per_result);
+  EXPECT_EQ(result.late_summaries, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(SummaryPolicies, GoldenEvictingWindows,
+                         ::testing::ValuesIn(kEvictingGoldens),
                          [](const auto& info) {
                            return std::string(to_string(info.param.policy));
                          });

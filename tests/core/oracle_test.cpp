@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "dsjoin/common/rng.hpp"
+#include "dsjoin/stream/window.hpp"
 
 namespace dsjoin::core {
 namespace {
@@ -73,6 +74,32 @@ TEST(ExactJoinOracle, MatchesReferenceJoinOnRandomStream) {
   ExactJoinOracle oracle(half);
   for (const auto& t : all) oracle.observe(t);  // already in ts order
   EXPECT_EQ(oracle.total_pairs(), expected);
+}
+
+TEST(ExactJoinOracle, MatchesReferenceJoinWithTiesAndReentry) {
+  // Timestamps on a 0.5 s grid: equal timestamps across sides and partners
+  // exactly half_width apart are common. Six keys recur every few seconds,
+  // longer than the narrow windows, and a rare 10 s gap outlasts every
+  // window, so keys leave the live counts and re-enter them.
+  common::Xoshiro256 rng(29);
+  std::vector<stream::Tuple> r_tuples, s_tuples, all;
+  double ts = 0.0;
+  for (std::uint64_t i = 0; i < 3000; ++i) {
+    const std::uint64_t roll = rng.next() % 64;
+    ts += roll == 0 ? 10.0 : 0.5 * static_cast<double>(roll % 3);
+    auto t = make_tuple(i, rng.next_in(1, 6), ts,
+                        rng.next_bool(0.5) ? stream::StreamSide::kR
+                                           : stream::StreamSide::kS);
+    (t.side == stream::StreamSide::kR ? r_tuples : s_tuples).push_back(t);
+    all.push_back(t);
+  }
+  for (const double half : {0.5, 1.0, 2.5}) {
+    const auto expected =
+        stream::reference_join(r_tuples, s_tuples, half).size();
+    ExactJoinOracle oracle(half);
+    for (const auto& t : all) oracle.observe(t);
+    EXPECT_EQ(oracle.total_pairs(), expected) << "half_width=" << half;
+  }
 }
 
 TEST(ExactJoinOracle, EvictionDoesNotLoseLivePairs) {

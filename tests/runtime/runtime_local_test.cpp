@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <stdexcept>
+#include <string>
+
 namespace dsjoin::runtime {
 namespace {
 
@@ -92,6 +96,29 @@ TEST(RuntimeLocal, TwoNodeMinimumWorks) {
   ASSERT_TRUE(report.clean) << report.error;
   EXPECT_EQ(report.nodes_admitted, 2u);
   EXPECT_EQ(report.false_pairs, 0u);
+}
+
+TEST(RuntimeLocal, RejectsInvalidConfigBeforeStartingDaemons) {
+  // A rate of 0 fails validate_config. run_local must name the violation
+  // up front instead of starting daemons whose CONFIG decoder rejects it,
+  // so it returns at once, long before the 5 s heartbeat timeout, the
+  // shortest the coordinator waits on.
+  auto config = test_config(core::PolicyKind::kRoundRobin);
+  config.arrivals_per_second = 0.0;
+  const auto start = std::chrono::steady_clock::now();
+  const RunReport report = run_local(config);
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  EXPECT_FALSE(report.clean);
+  EXPECT_NE(report.error.find("rate"), std::string::npos) << report.error;
+  EXPECT_EQ(report.nodes_admitted, 0u);
+  EXPECT_LT(elapsed_s, 2.0);
+
+  CoordinatorOptions options;
+  options.port = 0;
+  options.config = config;
+  EXPECT_THROW(Coordinator{options}, std::invalid_argument);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <vector>
 
 #include "dsjoin/common/rng.hpp"
 
@@ -20,24 +22,32 @@ Tuple make_tuple(std::uint64_t id, std::int64_t key, double ts,
   return t;
 }
 
+// Number of stored tuples collect_matches finds for (key, center +/- hw).
+std::size_t collected(const TupleStore& store, std::int64_t key, double center,
+                      double half_width) {
+  std::vector<StoredTuple> matches;
+  store.collect_matches(key, center, half_width, matches);
+  return matches.size();
+}
+
 TEST(TupleStore, CountsMatchesWithinWindow) {
   TupleStore store;
   store.insert(make_tuple(1, 5, 10.0));
   store.insert(make_tuple(2, 5, 12.0));
   store.insert(make_tuple(3, 5, 30.0));
   store.insert(make_tuple(4, 7, 11.0));
-  EXPECT_EQ(store.count_matches(5, 11.0, 2.0), 2u);   // ids 1, 2
-  EXPECT_EQ(store.count_matches(5, 11.0, 100.0), 3u);
-  EXPECT_EQ(store.count_matches(7, 11.0, 0.5), 1u);
-  EXPECT_EQ(store.count_matches(9, 11.0, 100.0), 0u);
+  EXPECT_EQ(collected(store, 5, 11.0, 2.0), 2u);  // ids 1, 2
+  EXPECT_EQ(collected(store, 5, 11.0, 100.0), 3u);
+  EXPECT_EQ(collected(store, 7, 11.0, 0.5), 1u);
+  EXPECT_EQ(collected(store, 9, 11.0, 100.0), 0u);
   EXPECT_EQ(store.size(), 4u);
 }
 
 TEST(TupleStore, WindowBoundariesAreInclusive) {
   TupleStore store;
   store.insert(make_tuple(1, 5, 10.0));
-  EXPECT_EQ(store.count_matches(5, 12.0, 2.0), 1u);  // exactly at the edge
-  EXPECT_EQ(store.count_matches(5, 12.0, 1.999), 0u);
+  EXPECT_EQ(collected(store, 5, 12.0, 2.0), 1u);  // exactly at the edge
+  EXPECT_EQ(collected(store, 5, 12.0, 1.999), 0u);
 }
 
 TEST(TupleStore, ForEachMatchVisitsAll) {
@@ -65,9 +75,9 @@ TEST(TupleStore, EvictionDropsOldTuples) {
   }
   store.evict_before(50.0);
   EXPECT_EQ(store.size(), 50u);
-  EXPECT_EQ(store.count_matches(1, 50.0, 1000.0), 50u);
+  EXPECT_EQ(collected(store, 1, 50.0, 1000.0), 50u);
   // timestamp 50 itself survives (strictly-before eviction)
-  EXPECT_EQ(store.count_matches(1, 50.0, 0.0), 1u);
+  EXPECT_EQ(collected(store, 1, 50.0, 0.0), 1u);
 }
 
 TEST(TupleStore, EvictionHandlesOutOfOrderInserts) {
@@ -85,8 +95,8 @@ TEST(TupleStore, EvictionHandlesOutOfOrderInserts) {
   }
   store.evict_before(250.0);
   EXPECT_EQ(store.size(), 250u);
-  EXPECT_EQ(store.count_matches(9, 0.0, 1e9), 250u);
-  EXPECT_EQ(store.count_matches(9, 100.0, 10.0), 0u);  // all below 250 gone
+  EXPECT_EQ(collected(store, 9, 0.0, 1e9), 250u);
+  EXPECT_EQ(collected(store, 9, 100.0, 10.0), 0u);  // all below 250 gone
 }
 
 TEST(TupleStore, EvictionRemovesEmptyKeys) {
@@ -94,49 +104,21 @@ TEST(TupleStore, EvictionRemovesEmptyKeys) {
   store.insert(make_tuple(1, 5, 1.0));
   store.evict_before(10.0);
   EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.count_matches(5, 1.0, 10.0), 0u);
+  EXPECT_EQ(collected(store, 5, 1.0, 10.0), 0u);
 }
 
 TEST(CountWindow, EvictsOldestWhenFull) {
   CountWindow window(3);
-  EXPECT_FALSE(window.insert(make_tuple(1, 10, 0)).valid);
-  EXPECT_FALSE(window.insert(make_tuple(2, 20, 1)).valid);
-  EXPECT_FALSE(window.insert(make_tuple(3, 10, 2)).valid);
+  EXPECT_FALSE(window.insert(10).has_value());
+  EXPECT_FALSE(window.insert(20).has_value());
+  EXPECT_FALSE(window.insert(10).has_value());
   EXPECT_TRUE(window.full());
-  const auto evicted = window.insert(make_tuple(4, 30, 3));
-  ASSERT_TRUE(evicted.valid);
-  EXPECT_EQ(evicted.tuple.id, 1u);
-  EXPECT_EQ(window.count_matches(10), 1u);  // only id 3 remains
-  EXPECT_EQ(window.count_matches(20), 1u);
-  EXPECT_EQ(window.count_matches(30), 1u);
+  // Each insert into the full window displaces the oldest key, in order.
+  EXPECT_EQ(window.insert(30), std::optional<std::int64_t>(10));
+  EXPECT_EQ(window.insert(40), std::optional<std::int64_t>(20));
+  EXPECT_EQ(window.insert(50), std::optional<std::int64_t>(10));
+  EXPECT_EQ(window.insert(60), std::optional<std::int64_t>(30));
   EXPECT_EQ(window.size(), 3u);
-}
-
-TEST(CountWindow, KeyCountsTrackMultiplicity) {
-  CountWindow window(10);
-  for (std::uint64_t i = 0; i < 5; ++i) window.insert(make_tuple(i, 7, 0));
-  EXPECT_EQ(window.count_matches(7), 5u);
-  EXPECT_EQ(window.count_matches(8), 0u);
-}
-
-TEST(LandmarkWindow, IgnoresPreLandmarkTuples) {
-  LandmarkWindow window(100.0);
-  EXPECT_FALSE(window.insert(make_tuple(1, 5, 99.0)));
-  EXPECT_TRUE(window.insert(make_tuple(2, 5, 100.0)));
-  EXPECT_TRUE(window.insert(make_tuple(3, 5, 150.0)));
-  EXPECT_EQ(window.size(), 2u);
-  EXPECT_EQ(window.count_matches(5), 2u);
-}
-
-TEST(LandmarkWindow, ResetDiscardsOlder) {
-  LandmarkWindow window(0.0);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    window.insert(make_tuple(i, 1, static_cast<double>(i)));
-  }
-  window.reset_landmark(5.0);
-  EXPECT_EQ(window.size(), 5u);
-  EXPECT_EQ(window.count_matches(1), 5u);
-  EXPECT_DOUBLE_EQ(window.landmark(), 5.0);
 }
 
 TEST(ReferenceJoin, MatchesBruteForceSemantics) {
@@ -169,7 +151,7 @@ TEST(TupleStoreVsReferenceJoin, AgreeOnRandomData) {
   for (const auto& s : s_tuples) s_store.insert(s);
   std::size_t streamed = 0;
   for (const auto& r : r_tuples) {
-    streamed += s_store.count_matches(r.key, r.timestamp, half);
+    streamed += collected(s_store, r.key, r.timestamp, half);
   }
   EXPECT_EQ(streamed, expected.size());
 }
