@@ -248,7 +248,6 @@ void serialize_config(const SystemConfig& config, common::BufferWriter& out) {
   out.write_f64(config.kappa);
   out.write_u32(config.summary_epoch_tuples);
   out.write_f64(config.summary_sync_epoch_s);
-  out.write_u32(config.stale_flush_epochs);
   out.write_i64(config.membership_tolerance);
   out.write_f64(config.max_backlog_s);
   out.write_u32(config.coalesce_frames);
@@ -302,7 +301,6 @@ common::Result<SystemConfig> deserialize_config(common::BufferReader& in) {
     return common::Status(common::ErrorCode::kDataLoss,
                           "summary sync epoch out of range");
   }
-  DSJOIN_READ(stale_flush_epochs, read_u32);
   DSJOIN_READ(membership_tolerance, read_i64);
   DSJOIN_READ(max_backlog_s, read_f64);
   DSJOIN_READ(coalesce_frames, read_u32);

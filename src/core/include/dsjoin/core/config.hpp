@@ -118,11 +118,6 @@ struct SystemConfig {
   /// tau + wan.latency_min_s (see summary_visible_time), on every backend.
   /// Must be > 0.
   double summary_sync_epoch_s = 0.25;
-  /// Peers that received no tuple (hence no piggybacked update) for this
-  /// many epochs get a standalone summary frame. Kept lazy: coefficient
-  /// updates ride almost entirely on tuple traffic (Figure 7 line 5), so
-  /// summary bytes track — rather than outgrow — the net data (Figure 8).
-  std::uint32_t stale_flush_epochs = 8;
   std::int64_t membership_tolerance = 32;  ///< +/- slack for reconstructed keys
   /// Preferred fixed-point mantissa width for coefficient summaries
   /// (wire format v4): 0 disables quantization (coefficients ship as f64,

@@ -76,6 +76,9 @@ struct NodeReport {
   /// numbers the in-process backends do.
   double predicted_missed_mass = 0.0;
   double predicted_total_mass = 0.0;
+  /// 1 when this node's drain timed out and it reported what it had (a
+  /// daemon's outcome, carried in METRICS_REPORT); 0 otherwise.
+  std::uint64_t partial_drains = 0;
   net::TrafficCounters traffic;       ///< frames this node sent
   /// Per-query breakdown in config.queries order, each with the node's
   /// locally discovered, deduplicated pairs. With one query it restates the
@@ -124,6 +127,10 @@ struct ExperimentResult {
   /// Sum of per-node late summary applications (0 = routing state was a
   /// pure function of virtual time; cross-backend parity holds).
   std::uint64_t late_summaries = 0;
+  /// Live nodes whose drain did not complete: a drain that timed out, or a
+  /// daemon that never reported. Their pairs may be missing, so any makes
+  /// the run unclean and `error` names the nodes.
+  std::uint64_t partial_drains = 0;
   net::TrafficCounters traffic;       ///< frames/bytes by kind
   /// The globally deduplicated pair set, sorted by (r_id, s_id) — what
   /// verify_against_schedule audits and what the cross-backend parity
@@ -157,8 +164,8 @@ struct ExperimentResult {
   std::vector<QueryResult> per_query;
 };
 
-/// Folds per-node reports into `result`: sums arrivals and decode
-/// failures, merges traffic, and merges the nodes' sorted pair lists per
+/// Folds per-node reports into `result`: sums arrivals, decode failures,
+/// late summaries and partial drains, merges traffic, and merges the nodes' sorted pair lists per
 /// query into result->per_query, then across queries into result->pairs
 /// (sorted). Callers with a shared transport (one global counter, not
 /// per-node) pass `merge_traffic = false` and install the union
@@ -185,6 +192,12 @@ void verify_against_schedule(const SystemConfig& config,
 void verify_against_schedule(const SystemConfig& config,
                              std::span<const stream::ResultPair> pairs,
                              ExperimentResult* result);
+
+/// Marks `result` unclean for the live nodes in `nodes`, whose drain did
+/// not complete, naming them in `error`. Counting them in partial_drains
+/// stays with the caller, which knows which ones a report already counted.
+void mark_partial_drains(std::span<const net::NodeId> nodes,
+                         ExperimentResult* result);
 
 /// Computes every derived metric from the raw counts. All backends call
 /// this — the coordinator's REPORT line and DspSystem::run() are the same

@@ -1,27 +1,37 @@
-// Routing policies (Section 5 and the Section 6 competitors).
+// Routing (Section 5 and the Section 6 competitors).
 //
-// A policy decides, per locally arriving tuple, which peers receive a copy —
-// the flow filtering of Figure 2 — and maintains the summaries that inform
-// that decision. All approximate policies share one probabilistic scheme:
+// A query's RoutingPolicy decides, per locally arriving tuple, which peers
+// receive a copy: the flow filtering of Figure 2. BASE broadcasts and RR
+// cycles through the peers. Every other policy runs one scheme
+// (Sections 5.2-5.3), written once in RoutingPolicy::route:
 //
-//   1. score every peer j for the tuple (policy-specific signal:
-//      DFT   -> cross-correlation coefficient rho_{i,j} (Eq. 4),
-//      DFTT  -> membership count of the key in the reconstructed remote
-//               window (Section 5.3's JoinEstimate),
+//   1. score every peer j for the tuple from the query's summary-family
+//      engine; a peer whose summary has not arrived yet scores 1.0:
+//      DFT   -> flow coefficient rho_{i,j} (Eq. 4),
+//      DFTT  -> count of the key in the reconstructed remote window
+//               (Section 5.3's JoinEstimate),
 //      BLOOM -> membership in the remote Bloom snapshot,
 //      SKCH  -> AGMS join-size estimate between the local and remote
-//               windows);
-//   2. water-fill forwarding probabilities p_{i,j} = min(1, w_i * score_j)
-//      so that sum_j p_{i,j} equals the per-node budget T_i (Eq. 9), where
-//      T_i = (N-1)^throttle spans O(1) (throttle 0) .. N-1 (throttle 1,
-//      degenerating to BASE). The epsilon calibrator bisects the throttle.
+//               windows,
+//      SPEC  -> truncated-Parseval join-size estimate (the deterministic
+//               counterpart of SKCH),
+//      SMPL  -> Horvitz-Thompson match estimate from the remote sample;
+//   2. water-fill forwarding probabilities p_{i,j} = min(1, floor + w *
+//      score_j) so that sum_j p_{i,j} equals the per-node budget T_i
+//      (Eq. 9), where T_i = (N-1)^throttle spans O(1) (throttle 0) .. N-1
+//      (throttle 1, degenerating to BASE). The epsilon calibrator bisects
+//      the throttle;
+//   3. draw each peer once from the query's RNG stream.
 //
-// The DFT family additionally detects the uniform worst case (vanishing
-// variance of the scores; Theorem 1 discussion) and falls back to
-// round-robin.
+// What differs per family is the score, the exploration floor (throttle^6
+// for the membership families DFTT and BLOOM, 5% of the uniform share for
+// the rest), SKCH's and SPEC's uniform spread when every score is 0, the
+// DFT family's uniform-case fallback to round-robin (vanishing relative
+// spread of the rhos; Theorem 1 discussion) and SMPL's per-peer bound
+// masses (DESIGN.md §14). The summary state the scores read lives in the
+// node's SummarySubstrate, which the node drives itself (DESIGN.md §15).
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -55,96 +65,83 @@ struct EpsilonBoundTerms {
   double total_mass = 0.0;
 };
 
-/// Per-query routing policy instance. Since the substrate refactor
-/// (DESIGN.md §15) a policy holds only *routing* state — its RNG stream,
-/// throttle, fallback flag and probability diagnostics. The summary state
-/// it consults (windows, coefficient stores, filters, sketches, samples)
-/// lives in a core::SummarySubstrate engine, either shared with other
-/// queries of the same family (the 4-arg factory) or privately owned (the
-/// 2-arg factory — the historical self-contained policy object).
+/// One registered query's routing: its RNG stream, throttle, fallback
+/// flag, probability diagnostics and bound terms. The summary state it
+/// scores peers with lives in its family's engine of the node's
+/// SummarySubstrate, shared with every other query of that family.
 class RoutingPolicy {
  public:
-  virtual ~RoutingPolicy();
+  /// The policy of `spec` on the node `config` describes. Registers the
+  /// query with its family's engine in `substrate`, which must outlive the
+  /// policy and which the node feeds and maintains itself.
+  RoutingPolicy(const SystemConfig& config, const QuerySpec& spec,
+                net::NodeId self, SummarySubstrate& substrate);
 
   RoutingPolicy(const RoutingPolicy&) = delete;
   RoutingPolicy& operator=(const RoutingPolicy&) = delete;
 
-  virtual const char* name() const noexcept = 0;
+  const char* name() const noexcept { return to_string(kind_); }
 
-  /// Feeds a locally arriving tuple into the substrate's summaries
-  /// (sliding DFTs / Bloom / sketch windows). Called before route().
-  /// Forwards to the substrate — a node hosting several queries calls the
-  /// substrate directly, once per tuple, instead.
-  void observe_local(const stream::Tuple& tuple);
+  /// Destinations for the tuple (excluding self; possibly empty). Call
+  /// after the substrate has observed the tuple.
+  std::vector<net::NodeId> route(const stream::Tuple& tuple);
 
-  /// Destinations for the tuple (excluding self; possibly empty).
-  virtual std::vector<net::NodeId> route(const stream::Tuple& tuple) = 0;
-
-  /// Summary bytes to piggyback on a tuple frame to `peer` (may be empty).
-  /// Marks the drained state as synced to that peer. Substrate-forwarded.
-  SummaryBlock piggyback_for(net::NodeId peer);
-
-  /// Ingests a summary block received from `peer`. Substrate-forwarded,
-  /// status included.
-  common::Status on_summary(net::NodeId peer, const SummaryBlock& block);
-
-  /// Called once per local arrival after routing: standalone summaries for
-  /// peers that have not heard from this node for a summary epoch
-  /// (Figure 7: "if a tuple message was not sent to some site for a long
-  /// period, the batch of updates are transmitted on their own").
-  /// Substrate-forwarded.
-  std::vector<OutboundSummary> maintenance(double now);
-
-  /// Sets forwarding aggressiveness in [0, 1] (see header comment).
-  virtual void set_throttle(double throttle) = 0;
+  /// Sets forwarding aggressiveness in [0, 1] (see header comment; BASE
+  /// ignores it).
+  void set_throttle(double throttle) noexcept { throttle_ = throttle; }
 
   /// True while the uniform-worst-case fallback (round-robin) is engaged.
-  virtual bool fallback_active() const noexcept { return false; }
+  bool fallback_active() const noexcept { return fallback_; }
 
-  /// True when routing consults peer summary state (DFT/DFTT/BLOOM/SKCH/
-  /// SPEC/SMPL). Drivers use this to decide whether virtual-time summary
-  /// synchronization (watermarks, visibility buffering) is needed at all;
-  /// BASE/RR runs pay zero overhead.
-  bool uses_summaries() const noexcept;
-
-  /// Current p_{i,j} estimates indexed by peer id (self entry = 0), for
-  /// diagnostics and tests. Empty if the policy has no such notion.
-  virtual std::vector<double> flow_probabilities() const { return {}; }
+  /// The last route's p_{i,j} indexed by peer id (self entry = 0), for
+  /// diagnostics and tests. Empty for BASE and RR.
+  const std::vector<double>& flow_probabilities() const noexcept {
+    return last_probs_;
+  }
 
   /// Accumulated predicted-epsilon bound terms ({0, 0} for policies with
   /// no error model — the engine reports "no bound" for those runs).
-  virtual EpsilonBoundTerms epsilon_bound_terms() const noexcept { return {}; }
-
-  /// The substrate this policy's summaries live in.
-  SummarySubstrate& substrate() noexcept { return *substrate_; }
-
-  /// Standalone factory: the policy of config.queries.front(), owning a
-  /// private substrate — the self-contained object the policy tests use.
-  static std::unique_ptr<RoutingPolicy> create(const SystemConfig& config,
-                                               net::NodeId self);
-
-  /// Shared-substrate factory: the policy of `spec` on the node `config`
-  /// describes. It registers its summary family's engine in `substrate`
-  /// and keeps only routing state of its own. `substrate` must outlive the
-  /// policy.
-  static std::unique_ptr<RoutingPolicy> create(const SystemConfig& config,
-                                               const QuerySpec& spec,
-                                               net::NodeId self,
-                                               SummarySubstrate& substrate);
-
- protected:
-  explicit RoutingPolicy(SummarySubstrate& substrate);  // out-of-line:
-  // keeps SummarySubstrate an incomplete type for policy.hpp includers
-
-  SummarySubstrate* substrate_;
+  EpsilonBoundTerms epsilon_bound_terms() const noexcept { return bound_; }
 
  private:
-  std::unique_ptr<SummarySubstrate> owned_;  // set by the 2-arg factory
+  /// One peer's signal for the tuple in flight.
+  struct PeerScore {
+    double score = 1.0;   ///< an unseeded peer explores with full weight
+    bool seeded = false;  ///< the peer's summary has arrived
+    double rho = 0.0;     ///< DFT family: what the fallback detector reads
+    double mean = 0.0;    ///< SMPL: match mass credited to the bound
+    double upper = 0.0;   ///< SMPL: confidence-inflated match mass
+  };
+
+  /// Scores `peer` from the family engine. `unseeded_upper` is SMPL's
+  /// bound charge for a peer whose sample has not arrived.
+  PeerScore score(net::NodeId peer, const stream::Tuple& tuple,
+                  double unseeded_upper);
+  /// ~T peers in cyclic order: RR, and the DFT family's fallback.
+  std::vector<net::NodeId> round_robin(double budget);
+
+  PolicyKind kind_;
+  net::NodeId self_;
+  std::uint32_t nodes_;
+  std::int64_t tolerance_;
+  std::uint64_t warmup_tuples_;  ///< DFT family: local tuples before the
+                                 ///< fallback detector may engage
+  double throttle_;
+  SummarySubstrate* substrate_;
+  common::Xoshiro256 rng_;
+  std::vector<net::NodeId> peers_;  ///< every node but self, ascending
+  net::NodeId cursor_ = 0;
+  bool fallback_ = false;
+  std::vector<double> last_probs_;
+  EpsilonBoundTerms bound_;
+  // Per-route scratch, indexed like peers_.
+  std::vector<PeerScore> peer_scores_;
+  std::vector<double> scores_;  ///< what the water-fill reads
 };
 
 /// Water-fills probabilities p_j = min(1, floor + w * score_j) with
 /// sum_j p_j == min(budget, n) (n = scores.size()). Zero-score vectors get
-/// the uniform allocation budget/n. Exposed for tests.
+/// the floor alone. Exposed for tests.
 std::vector<double> allocate_flow_probabilities(std::span<const double> scores,
                                                 double budget, double floor);
 

@@ -18,9 +18,12 @@
 // makes per-query routing independent while the ingest-side maintenance
 // cost stays per-family (bench_multiquery measures this amortization).
 //
-// The engine code is the former policy code moved verbatim: constructor
-// seeds, epoch conditions and cache refresh logic are unchanged, so a
-// single-query run is bit-identical to the pre-substrate pipeline.
+// The substrate counts local tuples and runs the summary cadence once for
+// every engine: at each epoch boundary it lets the engines refresh their
+// caches (and the DFT family republish its coefficients), and every
+// summary_epoch_tuples tuples it sends each snapshot family's block
+// (BLOOM, SKCH, SPEC, SMPL) to every peer. The DFT family's coefficients
+// ride on tuple frames instead, plus its own stale flushes.
 #pragma once
 
 #include <array>
@@ -47,9 +50,17 @@ class DftSummaryEngine {
  public:
   DftSummaryEngine(const SystemConfig& config, net::NodeId self);
 
-  void observe_local(const stream::Tuple& tuple);
+  /// `seen`: local tuples the substrate counted before this one.
+  void observe_local(const stream::Tuple& tuple, std::uint64_t seen);
   SummaryBlock piggyback_for(net::NodeId peer);
-  std::vector<OutboundSummary> maintenance(double now);
+  /// Epoch boundary: re-publishes the local coefficients (Figure 7 lines
+  /// 1-2) and marks every cached rho dirty.
+  void close_epoch();
+  /// Called once per local arrival: full blocks for peers that have heard
+  /// nothing from this node for kStaleFlushEpochs epochs (Figure 7: "if a
+  /// tuple message was not sent to some site for a long period, the batch
+  /// of updates are transmitted on their own").
+  std::vector<OutboundSummary> stale_flushes();
   /// Applies one decoded coefficient-delta sub-block from `peer`.
   void apply_deltas(net::NodeId peer, stream::StreamSide side,
                     std::uint32_t window, std::uint32_t retained,
@@ -66,7 +77,6 @@ class DftSummaryEngine {
                                std::int64_t key, std::int64_t tolerance) {
     return peers_[peer].remote[remote_side].estimate_count(key, tolerance);
   }
-  std::uint64_t local_tuples() const noexcept { return local_tuples_; }
 
  private:
   struct PeerState {
@@ -110,17 +120,17 @@ class DftSummaryEngine {
   /// Epoch snapshot of the local coefficients — what peers are synced to.
   std::array<std::vector<dsp::Complex>, 2> published_;
   std::vector<PeerState> peers_;  // indexed by node id (self entry unused)
-  std::uint64_t local_tuples_ = 0;
 };
 
 /// BLOOM engine: counting Bloom filters over the per-side summary windows
 /// plus the latest remote snapshot per (peer, side).
 class BloomSummaryEngine {
  public:
-  BloomSummaryEngine(const SystemConfig& config, net::NodeId self);
+  explicit BloomSummaryEngine(const SystemConfig& config);
 
   void observe_local(const stream::Tuple& tuple);
-  std::vector<OutboundSummary> maintenance(double now);
+  /// Both sides' filter snapshots, the block the substrate broadcasts.
+  SummaryBlock snapshot();
   void apply_snapshot(net::NodeId peer, stream::StreamSide side,
                       sketch::BloomFilter filter);
 
@@ -141,26 +151,27 @@ class BloomSummaryEngine {
   /// as one batch (only read at snapshot time).
   void flush_pending(std::size_t side);
 
-  SystemConfig config_;
-  net::NodeId self_;
   std::array<sketch::CountingBloomFilter, 2> counting_;
   std::array<stream::CountWindow, 2> window_;
   std::array<std::vector<std::int64_t>, 2> pending_;  // keys, by side
   std::vector<std::uint64_t> key_scratch_;
   std::vector<std::int32_t> delta_scratch_;
   std::vector<PeerState> peers_;
-  std::uint64_t local_tuples_ = 0;
-  std::uint64_t last_broadcast_tuple_ = 0;
 };
 
 /// SKCH engine: AGMS sketches over the per-side summary windows, remote
 /// sketches per (peer, side), and the cached pairwise join-size estimates.
 class SketchSummaryEngine {
  public:
-  SketchSummaryEngine(const SystemConfig& config, net::NodeId self);
+  explicit SketchSummaryEngine(const SystemConfig& config);
 
   void observe_local(const stream::Tuple& tuple);
-  std::vector<OutboundSummary> maintenance(double now);
+  /// Epoch boundary: the local windows drift every tuple, so the cached
+  /// pairwise estimates refresh once per epoch even without new remote
+  /// sketches.
+  void close_epoch();
+  /// Both sides' sketches, the block the substrate broadcasts.
+  SummaryBlock snapshot();
   void apply_sketch(net::NodeId peer, stream::StreamSide side,
                     sketch::AgmsSketch sketch);
 
@@ -178,26 +189,25 @@ class SketchSummaryEngine {
 
   void flush_pending(std::size_t side);
 
-  SystemConfig config_;
-  net::NodeId self_;
   std::array<sketch::AgmsSketch, 2> local_;
   std::array<stream::CountWindow, 2> window_;
   std::array<std::vector<std::int64_t>, 2> pending_;  // keys, by side
   std::vector<std::uint64_t> key_scratch_;
   std::vector<std::uint64_t> evicted_scratch_;
   std::vector<PeerState> peers_;
-  std::uint64_t local_tuples_ = 0;
-  std::uint64_t last_broadcast_tuple_ = 0;
 };
 
 /// SPEC engine: histogram-DFT spectra over the per-side summary windows,
 /// remote coefficients per (peer, side), and cached Parseval estimates.
 class SpectrumSummaryEngine {
  public:
-  SpectrumSummaryEngine(const SystemConfig& config, net::NodeId self);
+  explicit SpectrumSummaryEngine(const SystemConfig& config);
 
   void observe_local(const stream::Tuple& tuple);
-  std::vector<OutboundSummary> maintenance(double now);
+  /// Epoch boundary: refreshes the cached Parseval estimates.
+  void close_epoch();
+  /// Both sides' spectra, the block the substrate broadcasts.
+  SummaryBlock snapshot();
   void apply_spectrum(net::NodeId peer, stream::StreamSide side,
                       std::uint32_t buckets, std::vector<dsp::Complex> coeffs);
 
@@ -215,13 +225,10 @@ class SpectrumSummaryEngine {
   };
 
   SystemConfig config_;
-  net::NodeId self_;
   std::uint32_t buckets_;
   std::array<dsp::HistogramSpectrum, 2> local_;
   std::array<stream::CountWindow, 2> window_;
   std::vector<PeerState> peers_;
-  std::uint64_t local_tuples_ = 0;
-  std::uint64_t last_broadcast_tuple_ = 0;
 };
 
 /// SMPL engine: stratified sliding-window reservoirs per side, the lazily
@@ -231,7 +238,12 @@ class SampleSummaryEngine {
   SampleSummaryEngine(const SystemConfig& config, net::NodeId self);
 
   void observe_local(const stream::Tuple& tuple);
-  std::vector<OutboundSummary> maintenance(double now);
+  /// Epoch boundary: the sample drifts every tuple, so the cached own
+  /// aggregates refresh once per epoch (routing's self-term tracks the
+  /// window without an aggregation per tuple).
+  void close_epoch() { own_dirty_ = {true, true}; }
+  /// Both sides' fresh own samples, the block the substrate broadcasts.
+  SummaryBlock snapshot();
   void apply_sample(net::NodeId peer, stream::StreamSide side,
                     sampling::SampleSummary summary);
 
@@ -247,14 +259,10 @@ class SampleSummaryEngine {
     std::array<SampleStore, 2> remote;  // by remote side
   };
 
-  SystemConfig config_;
-  net::NodeId self_;
   std::array<sampling::StratifiedReservoir, 2> reservoir_;
   std::array<sampling::SampleSummary, 2> own_;
   std::array<bool, 2> own_dirty_{true, true};
   std::vector<PeerState> peers_;
-  std::uint64_t local_tuples_ = 0;
-  std::uint64_t last_broadcast_tuple_ = 0;
 };
 
 /// The per-node summary substrate: at most one engine per family, shared
@@ -292,7 +300,14 @@ class SummarySubstrate {
   // The ingest path the node calls ONCE per tuple / frame, regardless of
   // how many queries are registered.
   void observe_local(const stream::Tuple& tuple);
+  /// Summary bytes to piggyback on a tuple frame to `peer` (may be empty);
+  /// marks the drained state as synced to that peer.
   SummaryBlock piggyback_for(net::NodeId peer);
+  /// Called once per local arrival after routing: closes the summary epoch
+  /// when the local count reaches a multiple of summary_epoch_tuples,
+  /// broadcasts the snapshot families once that many tuples arrived since
+  /// the last broadcast, and adds the DFT family's stale flushes. The two
+  /// cadences coincide while maintenance runs once per observed tuple.
   std::vector<OutboundSummary> maintenance(double now);
   /// Decodes and applies one received summary block. A non-ok status
   /// (kDataLoss) means part of the block was malformed and dropped; the
@@ -304,12 +319,18 @@ class SummarySubstrate {
   /// bench_multiquery reports it to demonstrate the amortization.
   std::uint64_t ingest_ops() const noexcept { return ingest_ops_; }
 
+  /// Local tuples observed so far.
+  std::uint64_t local_tuples() const noexcept { return local_tuples_; }
+
  private:
   /// Decodes one (unwrapped) block and applies each sub-block to the
   /// owning engine. Sub-blocks of unregistered families are dropped.
   common::Status dispatch(net::NodeId from, const SummaryBlock& block);
   /// Wraps `block` in a query-scope sub-block for `family`'s subscribers.
   SummaryBlock wrap(SummaryFamily family, SummaryBlock block) const;
+  /// Appends `block` for every peer, wrapped once in multi-query mode.
+  void broadcast(SummaryFamily family, SummaryBlock block,
+                 std::vector<OutboundSummary>& out) const;
 
   SystemConfig config_;
   net::NodeId self_;
@@ -321,6 +342,8 @@ class SummarySubstrate {
   std::unique_ptr<SampleSummaryEngine> sample_;
   std::array<std::vector<std::uint32_t>, kSummaryFamilies> subscribers_;
   std::uint64_t ingest_ops_ = 0;
+  std::uint64_t local_tuples_ = 0;
+  std::uint64_t last_broadcast_tuple_ = 0;
 };
 
 }  // namespace dsjoin::core

@@ -1,45 +1,51 @@
 #include "dsjoin/core/policy.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <numeric>
 
 #include "dsjoin/core/substrate.hpp"
-#include "policy_impl.hpp"
+#include "dsjoin/sampling/estimator.hpp"
 
 namespace dsjoin::core {
 
-RoutingPolicy::RoutingPolicy(SummarySubstrate& substrate)
-    : substrate_(&substrate) {}
+namespace {
 
-RoutingPolicy::~RoutingPolicy() = default;
+// Coefficient of variation under which the DFT family's flow filter
+// declares the uniform worst case and falls back to round-robin (Section
+// 5.2.2: "a very small variance in the filter probabilities indicates
+// equal correlation with all neighbors"). Relative spread keeps the
+// detector scale-free in the score magnitudes.
+constexpr double kUniformDetectionCv = 0.25;
 
-// The summary half of every policy lives in the substrate; the base class
-// forwards the ingest-path calls so a standalone policy (2-arg factory)
-// behaves exactly like the pre-substrate self-contained object. A node
-// hosting several queries bypasses these and drives its substrate directly,
-// once per tuple.
-void RoutingPolicy::observe_local(const stream::Tuple& tuple) {
-  substrate_->observe_local(tuple);
+// Per-kind RNG stream constants, each plus the node id. The query id is
+// never mixed in (DESIGN.md §15.2): N copies of one query route exactly
+// like N independent single-query runs.
+std::uint64_t rng_salt(PolicyKind kind) noexcept {
+  switch (kind) {
+    case PolicyKind::kDft:
+    case PolicyKind::kDftt: return 0xd5f7'0000ULL;
+    case PolicyKind::kBloom: return 0xb100'beefULL;
+    case PolicyKind::kSketch: return 0x5ce7'beefULL;
+    case PolicyKind::kSpectrum: return 0x4e57'beefULL;
+    case PolicyKind::kSample: return 0x5a3f'beefULL;
+    case PolicyKind::kBase:
+    case PolicyKind::kRoundRobin: break;
+  }
+  return 0;  // BASE and RR draw nothing
 }
 
-SummaryBlock RoutingPolicy::piggyback_for(net::NodeId peer) {
-  return substrate_->piggyback_for(peer);
+// A key absent from a peer's sample is weak evidence of absence: with
+// sampling fraction f = capacity/population, a key of true count c escapes
+// the sample with probability ~(1-f)^c, so the one-sided 95% bound given
+// zero observations is c <= ln(0.05)/ln(1-f) ~= 3/f (the rule of three).
+// Only a complete sample (population <= capacity) proves absence.
+double unseen_upper(const sampling::SampleSummary& summary) {
+  if (summary.population <= summary.capacity) return 0.0;
+  return 3.0 * static_cast<double>(summary.population) /
+         static_cast<double>(std::max(summary.capacity, 1u));
 }
 
-common::Status RoutingPolicy::on_summary(net::NodeId peer,
-                                         const SummaryBlock& block) {
-  return substrate_->on_summary(peer, block);
-}
-
-std::vector<OutboundSummary> RoutingPolicy::maintenance(double now) {
-  return substrate_->maintenance(now);
-}
-
-bool RoutingPolicy::uses_summaries() const noexcept {
-  return substrate_->uses_summaries();
-}
+}  // namespace
 
 double throttle_to_budget(double throttle, std::uint32_t nodes) noexcept {
   if (nodes < 2) return 0.0;
@@ -104,47 +110,6 @@ std::vector<double> allocate_flow_probabilities(std::span<const double> scores,
   return probs;
 }
 
-std::unique_ptr<RoutingPolicy> RoutingPolicy::create(const SystemConfig& config,
-                                                     net::NodeId self) {
-  auto substrate = std::make_unique<SummarySubstrate>(config, self);
-  auto policy = create(config, config.queries.front(), self, *substrate);
-  if (policy != nullptr) policy->owned_ = std::move(substrate);
-  return policy;
-}
-
-std::unique_ptr<RoutingPolicy> RoutingPolicy::create(const SystemConfig& config,
-                                                     const QuerySpec& spec,
-                                                     net::NodeId self,
-                                                     SummarySubstrate& substrate) {
-  const double throttle = spec.throttle;
-  switch (spec.policy) {
-    case PolicyKind::kBase:
-      return std::make_unique<BasePolicy>(config, self, substrate);
-    case PolicyKind::kRoundRobin:
-      return std::make_unique<RoundRobinPolicy>(config, throttle, self,
-                                                substrate);
-    case PolicyKind::kDft:
-      return std::make_unique<DftFamilyPolicy>(config, throttle, self,
-                                               substrate,
-                                               /*reconstruct=*/false);
-    case PolicyKind::kDftt:
-      return std::make_unique<DftFamilyPolicy>(config, throttle, self,
-                                               substrate,
-                                               /*reconstruct=*/true);
-    case PolicyKind::kBloom:
-      return std::make_unique<BloomPolicy>(config, throttle, self, substrate);
-    case PolicyKind::kSketch:
-      return std::make_unique<SketchPolicy>(config, throttle, self, substrate);
-    case PolicyKind::kSpectrum:
-      return std::make_unique<SpectrumPolicy>(config, throttle, self,
-                                              substrate);
-    case PolicyKind::kSample:
-      return std::make_unique<SamplePolicy>(config, throttle, self, substrate);
-  }
-  assert(false && "unknown policy kind");
-  return nullptr;
-}
-
 namespace {
 
 // The one registry every name lookup and every CLI help string reads.
@@ -183,27 +148,79 @@ PolicyKind policy_from_string(const std::string& name) {
                               " (expected " + policy_names_csv() + ")");
 }
 
-BasePolicy::BasePolicy(const SystemConfig& config, net::NodeId self,
-                       SummarySubstrate& substrate)
-    : RoutingPolicy(substrate), self_(self), nodes_(config.nodes) {}
-
-std::vector<net::NodeId> BasePolicy::route(const stream::Tuple&) {
-  std::vector<net::NodeId> out;
-  out.reserve(nodes_ - 1);
+RoutingPolicy::RoutingPolicy(const SystemConfig& config, const QuerySpec& spec,
+                             net::NodeId self, SummarySubstrate& substrate)
+    : kind_(spec.policy), self_(self), nodes_(config.nodes),
+      tolerance_(config.membership_tolerance),
+      warmup_tuples_(3ull * config.summary_epoch_tuples),
+      throttle_(spec.throttle), substrate_(&substrate),
+      rng_(config.seed ^ (rng_salt(spec.policy) + self)) {
+  substrate.subscribe(family_of(spec.policy), spec.id);
+  peers_.reserve(nodes_);
   for (net::NodeId j = 0; j < nodes_; ++j) {
-    if (j != self_) out.push_back(j);
+    if (j != self_) peers_.push_back(j);
   }
-  return out;
 }
 
-RoundRobinPolicy::RoundRobinPolicy(const SystemConfig& config,
-                                   double throttle, net::NodeId self,
-                                   SummarySubstrate& substrate)
-    : RoutingPolicy(substrate), self_(self), nodes_(config.nodes),
-      throttle_(throttle) {}
+RoutingPolicy::PeerScore RoutingPolicy::score(net::NodeId peer,
+                                              const stream::Tuple& tuple,
+                                              double unseeded_upper) {
+  const auto side = static_cast<std::size_t>(tuple.side);
+  const std::size_t opposite = 1 - side;
+  // Every engine call below stays in this order: the refreshes update
+  // caches (DFT's smoothed rho, SKCH's pending keys).
+  switch (kind_) {
+    case PolicyKind::kDft:
+    case PolicyKind::kDftt: {
+      auto& engine = substrate_->coeff();
+      if (!engine.remote_seeded(peer, opposite)) return {};
+      // DFTT scores with counts, but the fallback detector reads the rhos.
+      const double rho = engine.refreshed_rho(peer, side);
+      const double score =
+          kind_ == PolicyKind::kDft
+              ? std::max(rho, 0.0)
+              : static_cast<double>(engine.estimate_count(
+                    peer, opposite, tuple.key, tolerance_));
+      return {score, true, rho};
+    }
+    case PolicyKind::kBloom: {
+      const auto& engine = substrate_->bloom();
+      if (!engine.remote_seeded(peer, opposite)) return {};
+      // Bloom filters hold the exact remote keys, so the membership query
+      // is the exact join predicate (no reconstruction slack).
+      return {engine.remote_contains(peer, opposite, tuple.key, 0) ? 1.0 : 0.0,
+              true};
+    }
+    case PolicyKind::kSketch: {
+      auto& engine = substrate_->sketch();
+      if (!engine.remote_seeded(peer, opposite)) return {};
+      return {engine.refreshed_estimate(peer, side), true};
+    }
+    case PolicyKind::kSpectrum: {
+      auto& engine = substrate_->spectrum();
+      if (!engine.remote_seeded(peer, opposite)) return {};
+      return {engine.refreshed_estimate(peer, side), true};
+    }
+    case PolicyKind::kSample: {
+      const auto* remote = substrate_->sample().remote(peer, opposite);
+      // No sample from this peer yet: credit it no found mass and charge
+      // the bound as if it held as much matching mass as our own window
+      // (at least one tuple) — unseeded peers never make the bound smaller.
+      if (remote == nullptr) return {1.0, false, 0.0, 0.0, unseeded_upper};
+      const auto est =
+          sampling::estimate_key_count(*remote, tuple.key, tolerance_);
+      const double upper = est.mean > 0.0 || est.variance > 0.0
+                               ? sampling::upper_confidence(est)
+                               : unseen_upper(*remote);
+      return {est.mean, true, 0.0, est.mean, upper};
+    }
+    case PolicyKind::kBase:
+    case PolicyKind::kRoundRobin: break;
+  }
+  return {};
+}
 
-std::vector<net::NodeId> RoundRobinPolicy::route(const stream::Tuple&) {
-  const auto budget = throttle_to_budget(throttle_, nodes_);
+std::vector<net::NodeId> RoutingPolicy::round_robin(double budget) {
   const auto k = static_cast<std::uint32_t>(std::lround(budget));
   std::vector<net::NodeId> out;
   out.reserve(k);
@@ -212,6 +229,96 @@ std::vector<net::NodeId> RoundRobinPolicy::route(const stream::Tuple&) {
     if (cursor_ == self_) cursor_ = (cursor_ + 1) % nodes_;
     out.push_back(cursor_);
   }
+  return out;
+}
+
+std::vector<net::NodeId> RoutingPolicy::route(const stream::Tuple& tuple) {
+  if (kind_ == PolicyKind::kBase) return peers_;  // exact join (Section 5.1)
+  const std::uint32_t n = nodes_;
+  const double budget = throttle_to_budget(throttle_, n);
+  if (kind_ == PolicyKind::kRoundRobin) return round_robin(budget);
+
+  // SMPL's self-term: matches this tuple finds locally regardless of
+  // routing. The bound's denominator includes them, its numerator never
+  // does.
+  double self_mass = 0.0;
+  double unseeded_upper = 0.0;
+  if (kind_ == PolicyKind::kSample) {
+    const std::size_t opposite = 1 - static_cast<std::size_t>(tuple.side);
+    const auto self_est = sampling::estimate_key_count(
+        substrate_->sample().own_summary(opposite), tuple.key, tolerance_);
+    self_mass = self_est.mean;
+    unseeded_upper = std::max(sampling::upper_confidence(self_est), 1.0);
+  }
+
+  peer_scores_.clear();
+  scores_.clear();
+  bool all_seeded = true;
+  for (const net::NodeId j : peers_) {
+    const PeerScore& s =
+        peer_scores_.emplace_back(score(j, tuple, unseeded_upper));
+    all_seeded = all_seeded && s.seeded;
+    scores_.push_back(s.score);
+  }
+
+  if (kind_ == PolicyKind::kDft || kind_ == PolicyKind::kDftt) {
+    // Worst-case detection (Theorem 1 discussion): vanishing relative
+    // spread of the flow coefficients means the filter carries no signal;
+    // fall back to round-robin at the same budget.
+    if (all_seeded && substrate_->local_tuples() > warmup_tuples_ &&
+        !peers_.empty()) {
+      const double count = static_cast<double>(peer_scores_.size());
+      double mean = 0.0;
+      for (const PeerScore& s : peer_scores_) mean += s.rho;
+      mean /= count;
+      double var = 0.0;
+      for (const PeerScore& s : peer_scores_) {
+        var += (s.rho - mean) * (s.rho - mean);
+      }
+      var /= count;
+      fallback_ = mean > 0.0 && std::sqrt(var) < kUniformDetectionCv * mean;
+    }
+    if (fallback_) {
+      last_probs_.assign(n, budget / static_cast<double>(n - 1));
+      last_probs_[self_] = 0.0;
+      return round_robin(budget);
+    }
+  }
+
+  // Membership families explore non-matching peers only lightly
+  // (throttle^6 -> broadcast as throttle -> 1). The others always spend
+  // their full budget plus a small exploration floor; SMPL's floor alone
+  // flows when no peer shows matching mass.
+  const double floor =
+      kind_ == PolicyKind::kDftt || kind_ == PolicyKind::kBloom
+          ? std::pow(throttle_, 6)
+          : 0.05 * budget / static_cast<double>(n - 1);
+  if (kind_ == PolicyKind::kSketch || kind_ == PolicyKind::kSpectrum) {
+    // Join-size estimates are key-independent, the structural reason SKCH
+    // trails the membership policies in messages per result (Figure 9's
+    // ordering). When every estimate is zero the budget spreads uniformly:
+    // these families have no notion of "send nothing".
+    double score_sum = 0.0;
+    for (double v : scores_) score_sum += v;
+    if (score_sum <= 0.0) std::fill(scores_.begin(), scores_.end(), 1.0);
+  }
+  const auto probs = allocate_flow_probabilities(scores_, budget, floor);
+
+  // The bound masses are 0 for families without an error model, so their
+  // terms stay {0, 0}.
+  double missed = 0.0;
+  double total = self_mass;
+  std::vector<net::NodeId> out;
+  last_probs_.assign(n, 0.0);
+  for (std::size_t idx = 0; idx < peers_.size(); ++idx) {
+    const double p = probs[idx];
+    last_probs_[peers_[idx]] = p;
+    missed += (1.0 - p) * peer_scores_[idx].upper;
+    total += peer_scores_[idx].mean;
+    if (rng_.next_bool(p)) out.push_back(peers_[idx]);
+  }
+  bound_.missed_mass += missed;
+  bound_.total_mass += total;
   return out;
 }
 

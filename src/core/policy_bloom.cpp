@@ -1,8 +1,9 @@
-// BLOOM (the first competitor of Section 6): the shared BloomSummaryEngine
-// (counting filters, snapshot broadcasts) and membership routing on top.
-#include <cmath>
+// BLOOM (the first competitor of Section 6): the BloomSummaryEngine
+// (counting filters and their snapshots). RoutingPolicy routes on
+// membership in the peers' snapshots.
+#include <algorithm>
 
-#include "policy_impl.hpp"
+#include "dsjoin/core/substrate.hpp"
 
 namespace dsjoin::core {
 
@@ -17,10 +18,8 @@ std::size_t bloom_bits(const SystemConfig& config) {
 
 }  // namespace
 
-BloomSummaryEngine::BloomSummaryEngine(const SystemConfig& config,
-                                       net::NodeId self)
-    : config_(config), self_(self),
-      counting_{sketch::CountingBloomFilter(
+BloomSummaryEngine::BloomSummaryEngine(const SystemConfig& config)
+    : counting_{sketch::CountingBloomFilter(
                     bloom_bits(config),
                     sketch::optimal_hash_count(bloom_bits(config), config.dft_window),
                     config.seed ^ 0xb100'0000ULL),
@@ -38,7 +37,6 @@ void BloomSummaryEngine::observe_local(const stream::Tuple& tuple) {
   // pending batch; flush_pending applies it through the filter's two-pass
   // batch update at snapshot time.
   pending_[static_cast<std::size_t>(tuple.side)].push_back(tuple.key);
-  ++local_tuples_;
 }
 
 void BloomSummaryEngine::flush_pending(std::size_t side) {
@@ -66,64 +64,14 @@ void BloomSummaryEngine::apply_snapshot(net::NodeId peer, stream::StreamSide sid
   peers_[peer].remote[static_cast<std::size_t>(side)].update(std::move(filter));
 }
 
-std::vector<OutboundSummary> BloomSummaryEngine::maintenance(double /*now*/) {
-  if (local_tuples_ - last_broadcast_tuple_ < config_.summary_epoch_tuples) {
-    return {};
-  }
-  last_broadcast_tuple_ = local_tuples_;
+SummaryBlock BloomSummaryEngine::snapshot() {
   common::BufferWriter writer;
   for (std::size_t side = 0; side < 2; ++side) {
     flush_pending(side);
     summary_codec::encode_bloom(writer, static_cast<stream::StreamSide>(side),
                                 counting_[side].snapshot());
   }
-  SummaryBlock block{std::move(writer).take()};
-  std::vector<OutboundSummary> out;
-  for (net::NodeId j = 0; j < config_.nodes; ++j) {
-    if (j != self_) out.push_back(OutboundSummary{j, block, SummaryFamily::kBloom});
-  }
-  return out;
-}
-
-BloomPolicy::BloomPolicy(const SystemConfig& config, double throttle,
-                         net::NodeId self, SummarySubstrate& substrate)
-    : RoutingPolicy(substrate), config_(config), self_(self),
-      throttle_(throttle), engine_(&substrate.bloom()),
-      rng_(config.seed ^ (0xb100'beefULL + self)) {}
-
-std::vector<net::NodeId> BloomPolicy::route(const stream::Tuple& tuple) {
-  const std::uint32_t n = config_.nodes;
-  const double budget = throttle_to_budget(throttle_, n);
-  const auto opposite = static_cast<std::size_t>(stream::opposite(tuple.side));
-
-  std::vector<net::NodeId> peer_ids;
-  std::vector<double> scores;
-  peer_ids.reserve(n - 1);
-  for (net::NodeId j = 0; j < n; ++j) {
-    if (j == self_) continue;
-    peer_ids.push_back(j);
-    if (!engine_->remote_seeded(j, opposite)) {
-      scores.push_back(1.0);  // bootstrap exploration
-    } else {
-      // Bloom filters hold the exact remote keys, so the membership query is
-      // the exact join predicate (no reconstruction slack).
-      scores.push_back(engine_->remote_contains(j, opposite, tuple.key, 0)
-                           ? 1.0
-                           : 0.0);
-    }
-  }
-
-  // Membership is key-dependent: non-hits are explored only lightly.
-  const double floor = std::pow(throttle_, 6);
-  const auto probs = allocate_flow_probabilities(scores, budget, floor);
-
-  std::vector<net::NodeId> out;
-  last_probs_.assign(n, 0.0);
-  for (std::size_t idx = 0; idx < peer_ids.size(); ++idx) {
-    last_probs_[peer_ids[idx]] = probs[idx];
-    if (rng_.next_bool(probs[idx])) out.push_back(peer_ids[idx]);
-  }
-  return out;
+  return SummaryBlock{std::move(writer).take()};
 }
 
 }  // namespace dsjoin::core

@@ -1,12 +1,11 @@
-// DFT and DFTT (Sections 5.2-5.3, Figure 7): the shared DftSummaryEngine
-// (coefficient maintenance, summary exchange, cached flow coefficients)
-// and the per-query routing layered on top of it.
+// DFT and DFTT (Sections 5.2-5.3, Figure 7): the DftSummaryEngine both
+// share (coefficient maintenance, summary exchange, cached flow
+// coefficients). RoutingPolicy scores peers with it.
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
+#include "dsjoin/core/substrate.hpp"
 #include "dsjoin/dsp/spectrum.hpp"
-#include "policy_impl.hpp"
 
 namespace dsjoin::core {
 
@@ -20,12 +19,11 @@ std::size_t side_index(stream::StreamSide side) {
 // bounded fraction of tuple traffic; standalone flushes are uncapped.
 constexpr std::size_t kPiggybackMaxCoeffs = 4;
 
-// Coefficient of variation under which the flow filter declares the
-// uniform worst case and falls back to round-robin (Section 5.2.2: "a very
-// small variance in the filter probabilities indicates equal correlation
-// with all neighbors"). Relative spread keeps the detector scale-free in
-// the score magnitudes.
-constexpr double kUniformDetectionCv = 0.25;
+// Peers that received no tuple (hence no piggybacked update) for this many
+// epochs get a standalone summary frame. Kept lazy: coefficient updates
+// ride almost entirely on tuple traffic (Figure 7 line 5), so summary
+// bytes track — rather than outgrow — the net data (Figure 8).
+constexpr std::uint64_t kStaleFlushEpochs = 8;
 }  // namespace
 
 DftSummaryEngine::DftSummaryEngine(const SystemConfig& config, net::NodeId self)
@@ -62,7 +60,8 @@ void DftSummaryEngine::refresh_clip_band(std::size_t side) {
   clip_[side] = ClipBand{med - half, med + half};
 }
 
-void DftSummaryEngine::observe_local(const stream::Tuple& tuple) {
+void DftSummaryEngine::observe_local(const stream::Tuple& tuple,
+                                     std::uint64_t seen) {
   const std::size_t side = side_index(tuple.side);
   // Robust summarization: background keys far outside the stream's typical
   // value band would dominate the spectral energy and wreck both the
@@ -75,7 +74,7 @@ void DftSummaryEngine::observe_local(const stream::Tuple& tuple) {
   if (sample.size() < 512) {
     sample.push_back(raw);
   } else {
-    sample[local_tuples_ % 512] = raw;
+    sample[seen % 512] = raw;
   }
   if (clip_[side].lo == -1e300 && sample.size() >= 64) refresh_clip_band(side);
   // Clipping happens at observation time (the band in force for *this*
@@ -85,7 +84,6 @@ void DftSummaryEngine::observe_local(const stream::Tuple& tuple) {
   // drains the buffer through the vectorized push_batch — bit-identical to
   // pushing here, since nothing observed the coefficients in between.
   pending_values_[side].push_back(std::clamp(raw, clip_[side].lo, clip_[side].hi));
-  ++local_tuples_;
 }
 
 void DftSummaryEngine::flush_pending(std::size_t side) {
@@ -174,26 +172,25 @@ void DftSummaryEngine::apply_deltas(net::NodeId peer, stream::StreamSide side,
   state.rho_dirty[0] = state.rho_dirty[1] = true;
 }
 
-std::vector<OutboundSummary> DftSummaryEngine::maintenance(double /*now*/) {
-  // Epoch boundary: re-publish the current coefficients (Figure 7 lines
-  // 1-2: recalculate, extract changed coefficients).
-  if (local_tuples_ % config_.summary_epoch_tuples == 0) {
-    for (std::size_t side = 0; side < 2; ++side) {
-      refresh_clip_band(side);
-      flush_pending(side);
-      const auto coeffs = local_[side].coefficients();
-      published_[side].assign(coeffs.begin(), coeffs.end());
-    }
-    for (auto& peer : peers_) peer.rho_dirty = {true, true};
+void DftSummaryEngine::close_epoch() {
+  // Recalculate and extract the changed coefficients (Figure 7 lines 1-2).
+  for (std::size_t side = 0; side < 2; ++side) {
+    refresh_clip_band(side);
+    flush_pending(side);
+    const auto coeffs = local_[side].coefficients();
+    published_[side].assign(coeffs.begin(), coeffs.end());
   }
+  for (auto& peer : peers_) peer.rho_dirty = {true, true};
+}
+
+std::vector<OutboundSummary> DftSummaryEngine::stale_flushes() {
   std::vector<OutboundSummary> out;
   for (net::NodeId j = 0; j < peers_.size(); ++j) {
     if (j == self_) continue;
     auto& state = peers_[j];
     ++state.tuples_since_contact;
     if (state.tuples_since_contact >
-        static_cast<std::uint64_t>(config_.summary_epoch_tuples) *
-            config_.stale_flush_epochs) {
+        config_.summary_epoch_tuples * kStaleFlushEpochs) {
       SummaryBlock block = block_for(j, 0);  // stale flush: ship everything
       if (!block.empty()) {
         out.push_back(OutboundSummary{j, std::move(block), SummaryFamily::kCoeff});
@@ -248,93 +245,6 @@ double DftSummaryEngine::refreshed_rho(net::NodeId peer, std::size_t tuple_side)
     state.rho_dirty[tuple_side] = false;
   }
   return state.rho[tuple_side];
-}
-
-DftFamilyPolicy::DftFamilyPolicy(const SystemConfig& config, double throttle,
-                                 net::NodeId self, SummarySubstrate& substrate,
-                                 bool reconstruct)
-    : RoutingPolicy(substrate), config_(config), self_(self),
-      reconstruct_(reconstruct), throttle_(throttle),
-      engine_(&substrate.coeff()),
-      rng_(config.seed ^ (0xd5f7'0000ULL + self)) {}
-
-std::vector<net::NodeId> DftFamilyPolicy::route(const stream::Tuple& tuple) {
-  const std::uint32_t n = config_.nodes;
-  const double budget = throttle_to_budget(throttle_, n);
-  const std::size_t side = side_index(tuple.side);
-  const std::size_t opposite = 1 - side;
-
-  // Gather per-peer scores (self excluded; compacted into peer order).
-  std::vector<net::NodeId> peer_ids;
-  std::vector<double> scores;
-  std::vector<double> rhos;
-  peer_ids.reserve(n - 1);
-  scores.reserve(n - 1);
-  bool all_seeded = true;
-  for (net::NodeId j = 0; j < n; ++j) {
-    if (j == self_) continue;
-    peer_ids.push_back(j);
-    if (!engine_->remote_seeded(j, opposite)) {
-      all_seeded = false;
-      scores.push_back(1.0);  // bootstrap: explore unseeded peers
-      rhos.push_back(0.0);
-      continue;
-    }
-    const double rho = engine_->refreshed_rho(j, side);
-    rhos.push_back(rho);
-    if (reconstruct_) {
-      const auto est = engine_->estimate_count(j, opposite, tuple.key,
-                                               config_.membership_tolerance);
-      scores.push_back(static_cast<double>(est));
-    } else {
-      scores.push_back(std::max(rho, 0.0));
-    }
-  }
-
-  // Worst-case detection (Theorem 1 discussion): vanishing variance of the
-  // flow coefficients means the filter carries no signal; fall back to
-  // round-robin at the same budget.
-  const bool warmed_up =
-      engine_->local_tuples() > 3ull * config_.summary_epoch_tuples;
-  if (all_seeded && warmed_up && !peer_ids.empty()) {
-    double mean = 0.0;
-    for (double r : rhos) mean += r;
-    mean /= static_cast<double>(rhos.size());
-    double var = 0.0;
-    for (double r : rhos) var += (r - mean) * (r - mean);
-    var /= static_cast<double>(rhos.size());
-    // Scale-free detection: equal correlation with all neighbors means the
-    // scores' relative spread vanishes, not their absolute variance.
-    fallback_ = mean > 0.0 && std::sqrt(var) < kUniformDetectionCv * mean;
-  }
-  if (fallback_) {
-    const auto k = static_cast<std::uint32_t>(std::lround(budget));
-    std::vector<net::NodeId> out;
-    for (std::uint32_t step = 0; step < k && step + 1 < n; ++step) {
-      rr_cursor_ = (rr_cursor_ + 1) % n;
-      if (rr_cursor_ == self_) rr_cursor_ = (rr_cursor_ + 1) % n;
-      out.push_back(rr_cursor_);
-    }
-    last_probs_.assign(n, budget / static_cast<double>(n - 1));
-    last_probs_[self_] = 0.0;
-    return out;
-  }
-
-  // DFTT explores non-matching peers only lightly (throttle^4 -> broadcast
-  // as throttle -> 1); DFT's rho is key-independent, so it always spends its
-  // full budget plus a small exploration floor.
-  const double floor =
-      reconstruct_ ? std::pow(throttle_, 6)
-                   : 0.05 * budget / static_cast<double>(n - 1);
-  const auto probs = allocate_flow_probabilities(scores, budget, floor);
-
-  std::vector<net::NodeId> out;
-  last_probs_.assign(n, 0.0);
-  for (std::size_t idx = 0; idx < peer_ids.size(); ++idx) {
-    last_probs_[peer_ids[idx]] = probs[idx];
-    if (rng_.next_bool(probs[idx])) out.push_back(peer_ids[idx]);
-  }
-  return out;
 }
 
 }  // namespace dsjoin::core

@@ -1,10 +1,9 @@
-// SKCH (the second competitor of Section 6): the shared SketchSummaryEngine
-// (AGMS sketches, periodic broadcasts, cached pairwise estimates) and the
-// join-size-weighted routing on top.
+// SKCH (the second competitor of Section 6): the SketchSummaryEngine (AGMS
+// sketches and cached pairwise estimates). RoutingPolicy weighs peers by
+// the estimated join sizes.
 #include <algorithm>
-#include <cmath>
 
-#include "policy_impl.hpp"
+#include "dsjoin/core/substrate.hpp"
 
 namespace dsjoin::core {
 
@@ -24,10 +23,8 @@ sketch::AgmsShape sketch_shape(const SystemConfig& config) {
 
 }  // namespace
 
-SketchSummaryEngine::SketchSummaryEngine(const SystemConfig& config,
-                                         net::NodeId self)
-    : config_(config), self_(self),
-      local_{sketch::AgmsSketch(sketch_shape(config), shared_sketch_seed(config)),
+SketchSummaryEngine::SketchSummaryEngine(const SystemConfig& config)
+    : local_{sketch::AgmsSketch(sketch_shape(config), shared_sketch_seed(config)),
              sketch::AgmsSketch(sketch_shape(config), shared_sketch_seed(config))},
       window_{stream::CountWindow(config.dft_window),
               stream::CountWindow(config.dft_window)},
@@ -38,7 +35,6 @@ void SketchSummaryEngine::observe_local(const stream::Tuple& tuple) {
   // broadcast, so the key only joins the pending batch here. flush_pending
   // runs the sketch's batched two-pass update at the first read.
   pending_[static_cast<std::size_t>(tuple.side)].push_back(tuple.key);
-  ++local_tuples_;
 }
 
 void SketchSummaryEngine::flush_pending(std::size_t side) {
@@ -72,28 +68,18 @@ void SketchSummaryEngine::apply_sketch(net::NodeId peer, stream::StreamSide side
   state.est_dirty = {true, true};
 }
 
-std::vector<OutboundSummary> SketchSummaryEngine::maintenance(double /*now*/) {
-  // Local windows drift every tuple; refresh the cached pairwise estimates
-  // once per epoch even without new remote snapshots.
-  if (local_tuples_ % config_.summary_epoch_tuples == 0) {
-    for (auto& peer : peers_) peer.est_dirty = {true, true};
-  }
-  if (local_tuples_ - last_broadcast_tuple_ < config_.summary_epoch_tuples) {
-    return {};
-  }
-  last_broadcast_tuple_ = local_tuples_;
+void SketchSummaryEngine::close_epoch() {
+  for (auto& peer : peers_) peer.est_dirty = {true, true};
+}
+
+SummaryBlock SketchSummaryEngine::snapshot() {
   common::BufferWriter writer;
   for (std::size_t side = 0; side < 2; ++side) {
     flush_pending(side);
     summary_codec::encode_sketch(writer, static_cast<stream::StreamSide>(side),
                                  local_[side]);
   }
-  SummaryBlock block{std::move(writer).take()};
-  std::vector<OutboundSummary> out;
-  for (net::NodeId j = 0; j < config_.nodes; ++j) {
-    if (j != self_) out.push_back(OutboundSummary{j, block, SummaryFamily::kSketch});
-  }
-  return out;
+  return SummaryBlock{std::move(writer).take()};
 }
 
 double SketchSummaryEngine::refreshed_estimate(net::NodeId peer,
@@ -111,53 +97,6 @@ double SketchSummaryEngine::refreshed_estimate(net::NodeId peer,
     state.est_dirty[tuple_side] = false;
   }
   return state.est[tuple_side];
-}
-
-SketchPolicy::SketchPolicy(const SystemConfig& config, double throttle,
-                           net::NodeId self, SummarySubstrate& substrate)
-    : RoutingPolicy(substrate), config_(config), self_(self),
-      throttle_(throttle), engine_(&substrate.sketch()),
-      rng_(config.seed ^ (0x5ce7'beefULL + self)) {}
-
-std::vector<net::NodeId> SketchPolicy::route(const stream::Tuple& tuple) {
-  const std::uint32_t n = config_.nodes;
-  const double budget = throttle_to_budget(throttle_, n);
-  const auto side = static_cast<std::size_t>(tuple.side);
-  const std::size_t opposite = 1 - side;
-
-  std::vector<net::NodeId> peer_ids;
-  std::vector<double> scores;
-  peer_ids.reserve(n - 1);
-  for (net::NodeId j = 0; j < n; ++j) {
-    if (j == self_) continue;
-    peer_ids.push_back(j);
-    if (!engine_->remote_seeded(j, opposite)) {
-      scores.push_back(1.0);  // bootstrap exploration
-    } else {
-      scores.push_back(engine_->refreshed_estimate(j, side));
-    }
-  }
-
-  // Join-size estimates are key-independent, so the full budget is always
-  // spent — the structural reason SKCH trails the membership-testing
-  // policies in messages per result tuple (Figure 9's ordering). When every
-  // estimate is zero (noisy sketches on weakly-joining streams) the budget
-  // is spread uniformly: SKCH has no notion of "send nothing".
-  double score_sum = 0.0;
-  for (double v : scores) score_sum += v;
-  if (score_sum <= 0.0) {
-    std::fill(scores.begin(), scores.end(), 1.0);
-  }
-  const double floor = 0.05 * budget / static_cast<double>(n - 1);
-  const auto probs = allocate_flow_probabilities(scores, budget, floor);
-
-  std::vector<net::NodeId> out;
-  last_probs_.assign(n, 0.0);
-  for (std::size_t idx = 0; idx < peer_ids.size(); ++idx) {
-    last_probs_[peer_ids[idx]] = probs[idx];
-    if (rng_.next_bool(probs[idx])) out.push_back(peer_ids[idx]);
-  }
-  return out;
 }
 
 }  // namespace dsjoin::core

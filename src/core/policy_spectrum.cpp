@@ -1,11 +1,10 @@
-// SPEC (ablation A3, ours): the shared SpectrumSummaryEngine (histogram-DFT
-// spectra, periodic broadcasts, cached Parseval estimates) and the
-// join-size-weighted routing on top — what SKCH becomes when its randomized
-// sketches are replaced by the deterministic truncated histogram spectrum.
+// SPEC (ablation A3, ours): the SpectrumSummaryEngine (histogram-DFT
+// spectra and cached Parseval estimates). RoutingPolicy weighs peers by
+// the estimated join sizes — what SKCH becomes when its randomized sketches
+// are replaced by the deterministic truncated histogram spectrum.
 #include <algorithm>
-#include <cmath>
 
-#include "policy_impl.hpp"
+#include "dsjoin/core/substrate.hpp"
 
 namespace dsjoin::core {
 
@@ -27,9 +26,8 @@ std::size_t spectrum_retained(const SystemConfig& config) {
 
 }  // namespace
 
-SpectrumSummaryEngine::SpectrumSummaryEngine(const SystemConfig& config,
-                                             net::NodeId self)
-    : config_(config), self_(self),
+SpectrumSummaryEngine::SpectrumSummaryEngine(const SystemConfig& config)
+    : config_(config),
       buckets_(spectrum_buckets(config)),
       local_{dsp::HistogramSpectrum(config.domain, spectrum_buckets(config),
                                     spectrum_retained(config)),
@@ -44,7 +42,6 @@ void SpectrumSummaryEngine::observe_local(const stream::Tuple& tuple) {
   const auto evicted = window_[side].insert(tuple.key);
   local_[side].add(tuple.key, +1);
   if (evicted) local_[side].add(*evicted, -1);
-  ++local_tuples_;
 }
 
 void SpectrumSummaryEngine::apply_spectrum(net::NodeId peer,
@@ -59,14 +56,11 @@ void SpectrumSummaryEngine::apply_spectrum(net::NodeId peer,
   state.est_dirty = {true, true};
 }
 
-std::vector<OutboundSummary> SpectrumSummaryEngine::maintenance(double /*now*/) {
-  if (local_tuples_ % config_.summary_epoch_tuples == 0) {
-    for (auto& peer : peers_) peer.est_dirty = {true, true};
-  }
-  if (local_tuples_ - last_broadcast_tuple_ < config_.summary_epoch_tuples) {
-    return {};
-  }
-  last_broadcast_tuple_ = local_tuples_;
+void SpectrumSummaryEngine::close_epoch() {
+  for (auto& peer : peers_) peer.est_dirty = {true, true};
+}
+
+SummaryBlock SpectrumSummaryEngine::snapshot() {
   common::BufferWriter writer;
   for (std::size_t side = 0; side < 2; ++side) {
     const auto side_tag = static_cast<stream::StreamSide>(side);
@@ -88,14 +82,7 @@ std::vector<OutboundSummary> SpectrumSummaryEngine::maintenance(double /*now*/) 
       summary_codec::encode_hist_spectrum(writer, side_tag, buckets_, coeffs);
     }
   }
-  SummaryBlock block{std::move(writer).take()};
-  std::vector<OutboundSummary> out;
-  for (net::NodeId j = 0; j < config_.nodes; ++j) {
-    if (j != self_) {
-      out.push_back(OutboundSummary{j, block, SummaryFamily::kSpectrum});
-    }
-  }
-  return out;
+  return SummaryBlock{std::move(writer).take()};
 }
 
 double SpectrumSummaryEngine::refreshed_estimate(net::NodeId peer,
@@ -113,50 +100,6 @@ double SpectrumSummaryEngine::refreshed_estimate(net::NodeId peer,
     state.est_dirty[tuple_side] = false;
   }
   return state.est[tuple_side];
-}
-
-SpectrumPolicy::SpectrumPolicy(const SystemConfig& config, double throttle,
-                               net::NodeId self, SummarySubstrate& substrate)
-    : RoutingPolicy(substrate), config_(config), self_(self),
-      throttle_(throttle), engine_(&substrate.spectrum()),
-      rng_(config.seed ^ (0x4e57'beefULL + self)) {}
-
-std::vector<net::NodeId> SpectrumPolicy::route(const stream::Tuple& tuple) {
-  const std::uint32_t n = config_.nodes;
-  const double budget = throttle_to_budget(throttle_, n);
-  const auto side = static_cast<std::size_t>(tuple.side);
-  const std::size_t opposite = 1 - side;
-
-  std::vector<net::NodeId> peer_ids;
-  std::vector<double> scores;
-  peer_ids.reserve(n - 1);
-  for (net::NodeId j = 0; j < n; ++j) {
-    if (j == self_) continue;
-    peer_ids.push_back(j);
-    if (!engine_->remote_seeded(j, opposite)) {
-      scores.push_back(1.0);  // bootstrap exploration
-    } else {
-      scores.push_back(engine_->refreshed_estimate(j, side));
-    }
-  }
-
-  // Key-independent weights, like SKCH; uniform spread when the estimates
-  // carry no signal at all.
-  double score_sum = 0.0;
-  for (double v : scores) score_sum += v;
-  if (score_sum <= 0.0) {
-    std::fill(scores.begin(), scores.end(), 1.0);
-  }
-  const double floor = 0.05 * budget / static_cast<double>(n - 1);
-  const auto probs = allocate_flow_probabilities(scores, budget, floor);
-
-  std::vector<net::NodeId> out;
-  last_probs_.assign(n, 0.0);
-  for (std::size_t idx = 0; idx < peer_ids.size(); ++idx) {
-    last_probs_[peer_ids[idx]] = probs[idx];
-    if (rng_.next_bool(probs[idx])) out.push_back(peer_ids[idx]);
-  }
-  return out;
 }
 
 }  // namespace dsjoin::core

@@ -13,18 +13,18 @@ DftSummaryEngine& SummarySubstrate::coeff() {
 }
 
 BloomSummaryEngine& SummarySubstrate::bloom() {
-  if (!bloom_) bloom_ = std::make_unique<BloomSummaryEngine>(config_, self_);
+  if (!bloom_) bloom_ = std::make_unique<BloomSummaryEngine>(config_);
   return *bloom_;
 }
 
 SketchSummaryEngine& SummarySubstrate::sketch() {
-  if (!sketch_) sketch_ = std::make_unique<SketchSummaryEngine>(config_, self_);
+  if (!sketch_) sketch_ = std::make_unique<SketchSummaryEngine>(config_);
   return *sketch_;
 }
 
 SpectrumSummaryEngine& SummarySubstrate::spectrum() {
   if (!spectrum_) {
-    spectrum_ = std::make_unique<SpectrumSummaryEngine>(config_, self_);
+    spectrum_ = std::make_unique<SpectrumSummaryEngine>(config_);
   }
   return *spectrum_;
 }
@@ -62,11 +62,12 @@ bool SummarySubstrate::uses_summaries() const noexcept {
 void SummarySubstrate::observe_local(const stream::Tuple& tuple) {
   // Per-family fan-in, in fixed family order: each live engine sees the
   // tuple exactly once no matter how many queries subscribed to it.
-  if (coeff_) { coeff_->observe_local(tuple); ++ingest_ops_; }
+  if (coeff_) { coeff_->observe_local(tuple, local_tuples_); ++ingest_ops_; }
   if (bloom_) { bloom_->observe_local(tuple); ++ingest_ops_; }
   if (sketch_) { sketch_->observe_local(tuple); ++ingest_ops_; }
   if (spectrum_) { spectrum_->observe_local(tuple); ++ingest_ops_; }
   if (sample_) { sample_->observe_local(tuple); ++ingest_ops_; }
+  ++local_tuples_;
 }
 
 SummaryBlock SummarySubstrate::piggyback_for(net::NodeId peer) {
@@ -78,22 +79,39 @@ SummaryBlock SummarySubstrate::piggyback_for(net::NodeId peer) {
   return wrap(SummaryFamily::kCoeff, std::move(block));
 }
 
-std::vector<OutboundSummary> SummarySubstrate::maintenance(double now) {
+std::vector<OutboundSummary> SummarySubstrate::maintenance(double /*now*/) {
+  const std::uint64_t epoch_tuples = config_.summary_epoch_tuples;
+  const bool epoch = local_tuples_ % epoch_tuples == 0;
   std::vector<OutboundSummary> out;
-  const auto collect = [&](auto* engine) {
-    if (engine == nullptr) return;
-    auto blocks = engine->maintenance(now);
-    for (auto& entry : blocks) {
+  if (coeff_) {
+    if (epoch) coeff_->close_epoch();
+    for (auto& entry : coeff_->stale_flushes()) {
       if (multi_query_) entry.block = wrap(entry.family, std::move(entry.block));
       out.push_back(std::move(entry));
     }
-  };
-  collect(coeff_.get());
-  collect(bloom_.get());
-  collect(sketch_.get());
-  collect(spectrum_.get());
-  collect(sample_.get());
+  }
+  if (epoch) {
+    if (sketch_) sketch_->close_epoch();
+    if (spectrum_) spectrum_->close_epoch();
+    if (sample_) sample_->close_epoch();
+  }
+  if (local_tuples_ - last_broadcast_tuple_ < epoch_tuples) return out;
+  last_broadcast_tuple_ = local_tuples_;
+  if (bloom_) broadcast(SummaryFamily::kBloom, bloom_->snapshot(), out);
+  if (sketch_) broadcast(SummaryFamily::kSketch, sketch_->snapshot(), out);
+  if (spectrum_) {
+    broadcast(SummaryFamily::kSpectrum, spectrum_->snapshot(), out);
+  }
+  if (sample_) broadcast(SummaryFamily::kSample, sample_->snapshot(), out);
   return out;
+}
+
+void SummarySubstrate::broadcast(SummaryFamily family, SummaryBlock block,
+                                 std::vector<OutboundSummary>& out) const {
+  if (multi_query_) block = wrap(family, std::move(block));
+  for (net::NodeId j = 0; j < config_.nodes; ++j) {
+    if (j != self_) out.push_back(OutboundSummary{j, block, family});
+  }
 }
 
 common::Status SummarySubstrate::on_summary(net::NodeId from,

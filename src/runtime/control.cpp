@@ -180,6 +180,7 @@ MetricsReportMsg MetricsReportMsg::from_node_report(core::NodeReport report) {
   msg.received_tuples = report.received_tuples;
   msg.decode_failures = report.decode_failures;
   msg.late_summaries = report.late_summaries;
+  msg.partial_drains = report.partial_drains;
   msg.predicted_missed_mass = report.predicted_missed_mass;
   msg.predicted_total_mass = report.predicted_total_mass;
   msg.traffic = report.traffic;
@@ -194,6 +195,7 @@ core::NodeReport MetricsReportMsg::to_node_report() const {
   report.received_tuples = received_tuples;
   report.decode_failures = decode_failures;
   report.late_summaries = late_summaries;
+  report.partial_drains = partial_drains;
   report.predicted_missed_mass = predicted_missed_mass;
   report.predicted_total_mass = predicted_total_mass;
   report.traffic = traffic;
@@ -210,6 +212,7 @@ std::vector<std::uint8_t> MetricsReportMsg::encode() const {
   out.write_u64(received_tuples);
   out.write_u64(decode_failures);
   out.write_u64(late_summaries);
+  out.write_u64(partial_drains);
   out.write_f64(predicted_missed_mass);
   out.write_f64(predicted_total_mass);
   serialize_traffic(traffic, out);
@@ -250,6 +253,9 @@ common::Result<MetricsReportMsg> MetricsReportMsg::decode(
   auto late = in.read_u64();
   if (!late) return late.status();
   msg.late_summaries = late.value();
+  auto partial = in.read_u64();
+  if (!partial) return partial.status();
+  msg.partial_drains = partial.value();
   auto missed = in.read_f64();
   if (!missed) return missed.status();
   msg.predicted_missed_mass = missed.value();

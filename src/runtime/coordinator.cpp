@@ -275,6 +275,20 @@ RunReport Coordinator::run() {
   report.clean = true;
   report.makespan_s = seconds_since(started_at);
   finalize(members, &report);
+  // A live node that never reported, or reported after its own drain timed
+  // out, may be missing pairs: the run is not clean.
+  std::vector<net::NodeId> partial;
+  for (std::size_t id = 0; id < members.size(); ++id) {
+    const Member& member = members[id];
+    const bool never_reported = member.alive && !member.reported;
+    const bool timed_out =
+        member.reported && member.report.partial_drains != 0;
+    if (never_reported) ++report.partial_drains;  // no report counted it
+    if (never_reported || timed_out) {
+      partial.push_back(static_cast<net::NodeId>(id));
+    }
+  }
+  core::mark_partial_drains(partial, &report);
   return report;
 }
 

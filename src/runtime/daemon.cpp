@@ -114,15 +114,17 @@ common::Status NodeDaemon::run() {
           host_->begin_drain(drain ? std::span<const net::NodeId>(
                                          drain.value().dead_nodes)
                                    : std::span<const net::NodeId>());
-          if (!host_->wait_drain(options_.drain_timeout_s)) {
+          const bool drained = host_->wait_drain(options_.drain_timeout_s);
+          if (!drained) {
             DSJOIN_LOG_WARN(
                 "node %u: drain timed out; reporting partial results",
                 node_id_);
           }
           {
             std::lock_guard lock(node_mutex_);
-            const auto report = MetricsReportMsg::from_node_report(
+            auto report = MetricsReportMsg::from_node_report(
                 host_->report(mesh_->stats_snapshot()));
+            report.partial_drains = drained ? 0 : 1;
             const auto encoded = report.encode();
             auto status = control.send_msg(
                 static_cast<std::uint8_t>(ControlType::kMetricsReport),

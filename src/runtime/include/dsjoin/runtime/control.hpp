@@ -50,7 +50,9 @@ namespace dsjoin::runtime {
 // v8: CONFIG drops six fields nothing set — piggyback_max_coeffs,
 // coeff_delta_threshold, uniform_detection_cv, audit_probability,
 // controller_gain and controller_interval_tuples are constants now.
-inline constexpr std::uint32_t kProtocolVersion = 8;
+// v9: CONFIG drops stale_flush_epochs (a constant now), and METRICS_REPORT
+// carries the daemon's drain outcome (partial_drains).
+inline constexpr std::uint32_t kProtocolVersion = 9;
 
 enum class ControlType : std::uint8_t {
   kHello = 1,
@@ -123,6 +125,8 @@ struct MetricsReportMsg {
   std::uint64_t received_tuples = 0;
   std::uint64_t decode_failures = 0;
   std::uint64_t late_summaries = 0;
+  /// 1 when the daemon's drain timed out before it reported.
+  std::uint64_t partial_drains = 0;
   double predicted_missed_mass = 0.0;
   double predicted_total_mass = 0.0;
   net::TrafficCounters traffic;  ///< frames this daemon sent, by kind

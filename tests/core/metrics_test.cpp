@@ -286,5 +286,29 @@ TEST(AggregateNodeReports, MergesPerQueryThenAcrossQueries) {
                               {1, 1}, {2, 2}, {3, 3}, {4, 0}, {5, 1}}));
 }
 
+TEST(AggregateNodeReports, SumsPartialDrains) {
+  std::vector<NodeReport> reports(3);
+  reports[0].partial_drains = 1;
+  reports[2].partial_drains = 1;
+  ExperimentResult result;
+  aggregate_node_reports(reports, &result);
+  EXPECT_EQ(result.partial_drains, 2u);
+}
+
+TEST(MarkPartialDrains, MakesTheRunUncleanAndNamesTheNodes) {
+  ExperimentResult result;
+  result.clean = true;
+  mark_partial_drains({}, &result);
+  EXPECT_TRUE(result.clean);
+  EXPECT_TRUE(result.error.empty());
+
+  const std::vector<net::NodeId> nodes{1, 3};
+  mark_partial_drains(nodes, &result);
+  EXPECT_FALSE(result.clean);
+  EXPECT_NE(result.error.find("partial drain at nodes 1, 3"),
+            std::string::npos)
+      << result.error;
+}
+
 }  // namespace
 }  // namespace dsjoin::core

@@ -154,6 +154,22 @@ TEST(ControlCodec, MetricsReportRoundTrip) {
   EXPECT_EQ(got.queries[0].pairs[2], (stream::ResultPair{1000000007, 42}));
 }
 
+TEST(ControlCodec, MetricsReportCarriesDrainOutcome) {
+  core::NodeReport report;
+  report.node_id = 3;
+  report.late_summaries = 2;
+  report.partial_drains = 1;
+  report.predicted_total_mass = 4.5;
+  const auto decoded = MetricsReportMsg::decode(
+      MetricsReportMsg::from_node_report(report).encode());
+  ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+  const core::NodeReport got = decoded.value().to_node_report();
+  EXPECT_EQ(got.node_id, 3u);
+  EXPECT_EQ(got.late_summaries, 2u);
+  EXPECT_EQ(got.partial_drains, 1u);
+  EXPECT_DOUBLE_EQ(got.predicted_total_mass, 4.5);
+}
+
 TEST(ControlCodec, MetricsReportEncodeIsInsertionOrderIndependent) {
   // The wire report must be byte-identical no matter what order a node
   // discovered its pairs in: MetricsCollector::pairs() is pinned to sort
