@@ -43,7 +43,7 @@ Level active_level() noexcept;
 
 /// Forces dispatch to `level`, clamped to detected_level(). Used by the
 /// identity tests (compare every supported level against scalar) and by
-/// bench_hotpath (the `batch` column is the forced-scalar kernel path).
+/// bench_hotpath (the kernel row's reference is the forced-scalar path).
 void force_level(Level level) noexcept;
 
 /// Clears a force_level() override; dispatch returns to the default.

@@ -113,7 +113,9 @@ class Node {
   const SummarySubstrate& substrate() const noexcept { return substrate_; }
 
   /// Tuples this node ingested from its own source.
-  std::uint64_t local_tuples() const noexcept { return local_tuples_; }
+  std::uint64_t local_tuples() const noexcept {
+    return substrate_.local_tuples();
+  }
   /// Forwarded tuples received from peers.
   std::uint64_t received_tuples() const noexcept { return received_tuples_; }
   /// Frames that failed to decode, plus summary blocks the substrate
@@ -214,7 +216,6 @@ class Node {
   bool multi_query_ = false;
   double max_half_width_ = 0.0;  ///< retention horizon across queries
   std::array<stream::TupleStore, 2> local_;  // own tuples, by side
-  std::uint64_t local_tuples_ = 0;
   std::uint64_t received_tuples_ = 0;
   std::uint64_t decode_failures_ = 0;
   std::uint64_t late_summaries_ = 0;
