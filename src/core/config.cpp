@@ -95,6 +95,12 @@ common::Status validate_config(const SystemConfig& config) {
   if (config.nodes < 2) {
     return fail(str_format("nodes must be >= 2, got %u", config.nodes));
   }
+  if (config.nodes > kMaxNodes) {
+    return fail(str_format(
+        "nodes must be <= %u (tuple frames carry the origin in one byte), "
+        "got %u",
+        kMaxNodes, config.nodes));
+  }
   // The arrival schedule draws exponential gaps at this rate: 0 puts every
   // arrival at t = inf, a negative or NaN rate runs time backwards.
   if (!std::isfinite(config.arrivals_per_second) ||
@@ -243,7 +249,6 @@ void serialize_config(const SystemConfig& config, common::BufferWriter& out) {
   out.write_i64(config.domain);
   out.write_f64(config.arrivals_per_second);
   out.write_u64(config.tuples_per_node);
-  out.write_f64(config.retention_margin_s);
   out.write_u32(config.dft_window);
   out.write_f64(config.kappa);
   out.write_u32(config.summary_epoch_tuples);
@@ -291,7 +296,6 @@ common::Result<SystemConfig> deserialize_config(common::BufferReader& in) {
   DSJOIN_READ(domain, read_i64);
   DSJOIN_READ(arrivals_per_second, read_f64);
   DSJOIN_READ(tuples_per_node, read_u64);
-  DSJOIN_READ(retention_margin_s, read_f64);
   DSJOIN_READ(dft_window, read_u32);
   DSJOIN_READ(kappa, read_f64);
   DSJOIN_READ(summary_epoch_tuples, read_u32);

@@ -87,6 +87,10 @@ struct QuerySpec {
 /// u64 bitmap, and the cap keeps control-plane messages bounded.
 inline constexpr std::size_t kMaxQueries = 64;
 
+/// Hard cap on cluster size: tuple frames carry the origin node in one
+/// byte (stream::Tuple::serialize), and results ship back to that origin.
+inline constexpr std::uint32_t kMaxNodes = 256;
+
 /// Full experiment description. Defaults give a small, fast, paper-shaped
 /// run; benches override what each figure sweeps.
 struct SystemConfig {
@@ -103,10 +107,6 @@ struct SystemConfig {
   std::int64_t domain = 1 << 19;
   double arrivals_per_second = 25.0;  ///< per node per stream side
   std::uint64_t tuples_per_node = 4000;  ///< arrivals per node per side
-
-  /// Extra retention beyond the widest query window so delayed arrivals
-  /// still match.
-  double retention_margin_s = 120.0;
 
   // Summaries.
   std::uint32_t dft_window = 2048;    ///< W: values per per-side sliding DFT

@@ -66,8 +66,15 @@ class Node {
   /// (== tuple.timestamp).
   void on_local_tuple(const stream::Tuple& tuple, double now);
 
-  /// A frame arrives from the network at virtual time `now`.
+  /// A frame arrives from the network at virtual time `now`. A frame whose
+  /// sender is not a peer, or a tuple frame whose origin is not its sender,
+  /// is dropped and counted as a decode failure.
   void on_frame(net::Frame&& frame, double now);
+
+  /// `peer` sends nothing more: it stops holding local-window eviction back
+  /// (DESIGN.md §21). Call on the thread that owns the node, after the
+  /// peer's last frame.
+  void note_peer_dead(net::NodeId peer);
 
   /// When enabled, on_frame ignores summary content (piggyback blocks and
   /// kSummary frames): an external feed (the simulator's virtual-time tee)
@@ -216,6 +223,11 @@ class Node {
   bool multi_query_ = false;
   double max_half_width_ = 0.0;  ///< retention horizon across queries
   std::array<stream::TupleStore, 2> local_;  // own tuples, by side
+  /// Per peer, the latest timestamp on a tuple or summary frame processed
+  /// from it: -inf before its first, +inf once it is dead, +inf for self.
+  /// Links are FIFO and peers send in clock order, so no later frame from
+  /// a peer is older than its entry; local_ evicts behind the smallest.
+  std::vector<double> peer_clock_;
   std::uint64_t received_tuples_ = 0;
   std::uint64_t decode_failures_ = 0;
   std::uint64_t late_summaries_ = 0;

@@ -99,7 +99,9 @@ class NodeHost {
   }
 
   /// Declares `peer` dead: runs the death hook and releases the drain from
-  /// waiting on its FINs. Idempotent; callable from any thread.
+  /// waiting on its FINs. Idempotent; callable from any thread. It leaves
+  /// the node alone: the thread that owns the node releases the peer's
+  /// eviction clock with Node::note_peer_dead.
   void note_peer_dead(net::NodeId peer);
 
   /// Starts the drain: marks `dead_peers` dead and sends FIN-1 to every

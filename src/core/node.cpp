@@ -47,8 +47,10 @@ Node::Node(const SystemConfig& config, net::NodeId self,
     : config_(config), self_(self), transport_(transport),
       substrate_(config, self),
       max_half_width_(max_join_half_width(config)),
+      peer_clock_(config.nodes, -std::numeric_limits<double>::infinity()),
       summary_frontier_(-std::numeric_limits<double>::infinity()),
       summary_seq_(config.nodes, 0) {
+  peer_clock_[self] = std::numeric_limits<double>::infinity();
   const std::vector<QuerySpec>& specs = config.queries;
   assert(query_metrics.size() == specs.size() &&
          "one MetricsCollector per registered query");
@@ -240,14 +242,23 @@ void Node::on_local_tuple(const stream::Tuple& tuple, double now) {
 }
 
 void Node::on_frame(net::Frame&& frame, double now) {
+  // Neither socket transport checks `from`, and it indexes per-peer state.
+  if (frame.from >= config_.nodes || frame.from == self_) {
+    ++decode_failures_;
+    return;
+  }
   switch (frame.kind) {
     case net::FrameKind::kTuple: {
       auto payload = TuplePayload::decode(frame.payload, multi_query_);
-      if (!payload) {
+      // A node forwards only its own arrivals; the origin indexes the
+      // result-shipping lists.
+      if (!payload || payload.value().tuple.origin != frame.from) {
         ++decode_failures_;
         return;
       }
       const stream::Tuple& tuple = payload.value().tuple;
+      peer_clock_[frame.from] =
+          std::max(peer_clock_[frame.from], tuple.timestamp);
       if (!payload.value().piggyback.empty() && !external_summary_feed_) {
         queue_summary(frame.from, payload.value().stamp,
                       std::move(payload.value().piggyback));
@@ -312,6 +323,8 @@ void Node::on_frame(net::Frame&& frame, double now) {
         ++decode_failures_;
         return;
       }
+      peer_clock_[frame.from] =
+          std::max(peer_clock_[frame.from], payload.value().stamp.emit_time);
       if (!external_summary_feed_) {
         queue_summary(frame.from, payload.value().stamp,
                       std::move(payload.value().block));
@@ -354,15 +367,23 @@ QueryCounters Node::query_counters(std::size_t index) const noexcept {
   return out;
 }
 
+void Node::note_peer_dead(net::NodeId peer) {
+  if (peer < config_.nodes) {
+    peer_clock_[peer] = std::numeric_limits<double>::infinity();
+  }
+}
+
 void Node::evict(double now) {
-  // The shared local windows retain to the widest query's horizon; each
+  // Later local arrivals carry ts >= now and probe both kinds of store; a
+  // later forward from peer j carries ts >= peer_clock_[j] and probes only
+  // local_. Behind these horizons nothing can match (DESIGN.md §21). The
+  // shared local windows retain to the widest query's horizon; each
   // query's received store only needs its own.
-  const double local_horizon =
-      now - 2.0 * max_half_width_ - config_.retention_margin_s;
-  for (auto& store : local_) store.evict_before(local_horizon);
+  const double clock =
+      std::min(now, *std::min_element(peer_clock_.begin(), peer_clock_.end()));
+  for (auto& store : local_) store.evict_before(clock - 2.0 * max_half_width_);
   for (auto& query : queries_) {
-    const double horizon =
-        now - 2.0 * query.spec.join_half_width_s - config_.retention_margin_s;
+    const double horizon = now - 2.0 * query.spec.join_half_width_s;
     for (auto& store : query.received) store.evict_before(horizon);
   }
 }

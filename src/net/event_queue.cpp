@@ -28,35 +28,9 @@ bool EventQueue::run_one() {
   return true;
 }
 
-std::size_t EventQueue::run_until(SimTime limit) {
-  std::size_t executed = 0;
-  while (!heap_.empty() && heap_.top().when <= limit) {
-    run_one();
-    ++executed;
-  }
-  return executed;
-}
-
 std::size_t EventQueue::run_all(std::size_t max_events) {
   std::size_t executed = 0;
   while (executed < max_events && run_one()) ++executed;
-  return executed;
-}
-
-std::size_t EventQueue::run_epoch() {
-  if (heap_.empty()) return 0;
-  const SimTime when = heap_.top().when;
-  std::size_t executed = 0;
-  // A leading barrier event is its own epoch; a later one ends the epoch
-  // before running.
-  if (heap_.top().barrier) {
-    run_one();
-    return 1;
-  }
-  while (!heap_.empty() && heap_.top().when == when && !heap_.top().barrier) {
-    run_one();
-    ++executed;
-  }
   return executed;
 }
 

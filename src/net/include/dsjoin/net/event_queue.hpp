@@ -9,9 +9,9 @@
 // Epochs: the parallel driver consumes the queue in *epochs* — all events
 // sharing the next virtual timestamp (or, with lookahead, all events inside
 // a half-open window no wider than the minimum network latency, so nothing
-// executed in the epoch can schedule a cross-node event back into it). The
-// queue supports this with next_when()/run_epoch() plus *barrier* events:
-// events that must never share an epoch with per-node work (node restarts,
+// executed in the epoch can schedule a cross-node event back into it). It
+// forms them from next_when()/next_is_barrier()/run_one(); *barrier*
+// events must never share an epoch with per-node work (node restarts,
 // topology changes). run_all()/run_one() treat barrier events like any
 // other, so the serial path is unchanged.
 #pragma once
@@ -34,12 +34,9 @@ class EventQueue {
   /// Schedules `fn` at absolute virtual time `when` (>= now()).
   void schedule_at(SimTime when, Callback fn);
 
-  /// Schedules `fn` `delay` seconds from now.
-  void schedule_in(SimTime delay, Callback fn) { schedule_at(now_ + delay, std::move(fn)); }
-
-  /// Schedules a *barrier* event: run_epoch() and the parallel driver's
-  /// dispatch loop stop in front of it so it executes alone, after every
-  /// earlier event's effects are fully applied. Serial execution order is
+  /// Schedules a *barrier* event: the parallel driver's dispatch loop
+  /// stops in front of it so it executes alone, after every earlier
+  /// event's effects are fully applied. Serial execution order is
   /// identical to schedule_at.
   void schedule_barrier_at(SimTime when, Callback fn);
 
@@ -58,19 +55,6 @@ class EventQueue {
 
   /// Executes the earliest event; returns false if none is pending.
   bool run_one();
-
-  /// Runs one epoch: every pending event sharing the earliest pending
-  /// timestamp, in insertion order — except that a barrier event ends the
-  /// epoch (a leading barrier event runs alone). Events scheduled *during*
-  /// the epoch at the same timestamp join it (they sort after every event
-  /// already pending, exactly as under run_all). Returns the number of
-  /// events executed (0 when the queue is empty).
-  std::size_t run_epoch();
-
-  /// Runs events until the queue drains or the next event would fire after
-  /// `limit`; returns the number executed. now() ends at the timestamp of
-  /// the last executed event (not advanced to `limit`).
-  std::size_t run_until(SimTime limit);
 
   /// Runs events until the queue drains or `max_events` were executed.
   std::size_t run_all(std::size_t max_events = SIZE_MAX);

@@ -229,6 +229,10 @@ void NodeDaemon::dispatcher_loop() {
     }
     if (item.peer_down) {
       host_->note_peer_dead(item.peer);
+      // The peer's eviction clock is node state. The mesh queues this
+      // marker behind the peer's last frame.
+      std::lock_guard lock(node_mutex_);
+      host_->node().note_peer_dead(item.peer);
       continue;
     }
     std::lock_guard lock(node_mutex_);

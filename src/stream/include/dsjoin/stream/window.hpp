@@ -5,8 +5,7 @@
 // choice. Two are implemented, one per job:
 //
 //  * TupleStore   — timestamp-retained, key-indexed store used by the
-//                   distributed join (time-duration semantics with a
-//                   retention margin so delayed arrivals still match);
+//                   distributed join (time-duration semantics);
 //  * CountWindow  — ring of the last W keys: the window the BLOOM, SKCH
 //                   and SPEC summaries see.
 #pragma once

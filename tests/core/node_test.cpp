@@ -182,29 +182,119 @@ TEST(Node, ResultFramesAreAcceptedSilently) {
   EXPECT_EQ(h.metrics.distinct_pairs(), 0u);
 }
 
-TEST(Node, EvictionForgetsAncientTuples) {
-  Harness h(PolicyKind::kBase);
-  h.config.retention_margin_s = 1.0;
-  Node node(h.config, 0, *h.transport, h.metrics);
-  // Replace node 0's handler with the local instance.
-  h.transport->register_handler(0, [&](net::Frame&& f) {
-    node.on_frame(std::move(f), h.queue.now());
-  });
-  node.on_local_tuple(h.tuple(1, 7, 0.0, stream::StreamSide::kR, 0), 0.0);
-  // Push enough tuples far in the future to trigger the periodic eviction.
-  for (int i = 0; i < 200; ++i) {
-    const double ts = 1000.0 + i;
+// Eviction horizons (DESIGN.md §21). Node 0 holds a local R (key 7, t = 0)
+// and then ingests one unrelated local tuple per second for `seconds` s.
+// Forwards from peers are hand-built frames, delivered whenever the test
+// says, so a receiver can lag its peers arbitrarily.
+constexpr std::int64_t kProbeKey = 7;
+
+void ingest_old_r_then(Harness& h, int seconds) {
+  Node& node = *h.built[0];
+  node.on_local_tuple(
+      h.tuple(1, kProbeKey, 0.0, stream::StreamSide::kR, 0), 0.0);
+  for (int i = 1; i <= seconds; ++i) {
+    const double ts = i;
     node.on_local_tuple(h.tuple(100 + static_cast<std::uint64_t>(i), 999, ts,
                                 stream::StreamSide::kR, 0),
                         ts);
   }
-  h.queue.run_all();
-  const auto before = h.metrics.distinct_pairs();
-  // A matching S at ts 1200 must NOT pair with the ancient tuple id 1 (it
-  // was evicted), only fail to find key 7.
-  node.on_local_tuple(h.tuple(999, 7, 1200.0, stream::StreamSide::kS, 0), 1200.0);
-  h.queue.run_all();
-  EXPECT_EQ(h.metrics.distinct_pairs(), before);
+}
+
+net::Frame forward(const stream::Tuple& tuple, net::NodeId from) {
+  TuplePayload payload;
+  payload.tuple = tuple;
+  net::Frame frame;
+  frame.from = from;
+  frame.to = 0;
+  frame.kind = net::FrameKind::kTuple;
+  frame.payload = payload.encode();
+  return frame;
+}
+
+TEST(Node, DelayedForwardStillJoins) {
+  Harness h(PolicyKind::kBase);
+  // 300 s pass at node 0 and nothing arrives from node 1, whose clock may
+  // still be at 0: node 0 must keep the R its next forward can match.
+  ingest_old_r_then(h, 300);
+  h.built[0]->on_frame(
+      forward(h.tuple(50, kProbeKey, 2.0, stream::StreamSide::kS, 1), 1),
+      300.0);
+  EXPECT_EQ(h.metrics.distinct_pairs(), 1u);
+  EXPECT_EQ(h.built[0]->decode_failures(), 0u);
+}
+
+TEST(Node, EvictionForgetsAncientTuples) {
+  Harness h(PolicyKind::kBase);
+  // Node 1's clock reaches 290 first, so every later forward of its own
+  // is at t >= 290, and node 0's evictions past t = 2w drop the R at t = 0.
+  h.built[0]->on_frame(
+      forward(h.tuple(50, 12345, 290.0, stream::StreamSide::kS, 1), 1), 0.0);
+  ingest_old_r_then(h, 300);
+  // A forward no honest peer could send now (t = 2 after t = 290) shows
+  // the R is gone.
+  h.built[0]->on_frame(
+      forward(h.tuple(51, kProbeKey, 2.0, stream::StreamSide::kS, 1), 1),
+      300.0);
+  EXPECT_EQ(h.metrics.distinct_pairs(), 0u);
+}
+
+TEST(Node, DeadPeerStopsHoldingEvictionBack) {
+  Harness h(PolicyKind::kBase, 3);
+  h.built[0]->on_frame(
+      forward(h.tuple(50, 12345, 290.0, stream::StreamSide::kS, 1), 1), 0.0);
+  ingest_old_r_then(h, 300);  // local tuples 1..301, evictions at 128, 256
+  // Peer 2 has sent nothing, so the R is still held for it.
+  h.built[0]->on_frame(
+      forward(h.tuple(51, kProbeKey, 2.0, stream::StreamSide::kS, 1), 1),
+      300.0);
+  EXPECT_EQ(h.metrics.distinct_pairs(), 1u);
+
+  h.built[0]->note_peer_dead(2);
+  for (int i = 301; i <= 384; ++i) {  // through the eviction at tuple 384
+    const double ts = i;
+    h.built[0]->on_local_tuple(
+        h.tuple(1000 + static_cast<std::uint64_t>(i), 999, ts,
+                stream::StreamSide::kR, 0),
+        ts);
+  }
+  h.built[0]->on_frame(
+      forward(h.tuple(52, kProbeKey, 2.0, stream::StreamSide::kS, 1), 1),
+      384.0);
+  EXPECT_EQ(h.metrics.distinct_pairs(), 1u);
+}
+
+TEST(Node, FrameFromANonPeerIsDropped) {
+  Harness h(PolicyKind::kBase);
+  Node& node = *h.built[0];
+  node.on_local_tuple(h.tuple(1, kProbeKey, 0.0, stream::StreamSide::kR, 0),
+                      0.0);
+  // A sender id past the cluster, and one naming the receiver itself.
+  for (const net::NodeId from : {net::NodeId{2}, net::NodeId{200},
+                                 net::NodeId{0}}) {
+    node.on_frame(
+        forward(h.tuple(50 + from, kProbeKey, 1.0, stream::StreamSide::kS,
+                        from),
+                from),
+        1.0);
+  }
+  EXPECT_EQ(node.decode_failures(), 3u);
+  EXPECT_EQ(node.received_tuples(), 0u);
+  EXPECT_EQ(h.metrics.distinct_pairs(), 0u);
+}
+
+TEST(Node, ForwardWhoseOriginIsNotItsSenderIsDropped) {
+  Harness h(PolicyKind::kBase, 4);
+  Node& node = *h.built[0];
+  // Stored, origin 200 would index the 4-entry result-shipping lists when
+  // the matching local arrival below finds it.
+  node.on_frame(
+      forward(h.tuple(50, kProbeKey, 1.0, stream::StreamSide::kS, 200), 1),
+      1.0);
+  EXPECT_EQ(node.decode_failures(), 1u);
+  EXPECT_EQ(node.received_tuples(), 0u);
+  node.on_local_tuple(h.tuple(1, kProbeKey, 1.5, stream::StreamSide::kR, 0),
+                      1.5);
+  EXPECT_EQ(h.metrics.distinct_pairs(), 0u);
 }
 
 TEST(Node, PiggybackedSummariesReachPeerPolicies) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "dsjoin/core/config.hpp"
 
@@ -25,6 +26,30 @@ TEST(ValidateConfig, RejectsSingleNodeCluster) {
   auto config = valid_config();
   config.nodes = 1;
   EXPECT_FALSE(validate_config(config).is_ok());
+}
+
+TEST(ValidateConfig, RejectsMoreNodesThanTheOriginByteAddresses) {
+  auto config = valid_config();
+  config.nodes = kMaxNodes;
+  EXPECT_TRUE(validate_config(config).is_ok());
+  config.nodes = kMaxNodes + 1;
+  const auto status = validate_config(config);
+  ASSERT_FALSE(status.is_ok());
+  EXPECT_NE(status.message().find("<= 256"), std::string::npos)
+      << status.message();
+  // What a negative --nodes becomes once cast to u32.
+  config.nodes = static_cast<std::uint32_t>(-1);
+  EXPECT_FALSE(validate_config(config).is_ok());
+
+  // The CONFIG decoder shares the gate.
+  config.nodes = kMaxNodes + 1;
+  common::BufferWriter out;
+  serialize_config(config, out);
+  const auto bytes = std::move(out).take();
+  common::BufferReader in(bytes);
+  const auto decoded = deserialize_config(in);
+  ASSERT_FALSE(decoded.is_ok());
+  EXPECT_EQ(decoded.status().code(), common::ErrorCode::kDataLoss);
 }
 
 TEST(ValidateConfig, RejectsCoalesceFramesOutOfRange) {

@@ -40,7 +40,7 @@ TEST(EventQueue, CallbacksMayScheduleMore) {
   int fired = 0;
   std::function<void()> chain = [&] {
     ++fired;
-    if (fired < 5) q.schedule_in(1.0, chain);
+    if (fired < 5) q.schedule_at(q.now() + 1.0, chain);
   };
   q.schedule_at(0.5, chain);
   q.run_all();
@@ -52,23 +52,10 @@ TEST(EventQueue, ScheduleInIsRelativeToNow) {
   EventQueue q;
   double fired_at = -1.0;
   q.schedule_at(10.0, [&] {
-    q.schedule_in(2.5, [&] { fired_at = q.now(); });
+    q.schedule_at(q.now() + 2.5, [&] { fired_at = q.now(); });
   });
   q.run_all();
   EXPECT_DOUBLE_EQ(fired_at, 12.5);
-}
-
-TEST(EventQueue, RunUntilStopsAtLimit) {
-  EventQueue q;
-  std::vector<double> times;
-  for (double t : {1.0, 2.0, 3.0, 4.0}) {
-    q.schedule_at(t, [&times, &q] { times.push_back(q.now()); });
-  }
-  EXPECT_EQ(q.run_until(2.5), 2u);
-  EXPECT_EQ(times.size(), 2u);
-  EXPECT_EQ(q.pending(), 2u);
-  EXPECT_EQ(q.run_until(100.0), 2u);
-  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, RunAllHonoursMaxEvents) {
@@ -91,44 +78,25 @@ TEST(EventQueue, NextWhenAndBarrierInspection) {
   EXPECT_FALSE(q.next_is_barrier());
 }
 
-TEST(EventQueue, RunEpochDrainsExactTimestampTies) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule_at(1.0, [&] { ++fired; });
-  q.schedule_at(1.0, [&] { ++fired; });
-  q.schedule_at(1.0, [&] { ++fired; });
-  q.schedule_at(2.0, [&] { ++fired; });
-  EXPECT_EQ(q.run_epoch(), 3u);
-  EXPECT_EQ(fired, 3);
-  EXPECT_EQ(q.now(), 1.0);
-  EXPECT_EQ(q.run_epoch(), 1u);
-  EXPECT_EQ(fired, 4);
-  EXPECT_EQ(q.run_epoch(), 0u);
-}
-
-TEST(EventQueue, RunEpochPreservesInsertionOrderWithinTie) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(5.0, [&] { order.push_back(0); });
-  q.schedule_at(5.0, [&] { order.push_back(1); });
-  q.schedule_at(5.0, [&] { order.push_back(2); });
-  q.run_epoch();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
 TEST(EventQueue, BarrierRunsAloneEvenWhenTied) {
   EventQueue q;
   std::vector<int> order;
   q.schedule_at(1.0, [&] { order.push_back(0); });
   q.schedule_barrier_at(1.0, [&] { order.push_back(100); });
   q.schedule_at(1.0, [&] { order.push_back(1); });
-  // First epoch stops short of the barrier; the barrier then runs alone.
-  EXPECT_EQ(q.run_epoch(), 1u);
+  // The parallel driver's epoch loop: per-node work runs until the next
+  // event is a barrier, which then runs alone.
+  EXPECT_FALSE(q.next_is_barrier());
+  EXPECT_TRUE(q.run_one());
   EXPECT_EQ(order, (std::vector<int>{0}));
-  EXPECT_EQ(q.run_epoch(), 1u);
+  EXPECT_EQ(q.next_when(), 1.0);
+  EXPECT_TRUE(q.next_is_barrier());
+  EXPECT_TRUE(q.run_one());
   EXPECT_EQ(order, (std::vector<int>{0, 100}));
-  EXPECT_EQ(q.run_epoch(), 1u);
+  EXPECT_FALSE(q.next_is_barrier());
+  EXPECT_TRUE(q.run_one());
   EXPECT_EQ(order, (std::vector<int>{0, 100, 1}));
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, EventsScheduledDuringEpochJoinFollowingEpochs) {
@@ -136,13 +104,17 @@ TEST(EventQueue, EventsScheduledDuringEpochJoinFollowingEpochs) {
   std::vector<int> order;
   q.schedule_at(1.0, [&] {
     order.push_back(1);
-    // Same-time insertion lands after the tie already being drained.
+    // Same-time insertion keeps the epoch's timestamp and runs before
+    // anything later.
     q.schedule_at(1.0, [&] { order.push_back(2); });
     q.schedule_at(3.0, [&] { order.push_back(3); });
   });
-  EXPECT_EQ(q.run_epoch(), 2u);  // both t=1.0 events, in causal order
+  EXPECT_TRUE(q.run_one());
+  EXPECT_EQ(q.next_when(), 1.0);
+  EXPECT_TRUE(q.run_one());
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(q.run_epoch(), 1u);
+  EXPECT_EQ(q.next_when(), 3.0);
+  EXPECT_TRUE(q.run_one());
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 

@@ -57,8 +57,21 @@ core::ExperimentResult run_backend(const core::SystemConfig& config,
   return runtime::run_experiment(config, options);
 }
 
-void expect_parity(core::PolicyKind policy) {
-  const auto config = parity_config(policy);
+// tcp-rr's shape: 200 s of arrivals per node and side against a 2w = 20 s
+// eviction horizon, so every backend's nodes evict throughout the run and
+// an unpaced socket receiver may lag its peers by more than a horizon.
+core::SystemConfig evicting_config(core::PolicyKind policy) {
+  core::SystemConfig config;
+  config.nodes = 4;
+  config.queries.front().policy = policy;
+  config.tuples_per_node = 5000;
+  config.arrivals_per_second = 25.0;
+  config.queries.front().join_half_width_s = 10.0;
+  config.max_backlog_s = 0.0;
+  return config;
+}
+
+void expect_parity(const core::SystemConfig& config) {
   const auto sim = run_backend(config, core::Backend::kSim);
   const auto tcp = run_backend(config, core::Backend::kTcpInprocess);
   const auto multi = run_backend(config, core::Backend::kMultiprocess);
@@ -87,11 +100,23 @@ void expect_parity(core::PolicyKind policy) {
 }
 
 TEST(BackendParity, RoundRobinIdenticalAcrossBackends) {
-  expect_parity(core::PolicyKind::kRoundRobin);
+  expect_parity(parity_config(core::PolicyKind::kRoundRobin));
 }
 
 TEST(BackendParity, BaseIdenticalAcrossBackends) {
-  expect_parity(core::PolicyKind::kBase);
+  expect_parity(parity_config(core::PolicyKind::kBase));
+}
+
+TEST(BackendParity, RoundRobinIdenticalWhileEvicting) {
+  expect_parity(evicting_config(core::PolicyKind::kRoundRobin));
+}
+
+TEST(BackendParity, BaseIdenticalWhileEvicting) {
+  expect_parity(evicting_config(core::PolicyKind::kBase));
+}
+
+TEST(BackendParity, DfttIdenticalWhileEvicting) {
+  expect_parity(evicting_config(core::PolicyKind::kDftt));
 }
 
 // ---------------------------------------------------------------------------
