@@ -14,10 +14,12 @@
 //           its ns at the dispatched level (identical bits by construction)
 // Every other row times point calls with no second lane: the TupleStore
 // insert/evict path, DFTT's summary reads (one band-limited inverse
-// transform, one reconstruction-cache rebuild, one membership estimate)
-// and result accounting (a node's collector taking reports and handing
-// over its sorted pair list, and the merge of four nodes' lists into the
-// run's pair set). Results go to stdout as an aligned table and to
+// transform, one reconstruction-cache rebuild, one membership estimate),
+// the DFT family's lag search, the simulator's event queue (one frame
+// delivery scheduled and run at a deep heap) and result accounting (a
+// node's collector taking reports and handing over its sorted pair list,
+// and the merge of four nodes' lists into the run's pair set). Results go
+// to stdout as an aligned table and to
 // BENCH_hotpath.json (one entry per operator per config) so later changes
 // have a machine-readable perf trajectory.
 //
@@ -46,6 +48,8 @@
 #include "dsjoin/dsp/compression.hpp"
 #include "dsjoin/dsp/fft.hpp"
 #include "dsjoin/dsp/sliding_dft.hpp"
+#include "dsjoin/dsp/spectrum.hpp"
+#include "dsjoin/net/event_queue.hpp"
 #include "dsjoin/sketch/agms.hpp"
 #include "dsjoin/sketch/bloom.hpp"
 #include "dsjoin/stream/tuple.hpp"
@@ -386,8 +390,9 @@ Entry bench_coeff_store_estimate(double min_time_s) {
   const auto spectrum = dftt_spectra(1, 21).front();
   core::CoeffStore store(kDfttWindow, kDfttRetained);
   store.apply(as_deltas(spectrum));
-  const auto values =
-      dsp::reconstruct_rounded(dsp::CompressedSpectrum{kDfttWindow, spectrum});
+  std::vector<std::int64_t> values;
+  dsp::reconstruct_rounded(dsp::CompressedSpectrum{kDfttWindow, spectrum},
+                           values);
   const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
   common::Xoshiro256 rng(22);
   std::vector<std::int64_t> keys(1024);
@@ -402,6 +407,52 @@ Entry bench_coeff_store_estimate(double min_time_s) {
     std::uint64_t total = 0;
     for (std::int64_t key : keys) total += store.estimate_count(key, 32);
     sink = sink + total;
+  });
+  return e;
+}
+
+// The DFT family's flow coefficient: one lag-maximized correlation of two
+// K = 8 spectra over W = 2048 (an inverse transform and a peak search);
+// one item is one search.
+Entry bench_lag_max_correlation(double min_time_s) {
+  Entry e;
+  e.op = "lag_max_correlation";
+  e.config = "W=2048 K=8";
+  e.batch_size = 1;
+  const auto spectra = dftt_spectra(2, 23);
+  volatile double sink = 0.0;
+  e.ns = measure_ns_per_item(1, min_time_s, [&] {
+    sink = sink + dsp::lag_max_correlation(spectra[0], spectra[1], kDfttWindow).rho;
+  });
+  return e;
+}
+
+// The simulator's event queue at the depth sim-mq8's 90 kbps backlog
+// keeps: 16,384 frame deliveries pending, then per item one delivery
+// scheduled at a random later time and the earliest event run.
+Entry bench_event_queue(double min_time_s) {
+  constexpr std::size_t kPending = 16384;
+  Entry e;
+  e.op = "event_queue";
+  e.config = "deliver 16384 pending";
+  e.batch_size = 1;
+  net::EventQueue queue;
+  std::size_t delivered = 0;
+  const net::DeliveryHandler handler = [&delivered](net::Frame&&) {
+    ++delivered;
+  };
+  common::Xoshiro256 rng(24);
+  for (std::size_t i = 0; i < kPending; ++i) {
+    queue.schedule_delivery_at(rng.next_double_in(0.0, 1.0), &handler,
+                               net::Frame{});
+  }
+  constexpr std::size_t kItems = 1024;
+  e.ns = measure_ns_per_item(kItems, min_time_s, [&] {
+    for (std::size_t i = 0; i < kItems; ++i) {
+      queue.schedule_delivery_at(queue.now() + rng.next_double_in(0.0, 1.0),
+                                 &handler, net::Frame{});
+      queue.run_one();
+    }
   });
   return e;
 }
@@ -552,6 +603,8 @@ int main(int argc, char** argv) {
     entries.push_back(bench_fft_band_inverse(min_time_s));
     entries.push_back(bench_coeff_store_rebuild(min_time_s));
     entries.push_back(bench_coeff_store_estimate(min_time_s));
+    entries.push_back(bench_lag_max_correlation(min_time_s));
+    entries.push_back(bench_event_queue(min_time_s));
     entries.push_back(bench_metrics_record(min_time_s));
     entries.push_back(bench_metrics_aggregate(min_time_s));
   } else {
@@ -569,15 +622,17 @@ int main(int argc, char** argv) {
     entries.push_back(bench_fft_band_inverse(min_time_s));
     entries.push_back(bench_coeff_store_rebuild(min_time_s));
     entries.push_back(bench_coeff_store_estimate(min_time_s));
+    entries.push_back(bench_lag_max_correlation(min_time_s));
+    entries.push_back(bench_event_queue(min_time_s));
     entries.push_back(bench_metrics_record(min_time_s));
     entries.push_back(bench_metrics_aggregate(min_time_s));
   }
 
-  std::printf("%-16s %-24s %12s  %s\n", "operator", "config", "ns/item",
+  std::printf("%-20s %-24s %12s  %s\n", "operator", "config", "ns/item",
               "speedup");
   bool regression = false;
   for (const Entry& e : entries) {
-    std::printf("%-16s %-24s %12.2f", e.op.c_str(), e.config.c_str(), e.ns);
+    std::printf("%-20s %-24s %12.2f", e.op.c_str(), e.config.c_str(), e.ns);
     if (e.ratio != Ratio::kNone) {
       std::printf("  %.2fx %s", e.speedup(),
                   e.ratio == Ratio::kBatch ? "batch" : "kernel");

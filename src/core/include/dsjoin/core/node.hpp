@@ -268,6 +268,9 @@ class Node {
   std::vector<bool> group_collected_;
   /// on_frame result-shipping scratch (one list per masked query in turn).
   std::vector<stream::ResultPair> frame_pairs_;
+  /// on_local_tuple's destination union and the query mask per destination.
+  std::vector<net::NodeId> union_destinations_;
+  std::vector<std::uint64_t> union_masks_;
 };
 
 }  // namespace dsjoin::core

@@ -82,9 +82,10 @@ class RoutingPolicy {
 
   const char* name() const noexcept { return to_string(kind_); }
 
-  /// Destinations for the tuple (excluding self; possibly empty). Call
-  /// after the substrate has observed the tuple.
-  std::vector<net::NodeId> route(const stream::Tuple& tuple);
+  /// Replaces `out` with the destinations for the tuple (excluding self;
+  /// possibly empty). Call after the substrate has observed the tuple.
+  /// `out` keeps its capacity, so a reused vector costs no allocation.
+  void route(const stream::Tuple& tuple, std::vector<net::NodeId>& out);
 
   /// Sets forwarding aggressiveness in [0, 1] (see header comment; BASE
   /// ignores it).
@@ -117,8 +118,9 @@ class RoutingPolicy {
   /// bound charge for a peer whose sample has not arrived.
   PeerScore score(net::NodeId peer, const stream::Tuple& tuple,
                   double unseeded_upper);
-  /// ~T peers in cyclic order: RR, and the DFT family's fallback.
-  std::vector<net::NodeId> round_robin(double budget);
+  /// Appends ~T peers in cyclic order to `out`: RR, and the DFT family's
+  /// fallback.
+  void round_robin(double budget, std::vector<net::NodeId>& out);
 
   PolicyKind kind_;
   net::NodeId self_;
@@ -137,13 +139,14 @@ class RoutingPolicy {
   // Per-route scratch, indexed like peers_.
   std::vector<PeerScore> peer_scores_;
   std::vector<double> scores_;  ///< what the water-fill reads
+  std::vector<double> probs_;   ///< what the water-fill writes
 };
 
 /// Water-fills probabilities p_j = min(1, floor + w * score_j) with
-/// sum_j p_j == min(budget, n) (n = scores.size()). Zero-score vectors get
-/// the floor alone. Exposed for tests.
-std::vector<double> allocate_flow_probabilities(std::span<const double> scores,
-                                                double budget, double floor);
+/// sum_j p_j == min(budget, n) (n = scores.size()) into `probs`, which it
+/// resizes to n. Zero-score vectors get the floor alone. Exposed for tests.
+void allocate_flow_probabilities(std::span<const double> scores, double budget,
+                                 double floor, std::vector<double>& probs);
 
 /// The per-node message budget T_i for a throttle in [0,1]:
 /// T = (N-1)^throttle, clamped to [1, N-1].

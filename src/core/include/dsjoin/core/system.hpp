@@ -80,13 +80,12 @@ class DspSystem {
   // and metric reports buffered per task; the *barrier* flushes those
   // buffers in dispatch order, reproducing the serial schedule exactly.
 
-  /// Runs `task` now (serial mode) or defers it to the open epoch's worker
-  /// phase, tagged with its owning node and event time.
-  void defer_node_task(net::NodeId node, double when,
-                       std::function<void()> task);
-  /// Local-arrival variant: stores the tuple inline in the epoch task, so
-  /// an arrival costs no per-arrival closure; the worker phase feeds it to
-  /// NodeHost::ingest.
+  /// Delivers `frame` to `node` now (serial mode) or defers it to the open
+  /// epoch's worker phase, tagged with its event time. The epoch task holds
+  /// the frame itself, so a delivery builds no closure either way.
+  void defer_delivery(net::NodeId node, double when, net::Frame&& frame);
+  /// Local-arrival variant: the epoch task holds the tuple, and the worker
+  /// phase feeds it to NodeHost::ingest.
   void defer_arrival(net::NodeId node, double when, const stream::Tuple& tuple);
   void run_parallel();
   void execute_epoch(common::ThreadPool& pool,
@@ -96,9 +95,9 @@ class DspSystem {
   struct EpochTask {
     net::NodeId node;
     double when;
-    std::function<void()> fn;    // empty for arrival tasks
     bool is_arrival = false;
     stream::Tuple tuple;         // valid when is_arrival
+    net::Frame frame;            // valid otherwise
   };
 
   SystemConfig config_;

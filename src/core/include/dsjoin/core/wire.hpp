@@ -93,7 +93,14 @@ struct ResultPayload {
   std::uint32_t query_id = 0;  ///< on the wire only in multi-query mode
 
   std::vector<std::uint8_t> encode() const { return encode(false); }
-  std::vector<std::uint8_t> encode(bool with_query_ids) const;
+  std::vector<std::uint8_t> encode(bool with_query_ids) const {
+    return encode(pairs, query_id, with_query_ids);
+  }
+  /// The encoding of a payload holding `pairs` and `query_id`, read
+  /// straight from the span: the returned bytes are its one allocation.
+  static std::vector<std::uint8_t> encode(
+      std::span<const stream::ResultPair> pairs, std::uint32_t query_id,
+      bool with_query_ids);
   static common::Result<ResultPayload> decode(
       std::span<const std::uint8_t> bytes, bool with_query_ids = false);
 };

@@ -94,29 +94,25 @@ void Node::evaluate_routing(QueryRuntime& query, const stream::Tuple& tuple,
   eval.audited =
       controller_on && query.audit_rng.next_bool(kAuditProbability);
   if (eval.audited) {
-    eval.destinations.reserve(config_.nodes - 1);
     for (net::NodeId j = 0; j < config_.nodes; ++j) {
       if (j != self_) eval.destinations.push_back(j);
     }
   } else {
-    eval.destinations = query.policy->route(tuple);
+    query.policy->route(tuple, eval.destinations);
   }
   if (controller_on) track_sent(query, tuple.id, eval.audited);
 }
 
 void Node::send_result_frame(QueryRuntime& query, net::NodeId origin,
                              std::span<const stream::ResultPair> pairs) {
-  ResultPayload results;
-  // The copy into the payload is the result path's one unavoidable
-  // allocation (the frame owns its bytes); the callers' scratch keeps its
-  // capacity.
-  results.pairs.assign(pairs.begin(), pairs.end());
-  results.query_id = query.spec.id;
   net::Frame out;
   out.from = self_;
   out.to = origin;
   out.kind = net::FrameKind::kResult;
-  out.payload = results.encode(multi_query_);
+  // The pairs are encoded straight from the callers' scratch, which keeps
+  // its capacity: the frame's own bytes are the result path's one
+  // allocation.
+  out.payload = ResultPayload::encode(pairs, query.spec.id, multi_query_);
   (void)transport_.send(std::move(out));
   ++query.result_frames;
 }
@@ -185,8 +181,10 @@ void Node::on_local_tuple(const stream::Tuple& tuple, double now) {
 
   // Destination union in canonical query order; each tuple frame carries
   // the mask of queries that routed it and is attributed to the lowest.
-  std::vector<net::NodeId> destinations;
-  std::vector<std::uint64_t> masks;
+  auto& destinations = union_destinations_;
+  auto& masks = union_masks_;
+  destinations.clear();
+  masks.clear();
   for (std::size_t i = 0; i < queries_.size(); ++i) {
     for (const net::NodeId dest : eval_scratch_[i].destinations) {
       const auto it = std::find(destinations.begin(), destinations.end(), dest);

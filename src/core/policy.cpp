@@ -54,11 +54,11 @@ double throttle_to_budget(double throttle, std::uint32_t nodes) noexcept {
   return std::clamp(std::pow(peers, t), 1.0, peers);
 }
 
-std::vector<double> allocate_flow_probabilities(std::span<const double> scores,
-                                                double budget, double floor) {
+void allocate_flow_probabilities(std::span<const double> scores, double budget,
+                                 double floor, std::vector<double>& probs) {
   const std::size_t n = scores.size();
-  std::vector<double> probs(n, 0.0);
-  if (n == 0) return probs;
+  probs.assign(n, 0.0);
+  if (n == 0) return;
   floor = std::clamp(floor, 0.0, 1.0);
   budget = std::clamp(budget, 0.0, static_cast<double>(n));
 
@@ -67,13 +67,15 @@ std::vector<double> allocate_flow_probabilities(std::span<const double> scores,
   if (score_sum <= 0.0) {
     // No signal at all: only the exploration floor flows.
     std::fill(probs.begin(), probs.end(), floor);
-    return probs;
+    return;
   }
 
   // Water-fill p_j = min(1, floor + w * s_j) with sum p_j = budget.
   // Iteratively saturate: peers that hit 1 are fixed, the rest share the
   // remaining budget proportionally to score. Terminates in <= n rounds.
-  std::vector<bool> saturated(n, false);
+  // A peer is saturated exactly when its probability is 1: the others
+  // hold 0 or a p < 1 until the loop ends.
+  const auto saturated = [&probs](std::size_t j) { return probs[j] == 1.0; };
   double fixed = 0.0;        // mass already assigned to saturated peers
   std::size_t sat_count = 0;
   for (std::size_t round = 0; round < n; ++round) {
@@ -82,22 +84,21 @@ std::vector<double> allocate_flow_probabilities(std::span<const double> scores,
     if (remaining < 0.0) remaining = 0.0;
     double active_score = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
-      if (!saturated[j]) active_score += std::max(scores[j], 0.0);
+      if (!saturated(j)) active_score += std::max(scores[j], 0.0);
     }
     if (active_score <= 0.0) {
       for (std::size_t j = 0; j < n; ++j) {
-        if (!saturated[j]) probs[j] = floor;
+        if (!saturated(j)) probs[j] = floor;
       }
       break;
     }
     const double w = remaining / active_score;
     bool newly_saturated = false;
     for (std::size_t j = 0; j < n; ++j) {
-      if (saturated[j]) continue;
+      if (saturated(j)) continue;
       const double p = floor + w * std::max(scores[j], 0.0);
       if (p >= 1.0) {
         probs[j] = 1.0;
-        saturated[j] = true;
         fixed += 1.0;
         ++sat_count;
         newly_saturated = true;
@@ -107,7 +108,6 @@ std::vector<double> allocate_flow_probabilities(std::span<const double> scores,
     }
     if (!newly_saturated) break;
   }
-  return probs;
 }
 
 namespace {
@@ -220,23 +220,28 @@ RoutingPolicy::PeerScore RoutingPolicy::score(net::NodeId peer,
   return {};
 }
 
-std::vector<net::NodeId> RoutingPolicy::round_robin(double budget) {
+void RoutingPolicy::round_robin(double budget, std::vector<net::NodeId>& out) {
   const auto k = static_cast<std::uint32_t>(std::lround(budget));
-  std::vector<net::NodeId> out;
-  out.reserve(k);
   for (std::uint32_t step = 0; step < k && step + 1 < nodes_; ++step) {
     cursor_ = (cursor_ + 1) % nodes_;
     if (cursor_ == self_) cursor_ = (cursor_ + 1) % nodes_;
     out.push_back(cursor_);
   }
-  return out;
 }
 
-std::vector<net::NodeId> RoutingPolicy::route(const stream::Tuple& tuple) {
-  if (kind_ == PolicyKind::kBase) return peers_;  // exact join (Section 5.1)
+void RoutingPolicy::route(const stream::Tuple& tuple,
+                          std::vector<net::NodeId>& out) {
+  out.clear();
+  if (kind_ == PolicyKind::kBase) {  // exact join (Section 5.1)
+    out.assign(peers_.begin(), peers_.end());
+    return;
+  }
   const std::uint32_t n = nodes_;
   const double budget = throttle_to_budget(throttle_, n);
-  if (kind_ == PolicyKind::kRoundRobin) return round_robin(budget);
+  if (kind_ == PolicyKind::kRoundRobin) {
+    round_robin(budget, out);
+    return;
+  }
 
   // SMPL's self-term: matches this tuple finds locally regardless of
   // routing. The bound's denominator includes them, its numerator never
@@ -281,7 +286,8 @@ std::vector<net::NodeId> RoutingPolicy::route(const stream::Tuple& tuple) {
     if (fallback_) {
       last_probs_.assign(n, budget / static_cast<double>(n - 1));
       last_probs_[self_] = 0.0;
-      return round_robin(budget);
+      round_robin(budget, out);
+      return;
     }
   }
 
@@ -302,16 +308,15 @@ std::vector<net::NodeId> RoutingPolicy::route(const stream::Tuple& tuple) {
     for (double v : scores_) score_sum += v;
     if (score_sum <= 0.0) std::fill(scores_.begin(), scores_.end(), 1.0);
   }
-  const auto probs = allocate_flow_probabilities(scores_, budget, floor);
+  allocate_flow_probabilities(scores_, budget, floor, probs_);
 
   // The bound masses are 0 for families without an error model, so their
   // terms stay {0, 0}.
   double missed = 0.0;
   double total = self_mass;
-  std::vector<net::NodeId> out;
   last_probs_.assign(n, 0.0);
   for (std::size_t idx = 0; idx < peers_.size(); ++idx) {
-    const double p = probs[idx];
+    const double p = probs_[idx];
     last_probs_[peers_[idx]] = p;
     missed += (1.0 - p) * peer_scores_[idx].upper;
     total += peer_scores_[idx].mean;
@@ -319,7 +324,6 @@ std::vector<net::NodeId> RoutingPolicy::route(const stream::Tuple& tuple) {
   }
   bound_.missed_mass += missed;
   bound_.total_mass += total;
-  return out;
 }
 
 }  // namespace dsjoin::core

@@ -50,7 +50,8 @@ DftSummaryEngine::DftSummaryEngine(const SystemConfig& config, net::NodeId self)
 void DftSummaryEngine::refresh_clip_band(std::size_t side) {
   auto& sample = recent_raw_[side];
   if (sample.size() < 32) return;
-  std::vector<double> sorted = sample;
+  thread_local std::vector<double> sorted;
+  sorted.assign(sample.begin(), sample.end());
   std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2, sorted.end());
   const double med = sorted[sorted.size() / 2];
   for (auto& v : sorted) v = std::abs(v - med);

@@ -447,10 +447,14 @@ namespace {
 // reverse the descending ones, then merge neighbouring runs bottom-up
 // through one scratch buffer. A reconstruction from K retained
 // coefficients is a smooth curve with at most 2K - 1 runs, so this costs
-// O(W log runs) instead of std::sort's O(W log W).
+// O(W log runs) instead of std::sort's O(W log W). The run bounds and the
+// scratch buffer are per-thread and keep their capacity; a final swap
+// trades `values`' buffer for the scratch one, both of capacity >= n.
 void sort_by_natural_merge(std::vector<std::int64_t>& values) {
   const std::size_t n = values.size();
-  std::vector<std::size_t> bounds{0};  // run i is [bounds[i], bounds[i + 1])
+  thread_local std::vector<std::size_t> bounds;
+  thread_local std::vector<std::int64_t> scratch;
+  bounds.assign(1, 0);  // run i is [bounds[i], bounds[i + 1])
   for (std::size_t i = 0; i < n;) {
     // A run's direction is its first strict step; equal neighbours extend
     // a run either way, so the plateaus of a rounded curve split nothing.
@@ -467,7 +471,7 @@ void sort_by_natural_merge(std::vector<std::int64_t>& values) {
     i = j;
   }
   if (bounds.size() <= 2) return;
-  std::vector<std::int64_t> scratch(n);
+  scratch.resize(n);
   std::int64_t* src = values.data();
   std::int64_t* dst = scratch.data();
   while (bounds.size() > 2) {
@@ -489,7 +493,7 @@ void sort_by_natural_merge(std::vector<std::int64_t>& values) {
 }  // namespace
 
 void CoeffStore::rebuild() {
-  sorted_ = dsp::reconstruct_rounded(spectrum_);
+  dsp::reconstruct_rounded(spectrum_, sorted_);
   sort_by_natural_merge(sorted_);
   dirty_ = false;
 }

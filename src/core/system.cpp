@@ -45,13 +45,7 @@ void DspSystem::install_node(net::NodeId id) {
   // second time.
   hosts_[id]->node().set_external_summary_feed(true);
   transport_->register_handler(id, [this, id](net::Frame&& frame) {
-    // The host is re-resolved when the deferred work runs, so frames still
-    // in flight across a crash-and-restart reach the fresh instance.
-    const double now = queue_.now();
-    defer_node_task(id, now,
-                    [this, id, now, f = std::move(frame)]() mutable {
-                      hosts_[id]->deliver(std::move(f), now);
-                    });
+    defer_delivery(id, queue_.now(), std::move(frame));
   });
 }
 
@@ -74,13 +68,15 @@ void DspSystem::tee_summary(const net::Frame& frame) {
   }
 }
 
-void DspSystem::defer_node_task(net::NodeId node, double when,
-                                std::function<void()> task) {
+void DspSystem::defer_delivery(net::NodeId node, double when,
+                               net::Frame&& frame) {
+  // The host is resolved when the work runs, so frames still in flight
+  // across a crash-and-restart reach the fresh instance.
   if (!epoch_open_) {
-    task();
+    hosts_[node]->deliver(std::move(frame), when);
     return;
   }
-  epoch_tasks_.push_back(EpochTask{node, when, std::move(task), false, {}});
+  epoch_tasks_.push_back(EpochTask{node, when, false, {}, std::move(frame)});
 }
 
 void DspSystem::defer_arrival(net::NodeId node, double when,
@@ -89,7 +85,7 @@ void DspSystem::defer_arrival(net::NodeId node, double when,
     hosts_[node]->ingest(tuple, when);
     return;
   }
-  epoch_tasks_.push_back(EpochTask{node, when, {}, true, tuple});
+  epoch_tasks_.push_back(EpochTask{node, when, true, tuple, {}});
 }
 
 void DspSystem::schedule_restart(net::NodeId node, double at) {
@@ -274,7 +270,7 @@ void DspSystem::execute_epoch(common::ThreadPool& pool,
         if (task.is_arrival) {
           hosts_[node_id]->ingest(task.tuple, task.when);
         } else {
-          task.fn();
+          hosts_[node_id]->deliver(std::move(task.frame), task.when);
         }
       }
     });

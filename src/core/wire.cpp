@@ -23,6 +23,11 @@ std::uint32_t payload_checksum(std::span<const std::uint8_t> bytes) noexcept {
 
 namespace {
 
+// The trailing checksum's size. Every encoder reserves room for it (the
+// tuple and summary encoders' slack covers it), so sealing appends without
+// regrowing the buffer.
+constexpr std::size_t kChecksumBytes = 4;
+
 std::vector<std::uint8_t> seal(BufferWriter&& writer) {
   auto bytes = std::move(writer).take();
   const std::uint32_t sum = payload_checksum(bytes);
@@ -150,8 +155,11 @@ Result<SummaryPayload> SummaryPayload::decode(std::span<const std::uint8_t> byte
   return out;
 }
 
-std::vector<std::uint8_t> ResultPayload::encode(bool with_query_ids) const {
-  BufferWriter out(8 + pairs.size() * 16);
+std::vector<std::uint8_t> ResultPayload::encode(
+    std::span<const stream::ResultPair> pairs, std::uint32_t query_id,
+    bool with_query_ids) {
+  // Query id, count, the pairs and the checksum.
+  BufferWriter out(4 + 4 + pairs.size() * 16 + kChecksumBytes);
   if (with_query_ids) out.write_u32(query_id);
   out.write_u32(static_cast<std::uint32_t>(pairs.size()));
   for (const auto& p : pairs) {

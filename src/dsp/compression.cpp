@@ -25,11 +25,17 @@ CompressedSpectrum compress(std::span<const double> signal, double kappa,
   return out;
 }
 
-std::vector<double> reconstruct(const CompressedSpectrum& spectrum) {
+namespace {
+
+// The conjugate-symmetric zero-filled inverse transform of a truncated
+// spectrum, in a per-thread buffer (the plans are per-thread too) that the
+// next call on this thread overwrites.
+std::span<const Complex> inverse_band(const CompressedSpectrum& spectrum) {
   const std::size_t w = spectrum.window;
   assert(w >= 2);
   assert(spectrum.coeffs.size() <= w / 2 + 1);
-  std::vector<Complex> full(w, Complex{});
+  thread_local std::vector<Complex> full;
+  full.assign(w, Complex{});
   full[0] = spectrum.coeffs.empty() ? Complex{} : spectrum.coeffs[0];
   for (std::size_t k = 1; k < spectrum.coeffs.size(); ++k) {
     full[k] = spectrum.coeffs[k];
@@ -37,20 +43,26 @@ std::vector<double> reconstruct(const CompressedSpectrum& spectrum) {
     // the coefficient of a real signal is already real.
     if (w - k != k) full[w - k] = std::conj(spectrum.coeffs[k]);
   }
-  const Fft& fft = Fft::plan(w);
-  fft.inverse(full);
-  std::vector<double> out(w);
-  for (std::size_t n = 0; n < w; ++n) out[n] = full[n].real();
+  Fft::plan(w).inverse(full);
+  return full;
+}
+
+}  // namespace
+
+std::vector<double> reconstruct(const CompressedSpectrum& spectrum) {
+  const std::span<const Complex> full = inverse_band(spectrum);
+  std::vector<double> out(full.size());
+  for (std::size_t n = 0; n < full.size(); ++n) out[n] = full[n].real();
   return out;
 }
 
-std::vector<std::int64_t> reconstruct_rounded(const CompressedSpectrum& spectrum) {
-  const std::vector<double> values = reconstruct(spectrum);
-  std::vector<std::int64_t> out(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out[i] = static_cast<std::int64_t>(std::llround(values[i]));
+void reconstruct_rounded(const CompressedSpectrum& spectrum,
+                         std::vector<std::int64_t>& out) {
+  const std::span<const Complex> full = inverse_band(spectrum);
+  out.resize(full.size());
+  for (std::size_t n = 0; n < full.size(); ++n) {
+    out[n] = static_cast<std::int64_t>(std::llround(full[n].real()));
   }
-  return out;
 }
 
 std::vector<double> squared_errors(std::span<const double> original,

@@ -53,8 +53,11 @@ CompressedSpectrum compress(std::span<const double> signal, double kappa,
 std::vector<double> reconstruct(const CompressedSpectrum& spectrum);
 
 /// Reconstructs and rounds each sample to the nearest integer — the final
-/// approximated attribute multiset of Section 5.3.
-std::vector<std::int64_t> reconstruct_rounded(const CompressedSpectrum& spectrum);
+/// approximated attribute multiset of Section 5.3 — into `out`, which it
+/// resizes to W. The transform runs in a per-thread buffer, so a reused
+/// `out` makes the call allocation-free.
+void reconstruct_rounded(const CompressedSpectrum& spectrum,
+                         std::vector<std::int64_t>& out);
 
 /// Per-sample squared reconstruction errors (Figure 5's series).
 std::vector<double> squared_errors(std::span<const double> original,

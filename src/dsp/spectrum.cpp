@@ -34,8 +34,10 @@ CorrelationEstimate lag_max_correlation(std::span<const Complex> x,
 
   // Build the conjugate-symmetric cross spectrum of the two real signals
   // with DC suppressed, then inverse-transform: r[n] is the circular
-  // cross-correlation of the mean-removed low-passed signals.
-  std::vector<Complex> full(window, Complex{});
+  // cross-correlation of the mean-removed low-passed signals. The buffer is
+  // per-thread, like the plan.
+  thread_local std::vector<Complex> full;
+  full.assign(window, Complex{});
   for (std::size_t k = 1; k < x.size(); ++k) {
     const Complex s = x[k] * std::conj(y[k]);
     full[k] = s;
@@ -44,13 +46,25 @@ CorrelationEstimate lag_max_correlation(std::span<const Complex> x,
   const Fft& fft = Fft::plan(window);
   fft.inverse(full);
 
+  // The lag of the largest |r[n]|, the first on ties. std::abs is a libm
+  // hypot call, so a lag whose norm re^2 + im^2 is below `cutoff` skips it:
+  // the rounded norm is within 4 ulp of |r[n]|^2, so such a lag cannot
+  // reach best, and best and best_lag keep the plain loop's bits. The
+  // cutoff stays 0 (no lag skips) unless best^2 is a normal number, and a
+  // NaN norm never compares below it.
   double best = 0.0;
+  double cutoff = 0.0;
   std::size_t best_lag = 0;
   for (std::size_t n = 0; n < window; ++n) {
+    const double re = full[n].real();
+    const double im = full[n].imag();
+    if (re * re + im * im < cutoff) continue;
     const double mag = std::abs(full[n]);
     if (mag > best) {
       best = mag;
       best_lag = n;
+      cutoff = best > 0x1p-400 && best < 0x1p400 ? best * best * (1.0 - 1e-9)
+                                                  : 0.0;
     }
   }
   // full[] carries a 1/W from the inverse transform; r_xy's natural

@@ -138,9 +138,10 @@ common::Status SimTransport::send(Frame&& frame) {
   // Delivery is committed: tee summary content to the virtual-time plane
   // (post-corruption, so a mangled block still fails its checksum there).
   if (summary_sink_ && summary_bearing(frame)) summary_sink_(frame);
-  DeliveryHandler& handler = handlers_[frame.to];
-  queue_.schedule_at(arrival,
-                     [&handler, f = std::move(frame)]() mutable { handler(std::move(f)); });
+  // The delivery points at the handler slot, not a copy of the handler:
+  // a node re-registered by a restart receives the frames in flight.
+  const DeliveryHandler* handler = &handlers_[frame.to];
+  queue_.schedule_delivery_at(arrival, handler, std::move(frame));
   return common::Status::ok();
 }
 
@@ -169,11 +170,9 @@ void SimTransport::end_epoch() {
         if (summary_sink_ && summary_bearing(pending.frame)) {
           summary_sink_(pending.frame);
         }
-        DeliveryHandler& handler = handlers_[pending.frame.to];
-        queue_.schedule_at(pending.arrival,
-                           [&handler, f = std::move(pending.frame)]() mutable {
-                             handler(std::move(f));
-                           });
+        const DeliveryHandler* handler = &handlers_[pending.frame.to];
+        queue_.schedule_delivery_at(pending.arrival, handler,
+                                    std::move(pending.frame));
       }
     }
     slot.clear();

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -30,8 +31,8 @@ struct StoredTuple {
 
 /// Hash-partitioned, columnar multiset of tuples with timestamp-based
 /// eviction (DESIGN.md section 16). Keys hash to one of kPartitions
-/// partitions; each partition is a list of SoA chunks (parallel key /
-/// timestamp / id / origin columns, appended in arrival order). Probes scan
+/// partitions; each partition is a list of SoA chunks (key / timestamp /
+/// id / origin columns in one block, appended in arrival order). Probes scan
 /// a partition's chunk columns linearly with the common::simd match-scan
 /// kernels; eviction advances a dead-prefix cursor on time-sorted chunks
 /// (the common case) and compacts a chunk in place — order-preserving —
@@ -64,32 +65,48 @@ class TupleStore {
   static constexpr std::size_t kPartitions = 64;
   static constexpr std::size_t kChunkCap = 256;
 
-  // One partition segment: parallel columns over at most kChunkCap tuples
-  // in arrival order. Columns grow naturally (no up-front reserve — nodes
-  // hold many stores and most stay small). `live_begin` is the evicted
-  // prefix length while the chunk is sorted; `live_min` / `max_ts` bound
-  // the live timestamps for probe pruning (`max_ts` may go stale-high
-  // after prefix eviction — conservative, never wrong); `sorted` records
-  // whether appends stayed non-decreasing.
+  static constexpr std::size_t kFirstCap = 4;
+
+  // One partition segment: at most kChunkCap tuples in arrival order, as
+  // four columns of `cap` slots in one heap block (keys | ts | ids |
+  // origins). The block starts at kFirstCap slots and doubles when full
+  // (no up-front reserve — nodes hold many stores and most stay small), so
+  // a chunk costs one allocation per doubling, not four. `live_begin` is
+  // the evicted prefix length while the chunk is sorted; `live_min` /
+  // `max_ts` bound the live timestamps for probe pruning (`max_ts` may go
+  // stale-high after prefix eviction — conservative, never wrong); `sorted`
+  // records whether appends stayed non-decreasing.
   struct Chunk {
-    std::vector<std::int64_t> keys;
-    std::vector<double> ts;
-    std::vector<std::uint64_t> ids;
-    std::vector<net::NodeId> origins;
+    std::unique_ptr<std::byte[]> block;
+    std::size_t count = 0;
+    std::size_t cap = 0;
     std::size_t live_begin = 0;
     double live_min = std::numeric_limits<double>::infinity();
     double max_ts = -std::numeric_limits<double>::infinity();
     bool sorted = true;
 
-    std::size_t n() const noexcept { return keys.size(); }
-    std::size_t live() const noexcept { return keys.size() - live_begin; }
+    std::int64_t* keys() const noexcept {
+      return reinterpret_cast<std::int64_t*>(block.get());
+    }
+    double* ts() const noexcept {
+      return reinterpret_cast<double*>(block.get() + cap * 8);
+    }
+    std::uint64_t* ids() const noexcept {
+      return reinterpret_cast<std::uint64_t*>(block.get() + cap * 16);
+    }
+    net::NodeId* origins() const noexcept {
+      return reinterpret_cast<net::NodeId*>(block.get() + cap * 24);
+    }
+    std::size_t live() const noexcept { return count - live_begin; }
+    /// Doubles the block (or makes the first one), keeping the columns.
+    void grow();
   };
 
   // Chunks in creation order. Appends go to the back chunk; a probe scans
   // the chunk list front to back, which restricted to one key is exactly
   // that key's insertion order (the order the old per-key buckets exposed).
   struct Partition {
-    std::vector<std::unique_ptr<Chunk>> chunks;
+    std::vector<Chunk> chunks;
   };
 
   // Fibonacci multiplicative hash; top bits select the partition so nearby

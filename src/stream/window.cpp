@@ -1,22 +1,40 @@
 #include "dsjoin/stream/window.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "dsjoin/common/simd.hpp"
 
 namespace dsjoin::stream {
 
+void TupleStore::Chunk::grow() {
+  const std::size_t new_cap = cap == 0 ? kFirstCap : std::min(2 * cap, kChunkCap);
+  Chunk next;
+  next.block = std::make_unique_for_overwrite<std::byte[]>(
+      new_cap * (sizeof(std::int64_t) + sizeof(double) +
+                 sizeof(std::uint64_t) + sizeof(net::NodeId)));
+  next.cap = new_cap;
+  std::copy_n(keys(), count, next.keys());
+  std::copy_n(ts(), count, next.ts());
+  std::copy_n(ids(), count, next.ids());
+  std::copy_n(origins(), count, next.origins());
+  block = std::move(next.block);
+  cap = new_cap;
+}
+
 void TupleStore::insert(const Tuple& tuple) {
   Partition& part = parts_[part_of(tuple.key)];
-  if (part.chunks.empty() || part.chunks.back()->n() == kChunkCap) {
-    part.chunks.push_back(std::make_unique<Chunk>());
+  if (part.chunks.empty() || part.chunks.back().count == kChunkCap) {
+    part.chunks.emplace_back();
   }
-  Chunk& c = *part.chunks.back();
-  if (!c.ts.empty() && tuple.timestamp < c.ts.back()) c.sorted = false;
-  c.keys.push_back(tuple.key);
-  c.ts.push_back(tuple.timestamp);
-  c.ids.push_back(tuple.id);
-  c.origins.push_back(tuple.origin);
+  Chunk& c = part.chunks.back();
+  if (c.count == c.cap) c.grow();
+  const std::size_t at = c.count++;
+  if (at > 0 && tuple.timestamp < c.ts()[at - 1]) c.sorted = false;
+  c.keys()[at] = tuple.key;
+  c.ts()[at] = tuple.timestamp;
+  c.ids()[at] = tuple.id;
+  c.origins()[at] = tuple.origin;
   if (tuple.timestamp < c.live_min) c.live_min = tuple.timestamp;
   if (tuple.timestamp > c.max_ts) c.max_ts = tuple.timestamp;
   ++size_;
@@ -25,8 +43,7 @@ void TupleStore::insert(const Tuple& tuple) {
 void TupleStore::evict_before(double min_timestamp) {
   for (Partition& part : parts_) {
     bool any_empty = false;
-    for (auto& chunk : part.chunks) {
-      Chunk& c = *chunk;
+    for (Chunk& c : part.chunks) {
       // live_min is exact over the live region, so a chunk whose oldest
       // live tuple already meets the horizon is skipped without touching
       // its columns — the steady-state cost of eviction is one double
@@ -37,39 +54,40 @@ void TupleStore::evict_before(double min_timestamp) {
       }
       if (c.sorted) {
         // Dead tuples form a prefix: advance the cursor, never move data.
+        const double* ts = c.ts();
         std::size_t b = c.live_begin;
-        const std::size_t n = c.n();
-        while (b < n && c.ts[b] < min_timestamp) ++b;
+        const std::size_t n = c.count;
+        while (b < n && ts[b] < min_timestamp) ++b;
         size_ -= b - c.live_begin;
         c.live_begin = b;
-        c.live_min =
-            b < n ? c.ts[b] : std::numeric_limits<double>::infinity();
+        c.live_min = b < n ? ts[b] : std::numeric_limits<double>::infinity();
       } else {
         // A late arrival broke the sort: compact the live region in place,
         // preserving arrival order (observable via collect_matches), and
         // recompute the exact bounds while the data streams through.
+        std::int64_t* keys = c.keys();
+        double* ts = c.ts();
+        std::uint64_t* ids = c.ids();
+        net::NodeId* origins = c.origins();
         std::size_t w = 0;
         double live_min = std::numeric_limits<double>::infinity();
         double max_ts = -std::numeric_limits<double>::infinity();
         double prev = -std::numeric_limits<double>::infinity();
         bool sorted = true;
-        for (std::size_t r = c.live_begin; r < c.n(); ++r) {
-          if (c.ts[r] < min_timestamp) continue;
-          c.keys[w] = c.keys[r];
-          c.ts[w] = c.ts[r];
-          c.ids[w] = c.ids[r];
-          c.origins[w] = c.origins[r];
-          if (c.ts[w] < live_min) live_min = c.ts[w];
-          if (c.ts[w] > max_ts) max_ts = c.ts[w];
-          if (c.ts[w] < prev) sorted = false;
-          prev = c.ts[w];
+        for (std::size_t r = c.live_begin; r < c.count; ++r) {
+          if (ts[r] < min_timestamp) continue;
+          keys[w] = keys[r];
+          ts[w] = ts[r];
+          ids[w] = ids[r];
+          origins[w] = origins[r];
+          if (ts[w] < live_min) live_min = ts[w];
+          if (ts[w] > max_ts) max_ts = ts[w];
+          if (ts[w] < prev) sorted = false;
+          prev = ts[w];
           ++w;
         }
         size_ -= c.live() - w;
-        c.keys.resize(w);
-        c.ts.resize(w);
-        c.ids.resize(w);
-        c.origins.resize(w);
+        c.count = w;
         c.live_begin = 0;
         c.live_min = live_min;
         c.max_ts = max_ts;
@@ -78,9 +96,7 @@ void TupleStore::evict_before(double min_timestamp) {
       any_empty |= c.live() == 0;
     }
     if (any_empty) {
-      std::erase_if(part.chunks, [](const std::unique_ptr<Chunk>& c) {
-        return c->live() == 0;
-      });
+      std::erase_if(part.chunks, [](const Chunk& c) { return c.live() == 0; });
     }
   }
 }
@@ -92,15 +108,17 @@ void TupleStore::collect_matches(std::int64_t key, double center,
   const double hi = center + half_width;
   const Partition& part = parts_[part_of(key)];
   std::uint32_t idx[kChunkCap];
-  for (const auto& chunk : part.chunks) {
-    const Chunk& c = *chunk;
+  for (const Chunk& c : part.chunks) {
     if (c.live() == 0 || c.max_ts < lo || c.live_min > hi) continue;
+    const double* ts = c.ts();
+    const std::uint64_t* ids = c.ids();
+    const net::NodeId* origins = c.origins();
     const std::size_t m = common::simd::match_collect_scan(
-        c.keys.data() + c.live_begin, c.ts.data() + c.live_begin, c.live(),
-        key, lo, hi, idx);
+        c.keys() + c.live_begin, ts + c.live_begin, c.live(), key, lo, hi,
+        idx);
     for (std::size_t k = 0; k < m; ++k) {
       const std::size_t j = c.live_begin + idx[k];
-      out.push_back(StoredTuple{c.ids[j], c.ts[j], c.origins[j]});
+      out.push_back(StoredTuple{ids[j], ts[j], origins[j]});
     }
   }
 }

@@ -40,6 +40,14 @@ std::unique_ptr<QueryNode> make_node(const SystemConfig& config,
   return std::make_unique<QueryNode>(config, self);
 }
 
+// The destinations RoutingPolicy::route writes for one tuple.
+std::vector<net::NodeId> route(RoutingPolicy& policy,
+                               const stream::Tuple& tuple) {
+  std::vector<net::NodeId> out;
+  policy.route(tuple, out);
+  return out;
+}
+
 stream::Tuple tuple_with(std::int64_t key, stream::StreamSide side,
                          double ts = 1.0) {
   stream::Tuple t;
@@ -67,20 +75,23 @@ TEST(ThrottleToBudget, EndpointsAndMonotonicity) {
 
 TEST(AllocateFlowProbabilities, ZeroScoresGetFloorOnly) {
   std::vector<double> scores(5, 0.0);
-  const auto probs = allocate_flow_probabilities(scores, 3.0, 0.1);
+  std::vector<double> probs;
+  allocate_flow_probabilities(scores, 3.0, 0.1, probs);
   for (double p : probs) EXPECT_DOUBLE_EQ(p, 0.1);
 }
 
 TEST(AllocateFlowProbabilities, SpendsBudgetProportionally) {
   std::vector<double> scores{1.0, 3.0};
-  const auto probs = allocate_flow_probabilities(scores, 0.8, 0.0);
+  std::vector<double> probs;
+  allocate_flow_probabilities(scores, 0.8, 0.0, probs);
   EXPECT_NEAR(probs[0] + probs[1], 0.8, 1e-9);
   EXPECT_NEAR(probs[1] / probs[0], 3.0, 1e-9);
 }
 
 TEST(AllocateFlowProbabilities, SaturatesAtOne) {
   std::vector<double> scores{100.0, 1.0, 1.0};
-  const auto probs = allocate_flow_probabilities(scores, 2.0, 0.0);
+  std::vector<double> probs;
+  allocate_flow_probabilities(scores, 2.0, 0.0, probs);
   EXPECT_DOUBLE_EQ(probs[0], 1.0);
   EXPECT_NEAR(probs[0] + probs[1] + probs[2], 2.0, 1e-9);
   EXPECT_NEAR(probs[1], probs[2], 1e-12);
@@ -88,13 +99,15 @@ TEST(AllocateFlowProbabilities, SaturatesAtOne) {
 
 TEST(AllocateFlowProbabilities, FullBudgetBroadcasts) {
   std::vector<double> scores{5.0, 0.1, 2.0, 0.4};
-  const auto probs = allocate_flow_probabilities(scores, 4.0, 0.0);
+  std::vector<double> probs;
+  allocate_flow_probabilities(scores, 4.0, 0.0, probs);
   for (double p : probs) EXPECT_NEAR(p, 1.0, 1e-9);
 }
 
 TEST(AllocateFlowProbabilities, FloorIsRespected) {
   std::vector<double> scores{10.0, 0.0, 0.0};
-  const auto probs = allocate_flow_probabilities(scores, 1.5, 0.2);
+  std::vector<double> probs;
+  allocate_flow_probabilities(scores, 1.5, 0.2, probs);
   EXPECT_GE(probs[1], 0.2 - 1e-12);
   EXPECT_GE(probs[2], 0.2 - 1e-12);
   EXPECT_DOUBLE_EQ(probs[0], 1.0);
@@ -104,9 +117,11 @@ TEST(AllocateFlowProbabilities, FloorIsRespected) {
 }
 
 TEST(AllocateFlowProbabilities, EmptyAndClamps) {
-  EXPECT_TRUE(allocate_flow_probabilities({}, 3.0, 0.1).empty());
+  std::vector<double> probs{0.5};
+  allocate_flow_probabilities({}, 3.0, 0.1, probs);
+  EXPECT_TRUE(probs.empty());
   std::vector<double> scores{1.0};
-  const auto probs = allocate_flow_probabilities(scores, 100.0, 0.0);
+  allocate_flow_probabilities(scores, 100.0, 0.0, probs);
   EXPECT_DOUBLE_EQ(probs[0], 1.0);  // budget clamped to n
 }
 
@@ -144,7 +159,7 @@ TEST(PolicyNames, RegistryCoversEveryKindOnce) {
 
 TEST(BasePolicy, BroadcastsToAllPeers) {
   const auto node = make_node(config_for(PolicyKind::kBase, 5), 2);
-  const auto dests = node->policy.route(tuple_with(1, stream::StreamSide::kR));
+  const auto dests = route(node->policy, tuple_with(1, stream::StreamSide::kR));
   EXPECT_EQ(dests.size(), 4u);
   std::set<net::NodeId> unique(dests.begin(), dests.end());
   EXPECT_EQ(unique.size(), 4u);
@@ -159,7 +174,7 @@ TEST(RoundRobinPolicy, CyclesThroughPeersEvenly) {
   const auto node = make_node(config, 1);
   std::map<net::NodeId, int> counts;
   for (int i = 0; i < 300; ++i) {
-    const auto dests = node->policy.route(tuple_with(1, stream::StreamSide::kR));
+    const auto dests = route(node->policy, tuple_with(1, stream::StreamSide::kR));
     ASSERT_EQ(dests.size(), 1u);
     EXPECT_NE(dests[0], 1u);
     ++counts[dests[0]];
@@ -172,7 +187,7 @@ TEST(RoundRobinPolicy, ThrottleWidensFanout) {
   auto config = config_for(PolicyKind::kRoundRobin, 6);
   config.queries.front().throttle = 1.0;  // T = 5
   const auto node = make_node(config, 0);
-  const auto dests = node->policy.route(tuple_with(1, stream::StreamSide::kR));
+  const auto dests = route(node->policy, tuple_with(1, stream::StreamSide::kR));
   EXPECT_EQ(dests.size(), 5u);
 }
 
@@ -208,7 +223,7 @@ TEST_P(MembershipPolicyTest, LearnsFromSummariesAndRoutesToOwners) {
     r.id = id++;
     r.origin = 1;
     owner->substrate.observe_local(r);
-    (void)owner->policy.route(t);
+    (void)route(owner->policy, t);
     for (auto& summary : owner->substrate.maintenance(now)) {
       if (summary.peer == 0) {
         ASSERT_TRUE(router->substrate.on_summary(1, summary.block).is_ok());
@@ -249,7 +264,7 @@ TEST_P(MembershipPolicyTest, LearnsFromSummariesAndRoutesToOwners) {
   int to_owner = 0, to_silent = 0, total = 0;
   for (int i = 0; i < 200; ++i) {
     now += 0.02;
-    const auto dests = router->policy.route(tuple_with(5001, stream::StreamSide::kR, now));
+    const auto dests = route(router->policy, tuple_with(5001, stream::StreamSide::kR, now));
     for (auto d : dests) {
       ++total;
       if (d == 1) ++to_owner;
@@ -340,7 +355,7 @@ TEST(SpectrumPolicy, BroadcastsSpectraEveryEpochAndLearns) {
     now += 0.1;
     receiver->substrate.observe_local(tuple_with(7001, stream::StreamSide::kR, now));
   }
-  (void)receiver->policy.route(tuple_with(7001, stream::StreamSide::kR, now));
+  (void)route(receiver->policy, tuple_with(7001, stream::StreamSide::kR, now));
   const auto probs = receiver->policy.flow_probabilities();
   ASSERT_EQ(probs.size(), 3u);
   EXPECT_GT(probs[1], probs[2]);  // summarized matching peer beats silent one
@@ -430,7 +445,7 @@ TEST(SamplePolicy, LearnsMatchingPeerFromSampleSummaries) {
     now += 0.1;
     receiver->substrate.observe_local(tuple_with(4201, stream::StreamSide::kR, now));
   }
-  (void)receiver->policy.route(tuple_with(4201, stream::StreamSide::kR, now));
+  (void)route(receiver->policy, tuple_with(4201, stream::StreamSide::kR, now));
   const auto probs = receiver->policy.flow_probabilities();
   ASSERT_EQ(probs.size(), 3u);
   EXPECT_DOUBLE_EQ(probs[0], 0.0);  // self
@@ -448,7 +463,7 @@ TEST(SamplePolicy, AccumulatesEpsilonBoundTerms) {
   for (int i = 0; i < 50; ++i) {
     now += 0.1;
     node->substrate.observe_local(tuple_with(7, stream::StreamSide::kS, now));
-    (void)node->policy.route(tuple_with(7, stream::StreamSide::kR, now));
+    (void)route(node->policy, tuple_with(7, stream::StreamSide::kR, now));
     (void)node->substrate.maintenance(now);
   }
   const auto terms = node->policy.epsilon_bound_terms();
@@ -463,7 +478,7 @@ TEST(SamplePolicy, AccumulatesEpsilonBoundTerms) {
 TEST(DftFamilyPolicy, FlowProbabilitiesExposeSelfAsZero) {
   auto config = config_for(PolicyKind::kDft, 4);
   const auto node = make_node(config, 2);
-  (void)node->policy.route(tuple_with(1, stream::StreamSide::kR));
+  (void)route(node->policy, tuple_with(1, stream::StreamSide::kR));
   const auto probs = node->policy.flow_probabilities();
   ASSERT_EQ(probs.size(), 4u);
   EXPECT_DOUBLE_EQ(probs[2], 0.0);

@@ -19,6 +19,9 @@ class AllocatorPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AllocatorPropertyTest, InvariantsHoldForRandomInputs) {
   common::Xoshiro256 rng(GetParam());
+  // One output vector for every trial: stale entries of an earlier, larger
+  // or saturated trial must not leak into the next.
+  std::vector<double> probs;
   for (int trial = 0; trial < 200; ++trial) {
     const std::size_t n = 1 + rng.next_below(24);
     std::vector<double> scores(n);
@@ -27,7 +30,7 @@ TEST_P(AllocatorPropertyTest, InvariantsHoldForRandomInputs) {
     }
     const double budget = rng.next_double_in(0.0, static_cast<double>(n) + 2.0);
     const double floor = rng.next_double_in(0.0, 0.3);
-    const auto probs = allocate_flow_probabilities(scores, budget, floor);
+    allocate_flow_probabilities(scores, budget, floor, probs);
     ASSERT_EQ(probs.size(), n);
     double total = 0.0;
     for (std::size_t j = 0; j < n; ++j) {

@@ -443,7 +443,8 @@ void expect_estimates_match_brute_force(std::uint32_t window,
   dsp::CompressedSpectrum spectrum;
   spectrum.window = window;
   spectrum.coeffs = coeffs;
-  const auto values = dsp::reconstruct_rounded(spectrum);
+  std::vector<std::int64_t> values;
+  dsp::reconstruct_rounded(spectrum, values);
   const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
   const auto span = static_cast<std::uint64_t>(*hi - *lo) + 81;
   common::Xoshiro256 rng(seed);

@@ -92,7 +92,9 @@ TEST(Reconstruct, StockSeriesLosslessAtModerateKappa) {
 TEST(ReconstructRounded, RoundsToIntegers) {
   std::vector<double> signal{10, 11, 12, 13, 12, 11, 10, 11};
   Fft fft(signal.size());
-  const auto rounded = reconstruct_rounded(compress(signal, 1.0, fft));
+  // A reused output of another size is resized, not appended to.
+  std::vector<std::int64_t> rounded(3, -1);
+  reconstruct_rounded(compress(signal, 1.0, fft), rounded);
   ASSERT_EQ(rounded.size(), signal.size());
   for (std::size_t i = 0; i < signal.size(); ++i) {
     EXPECT_EQ(rounded[i], static_cast<std::int64_t>(signal[i]));

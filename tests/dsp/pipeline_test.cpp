@@ -62,7 +62,8 @@ TEST(DspPipeline, MembershipSurvivesTheRingShift) {
   CompressedSpectrum spectrum;
   spectrum.window = kW;
   spectrum.coeffs.assign(dft.coefficients().begin(), dft.coefficients().end());
-  const auto rounded = reconstruct_rounded(spectrum);
+  std::vector<std::int64_t> rounded;
+  reconstruct_rounded(spectrum, rounded);
   // Every value of the live window appears in the reconstruction with the
   // right multiplicity (full spectrum retained => exact multiset).
   std::map<std::int64_t, int> expected, got;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <vector>
 
 #include "dsjoin/common/rng.hpp"
 #include "dsjoin/dsp/compression.hpp"
@@ -149,6 +152,81 @@ TEST(SpectralMagnitudeCosine, DisjointBandsScoreLow) {
   const auto sa = spectrum_of(low, 4.0);   // keeps 64 coefficients
   const auto sb = spectrum_of(high, 4.0);
   EXPECT_LT(spectral_magnitude_cosine(sa.coeffs, sb.coeffs), 0.05);
+}
+
+// lag_max_correlation with the plain peak search: std::abs on every lag.
+CorrelationEstimate plain_lag_max_correlation(std::span<const Complex> x,
+                                              std::span<const Complex> y,
+                                              std::size_t window) {
+  const double ex = spectral_energy(x);
+  const double ey = spectral_energy(y);
+  if (ex <= 0.0 || ey <= 0.0) return {};
+  std::vector<Complex> full(window, Complex{});
+  for (std::size_t k = 1; k < x.size(); ++k) {
+    const Complex s = x[k] * std::conj(y[k]);
+    full[k] = s;
+    full[window - k] = std::conj(s);
+  }
+  Fft::plan(window).inverse(full);
+  double best = 0.0;
+  std::size_t best_lag = 0;
+  for (std::size_t n = 0; n < window; ++n) {
+    const double mag = std::abs(full[n]);
+    if (mag > best) {
+      best = mag;
+      best_lag = n;
+    }
+  }
+  const double rho = best * static_cast<double>(window) / std::sqrt(ex * ey);
+  return CorrelationEstimate{rho < 1.0 ? rho : 1.0, best_lag};
+}
+
+// The norm prefilter skips std::abs only on lags that cannot beat the
+// running peak, so rho and lag keep the plain loop's bits: random spectra
+// at scales 2^-300..2^300 (subnormal norms, overflow to infinity),
+// integer-valued entries (exact ties), identical inputs (mirrored ties)
+// and non-finite entries, at W = 64..512.
+TEST(LagMaxCorrelation, NormPrefilterKeepsThePlainLoopsBits) {
+  common::Xoshiro256 rng(2024);
+  std::size_t cases = 0;
+  for (const std::size_t window : {64u, 128u, 256u, 512u}) {
+    for (int family = 0; family < 4; ++family) {
+      for (int trial = 0; trial < 150; ++trial) {
+        const std::size_t k = 2 + rng.next_below(window / 2);
+        const double scale =
+            std::ldexp(1.0, static_cast<int>(rng.next_below(601)) - 300);
+        std::vector<Complex> x(k), y(k);
+        for (std::size_t i = 0; i < k; ++i) {
+          if (family == 1) {
+            x[i] = {static_cast<double>(rng.next_below(5)) - 2.0,
+                    static_cast<double>(rng.next_below(5)) - 2.0};
+            y[i] = {static_cast<double>(rng.next_below(3)) - 1.0, 0.0};
+          } else {
+            x[i] = {scale * rng.next_double_in(-1, 1),
+                    scale * rng.next_double_in(-1, 1)};
+            y[i] = {scale * rng.next_double_in(-1, 1),
+                    scale * rng.next_double_in(-1, 1)};
+          }
+        }
+        if (family == 2) y = x;
+        if (family == 3) {
+          const double odd[] = {std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+          x[1 + rng.next_below(k - 1)].real(odd[rng.next_below(3)]);
+        }
+        const auto got = lag_max_correlation(x, y, window);
+        const auto want = plain_lag_max_correlation(x, y, window);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.rho),
+                  std::bit_cast<std::uint64_t>(want.rho))
+            << "W=" << window << " family " << family << " trial " << trial;
+        ASSERT_EQ(got.lag, want.lag)
+            << "W=" << window << " family " << family << " trial " << trial;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2400u);
 }
 
 }  // namespace
