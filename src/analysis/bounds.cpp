@@ -73,14 +73,4 @@ double zipf_error_bound_normalized(std::uint32_t nodes, double alpha,
   return std::clamp(1.0 - mass / total, 0.0, 1.0);
 }
 
-sampling::Estimate ht_join_estimate(const sampling::SampleSummary& r,
-                                    const sampling::SampleSummary& s) noexcept {
-  return sampling::estimate_join_size(r, s);
-}
-
-double ht_upper_confidence(const sampling::Estimate& estimate,
-                           double z) noexcept {
-  return sampling::upper_confidence(estimate, z);
-}
-
 }  // namespace dsjoin::analysis

@@ -11,8 +11,6 @@
 
 #include <cstdint>
 
-#include "dsjoin/sampling/estimator.hpp"
-
 namespace dsjoin::analysis {
 
 /// Theorem 1: epsilon upper bound for T_i = 1 under uniform data:
@@ -45,19 +43,5 @@ double zipf_error_bound_tlog_printed(std::uint32_t nodes, double alpha) noexcept
 /// plus one remote) and m = 1 + log2(N) for the O(log N) case.
 double zipf_error_bound_normalized(std::uint32_t nodes, double alpha,
                                    double contacted_sites) noexcept;
-
-// Sampling-based bounds (SMPL policy, DESIGN.md §14): Horvitz–Thompson
-// join-size estimation over stratified reservoir samples with
-// variance-derived confidence bounds. Thin named wrappers over
-// dsjoin::sampling so analysis consumers read every bound from one header.
-
-/// HT estimate of |R join S| between two independently sampled windows,
-/// with the independent-product variance.
-sampling::Estimate ht_join_estimate(const sampling::SampleSummary& r,
-                                    const sampling::SampleSummary& s) noexcept;
-
-/// One-sided upper confidence bound mean + z * sd on an HT estimate.
-double ht_upper_confidence(const sampling::Estimate& estimate,
-                           double z = sampling::kZ95) noexcept;
 
 }  // namespace dsjoin::analysis

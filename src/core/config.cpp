@@ -300,11 +300,6 @@ common::Result<SystemConfig> deserialize_config(common::BufferReader& in) {
   DSJOIN_READ(kappa, read_f64);
   DSJOIN_READ(summary_epoch_tuples, read_u32);
   DSJOIN_READ(summary_sync_epoch_s, read_f64);
-  if (!std::isfinite(config.summary_sync_epoch_s) ||
-      config.summary_sync_epoch_s <= 0.0) {
-    return common::Status(common::ErrorCode::kDataLoss,
-                          "summary sync epoch out of range");
-  }
   DSJOIN_READ(membership_tolerance, read_i64);
   DSJOIN_READ(max_backlog_s, read_f64);
   DSJOIN_READ(coalesce_frames, read_u32);
@@ -318,23 +313,8 @@ common::Result<SystemConfig> deserialize_config(common::BufferReader& in) {
   }
   DSJOIN_READ(online_target_eps, read_f64);
   DSJOIN_READ(summary_quant_bits, read_u32);
-  if (config.summary_quant_bits != 0 && config.summary_quant_bits != 8 &&
-      config.summary_quant_bits != 16) {
-    return common::Status(common::ErrorCode::kDataLoss,
-                          "summary quant bits must be 0, 8 or 16");
-  }
   DSJOIN_READ(sample_capacity, read_u32);
-  // The sample-summary wire format counts keys in a u16 and thinning can
-  // briefly hold ~2x capacity, so the live sample must stay under 32768.
-  if (config.sample_capacity > (1u << 15)) {
-    return common::Status(common::ErrorCode::kDataLoss,
-                          "sample capacity out of range");
-  }
   DSJOIN_READ(sample_strata, read_u32);
-  if (config.sample_strata == 0 || config.sample_strata > 4096) {
-    return common::Status(common::ErrorCode::kDataLoss,
-                          "sample strata must be in [1, 4096]");
-  }
   {
     auto count = in.read_u32();
     if (!count) return count.status();
@@ -367,9 +347,9 @@ common::Result<SystemConfig> deserialize_config(common::BufferReader& in) {
     }
   }
 #undef DSJOIN_READ
-  // One shared validity gate for everything the field-level checks above
-  // do not cover (query count and ranges, node count, rate): a config
-  // that decodes but fails validation is corrupt from the wire's view.
+  // The one validity gate (the query count above only bounds the reserve
+  // before it runs): a config that decodes but fails validation is
+  // corrupt from the wire's view.
   if (auto valid = validate_config(config); !valid.is_ok()) {
     return common::Status(common::ErrorCode::kDataLoss, valid.message());
   }

@@ -1,9 +1,9 @@
 // TCP plumbing shared by every real-socket component.
 //
-// The in-process TcpTransport, the multi-process mesh transport and the
-// coordinator/daemon control plane all speak the same length-prefixed
-// framing over loopback/LAN TCP. This header centralizes the pieces they
-// share: RAII descriptors, listen/connect helpers (including capped
+// The data mesh (MeshTransport, and TcpTransport's N of them) and the
+// coordinator/daemon control plane speak the same length-prefixed framing
+// over loopback/LAN TCP. This header centralizes the pieces they share:
+// RAII descriptors, listen/connect helpers (including capped
 // exponential-backoff dialing, needed while a distributed mesh forms and
 // peers come up in arbitrary order), the data-plane frame codec, and a
 // typed message socket for the control plane.
@@ -92,9 +92,7 @@ bool read_exact(int fd, std::uint8_t* out, std::size_t n);
 // --- Data-plane frame codec ---
 //
 // Wire format per single frame: u32 body length | u8 kind | u32 from |
-// u32 to | u32 piggyback_bytes | payload. Shared by the in-process
-// transport and the multi-process mesh so a frame written by either is
-// readable by both.
+// u32 to | u32 piggyback_bytes | payload.
 //
 // Coalesced record (many logical frames, one length header): the body
 // starts with marker byte 0xFF — unambiguous, since a single frame's

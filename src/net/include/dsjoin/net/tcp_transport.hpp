@@ -1,50 +1,36 @@
-// Real-socket transport (loopback TCP).
+// In-process socket transport: every node of a run in one process.
 //
 // The experiments run on the deterministic WAN emulator, but the node logic
 // is transport-agnostic; this transport runs the same frames over real TCP
-// sockets, demonstrating that the prototype is not simulation-bound (the
-// paper's system ran on twenty physical workstations). Topology: a full
-// mesh over loopback — node i listens on its own port and dials every
-// higher-numbered peer once; frames are length-prefixed on the wire.
+// sockets (the paper's system ran on twenty physical workstations). It is
+// N MeshTransports, one per node, each on an ephemeral loopback listener
+// with the endpoints exchanged in memory, so frames take exactly the
+// socket path a node daemon's do and concurrent transports (parallel test
+// processes) can never collide on a port.
 //
-// Port selection: with base_port == 0 (the default) every listener binds an
-// ephemeral port and the in-process mesh exchanges the real ports
-// internally — no fixed range, so concurrent transports (parallel test
-// processes) can never collide. With an explicit base_port, node i prefers
-// base_port + i but falls back to an ephemeral port if that one is taken,
-// so an unrelated squatter degrades the port layout instead of the run.
-//
-// Threading: one receiver thread per node drains all of that node's
-// sockets with poll(2) and invokes the delivery handler inline; handlers
-// must therefore be internally synchronized or single-node-owned.
+// Threading: one receiver thread per node (the mesh's) drains all of that
+// node's sockets with poll(2) and invokes the delivery handler inline;
+// handlers must therefore be internally synchronized or single-node-owned.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <mutex>
-#include <thread>
+#include <memory>
 #include <vector>
 
-#include "dsjoin/net/channel.hpp"
-#include "dsjoin/net/transport.hpp"
+#include "dsjoin/net/mesh_transport.hpp"
 
 namespace dsjoin::net {
 
 /// Full-mesh loopback TCP transport for N in-process nodes.
 class TcpTransport final : public Transport {
  public:
-  /// Binds, connects the mesh, and starts receiver threads. Throws
+  /// Binds, connects the mesh, and starts the receiver threads. Throws
   /// std::runtime_error if any socket operation fails (setup is not a
   /// recoverable path).
   ///
-  /// @param base_port  0 = every listener ephemeral; otherwise node i
-  ///                   prefers base_port + i with ephemeral fallback.
-  /// @param link_rate_bytes_per_s  models each directed link draining at
-  ///                   this rate for send_backlog_seconds (real loopback
-  ///                   has no shaping, so backlog is tracked as a token
-  ///                   bucket over queued wire bytes); 0 disables the
-  ///                   model and backlog reads 0.
+  /// @param base_port, link_rate_bytes_per_s  must be 0 (ephemeral
+  ///                   listeners, no backlog model); anything else throws
+  ///                   std::invalid_argument.
   /// @param coalesce   per-link SendBuffer flush budgets; the default
   ///                   (max_frames = 1) writes one wire record per frame.
   explicit TcpTransport(std::size_t nodes, std::uint16_t base_port = 0,
@@ -52,7 +38,7 @@ class TcpTransport final : public Transport {
                         CoalesceOptions coalesce = {});
   ~TcpTransport() override;
 
-  std::size_t node_count() const noexcept override { return nodes_; }
+  std::size_t node_count() const noexcept override { return meshes_.size(); }
   void register_handler(NodeId node, DeliveryHandler handler) override;
 
   /// Installs a whole-record delivery handler for a node; takes precedence
@@ -60,70 +46,33 @@ class TcpTransport final : public Transport {
   /// across every frame of a coalesced record.
   void register_batch_handler(NodeId node, BatchDeliveryHandler handler);
 
+  /// Sends on the mesh of `frame.from`.
   common::Status send(Frame&& frame) override;
-  const TrafficCounters& stats() const noexcept override { return totals_; }
 
-  /// Race-free copy of the transport-wide counters.
-  TrafficCounters stats_snapshot() const {
-    std::lock_guard lock(totals_mutex_);
-    return totals_;
-  }
+  /// The merged counters, rebuilt on every call into one object the next
+  /// call overwrites; concurrent callers should use stats_snapshot().
+  const TrafficCounters& stats() const noexcept override;
+
+  /// Race-free merge of every node's counters.
+  TrafficCounters stats_snapshot() const;
 
   /// Race-free copy of the counters for traffic *sent by* `node` — the
   /// per-node attribution run_inprocess_tcp feeds into NodeReports so the
   /// engine can aggregate with merge_traffic = true.
   TrafficCounters node_stats_snapshot(NodeId node) const {
-    std::lock_guard lock(*send_mutexes_[node]);
-    return node_totals_[node];
+    return meshes_[node]->stats_snapshot();
   }
 
-  /// Worst modeled backlog over `node`'s outgoing links, in seconds at the
-  /// configured link rate (0 when no rate was configured) — the same
-  /// backpressure signal the WAN emulator provides, so the ingestion
-  /// throttle works unchanged over real sockets.
-  double send_backlog_seconds(NodeId node) const noexcept override;
+  /// Always 0: loopback sockets model no link rate.
+  double send_backlog_seconds(NodeId) const noexcept override { return 0.0; }
 
-  /// The port node `node`'s listener actually bound.
-  std::uint16_t listen_port(NodeId node) const { return ports_.at(node); }
-
-  /// Stops receiver threads and closes every socket (also done by the
-  /// destructor). Safe to call twice.
+  /// Stops every node's mesh, then joins their receivers and closes every
+  /// socket (also done by the destructor). Safe to call twice.
   void shutdown();
 
  private:
-  /// Modeled occupancy of one directed link's send queue.
-  struct LinkBacklog {
-    double queued_bytes = 0.0;
-    std::chrono::steady_clock::time_point last{};
-  };
-
-  void receiver_loop(NodeId node);
-  /// Drains `backlog` at the link rate up to `now`, then returns it.
-  double drained_bytes(LinkBacklog& backlog,
-                       std::chrono::steady_clock::time_point now) const;
-
-  std::size_t nodes_;
-  double link_rate_bytes_per_s_;
-  CoalesceOptions coalesce_;
-  std::atomic<bool> running_{true};
-  // Written by register_handler while receiver threads are already polling,
-  // so every access goes through handlers_mutex_ (receivers copy the
-  // handler out under the lock, then invoke it unlocked).
-  std::vector<DeliveryHandler> handlers_;
-  std::vector<BatchDeliveryHandler> batch_handlers_;
-  std::mutex handlers_mutex_;
-  std::vector<std::vector<UniqueFd>> peer_fds_;  // [node][peer] connected socket
-  std::vector<std::unique_ptr<std::mutex>> send_mutexes_;  // per (node) sender
-  // [node][peer] pending coalesced frames, guarded by send_mutexes_[node].
-  std::vector<std::vector<SendBuffer>> send_buffers_;
-  // [node][peer] modeled send-queue state, guarded by send_mutexes_[node].
-  mutable std::vector<std::vector<LinkBacklog>> backlog_;
-  std::vector<std::uint16_t> ports_;  // actual bound listener ports
-  std::vector<std::thread> receivers_;
-  TrafficCounters totals_;
-  mutable std::mutex totals_mutex_;
-  // Traffic sent by each node, guarded by that node's send mutex.
-  std::vector<TrafficCounters> node_totals_;
+  std::vector<std::unique_ptr<MeshTransport>> meshes_;
+  mutable TrafficCounters merged_;  // what stats() last returned
 };
 
 }  // namespace dsjoin::net

@@ -1,13 +1,5 @@
 #include "dsjoin/net/tcp_transport.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <stdexcept>
 
 #include "dsjoin/common/strformat.hpp"
@@ -21,226 +13,77 @@ namespace {
       common::str_format("TcpTransport: %s: %s", what, detail.c_str()));
 }
 
-[[noreturn]] void fail(const char* what) { fail(what, std::strerror(errno)); }
-
-void put_u32(std::uint8_t* at, std::uint32_t v) { std::memcpy(at, &v, 4); }
-std::uint32_t get_u32(const std::uint8_t* at) {
-  std::uint32_t v;
-  std::memcpy(&v, at, 4);
-  return v;
-}
-
 }  // namespace
 
 TcpTransport::TcpTransport(std::size_t nodes, std::uint16_t base_port,
                            double link_rate_bytes_per_s,
-                           CoalesceOptions coalesce)
-    : nodes_(nodes),
-      link_rate_bytes_per_s_(link_rate_bytes_per_s),
-      coalesce_(coalesce),
-      handlers_(nodes),
-      batch_handlers_(nodes),
-      peer_fds_(nodes),
-      send_buffers_(nodes),
-      backlog_(nodes),
-      ports_(nodes, 0),
-      node_totals_(nodes) {
-  for (auto& row : peer_fds_) row.resize(nodes);
-  for (auto& row : backlog_) row.resize(nodes);
-  for (auto& row : send_buffers_) {
-    row.reserve(nodes);
-    for (std::size_t i = 0; i < nodes; ++i) row.emplace_back(coalesce_);
+                           CoalesceOptions coalesce) {
+  if (base_port != 0 || link_rate_bytes_per_s != 0.0) {
+    throw std::invalid_argument(
+        "TcpTransport: base_port and link_rate_bytes_per_s must be 0");
   }
-  send_mutexes_.reserve(nodes);
+  std::vector<UniqueFd> listeners;
+  std::vector<Endpoint> endpoints;
   for (std::size_t i = 0; i < nodes; ++i) {
-    send_mutexes_.push_back(std::make_unique<std::mutex>());
-  }
-
-  // Listeners. The preferred port is advisory: a collision with an
-  // unrelated process falls back to an ephemeral port rather than failing
-  // the run — the mesh below exchanges the real ports in-process anyway.
-  std::vector<UniqueFd> listeners(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    common::Result<UniqueFd> fd = common::Status(common::ErrorCode::kInternal, "unset");
-    if (base_port != 0) {
-      fd = tcp_listen(static_cast<std::uint16_t>(base_port + i),
-                      static_cast<int>(nodes));
-    }
-    if (base_port == 0 || !fd) {
-      fd = tcp_listen(0, static_cast<int>(nodes));
-    }
+    // Node j holds j queued dials before it accepts any (below).
+    auto fd = tcp_listen(0, static_cast<int>(nodes));
     if (!fd) fail("listen", fd.status().message());
     auto port = bound_port(fd.value().get());
     if (!port) fail("getsockname", port.status().message());
-    ports_[i] = port.value();
-    listeners[i] = std::move(fd).value();
+    endpoints.push_back(Endpoint{"127.0.0.1", port.value()});
+    listeners.push_back(std::move(fd).value());
   }
-
-  // Mesh: node i dials every j > i; j accepts and learns i's id from a
-  // one-u32 hello.
+  MeshOptions options;
+  options.coalesce = coalesce;
+  meshes_.reserve(nodes);
   for (std::size_t i = 0; i < nodes; ++i) {
-    for (std::size_t j = i + 1; j < nodes; ++j) {
-      auto dialed = tcp_connect(Endpoint{"127.0.0.1", ports_[j]});
-      if (!dialed) fail("connect", dialed.status().message());
-      UniqueFd fd = std::move(dialed).value();
-      std::uint8_t hello[4];
-      put_u32(hello, static_cast<std::uint32_t>(i));
-      if (!write_all(fd.get(), hello, 4)) fail("hello");
-
-      UniqueFd accepted(::accept(listeners[j].get(), nullptr, nullptr));
-      if (!accepted.valid()) fail("accept");
-      const int one = 1;
-      (void)::setsockopt(accepted.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      std::uint8_t peer_hello[4];
-      if (!read_exact(accepted.get(), peer_hello, 4)) fail("hello read");
-      const auto dialer = get_u32(peer_hello);
-      // One duplex socket serves both directions of the (i, j) pair.
-      peer_fds_[i][j] = std::move(fd);
-      peer_fds_[j][dialer] = std::move(accepted);
+    meshes_.push_back(std::make_unique<MeshTransport>(
+        static_cast<NodeId>(i), nodes, std::move(listeners[i]), endpoints,
+        options));
+  }
+  // Form in node order: node i's dials wait in the higher-numbered peers'
+  // listen backlogs until each of them accepts in its own turn.
+  for (auto& mesh : meshes_) {
+    if (auto status = mesh->connect_mesh(); !status.is_ok()) {
+      fail("mesh", status.message());
     }
-  }
-
-  receivers_.reserve(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    receivers_.emplace_back([this, i] { receiver_loop(static_cast<NodeId>(i)); });
   }
 }
 
 TcpTransport::~TcpTransport() { shutdown(); }
 
 void TcpTransport::shutdown() {
-  if (!running_.exchange(false)) {
-    return;
-  }
-  // Shut the sockets down (without closing — senders may still hold the
-  // fds) to unblock poll/recv, then join the receivers.
-  for (std::size_t node = 0; node < nodes_; ++node) {
-    std::lock_guard lock(*send_mutexes_[node]);
-    for (auto& fd : peer_fds_[node]) {
-      if (fd.valid()) ::shutdown(fd.get(), SHUT_RDWR);
-    }
-  }
-  for (auto& t : receivers_) {
-    if (t.joinable()) t.join();
-  }
-  // Close under the per-sender locks: a send() racing with shutdown()
-  // either writes to a shut-down socket (harmless error) or observes the
-  // fd already gone — never a write to a closed/reused descriptor.
-  for (std::size_t node = 0; node < nodes_; ++node) {
-    std::lock_guard lock(*send_mutexes_[node]);
-    for (auto& fd : peer_fds_[node]) fd.reset();
-  }
+  // Stop all before joining any, so the receivers wind down together
+  // instead of one wake-up at a time.
+  for (auto& mesh : meshes_) mesh->stop();
+  for (auto& mesh : meshes_) mesh->shutdown();
 }
 
 void TcpTransport::register_handler(NodeId node, DeliveryHandler handler) {
-  std::lock_guard lock(handlers_mutex_);
-  handlers_[node] = std::move(handler);
+  meshes_.at(node)->register_handler(node, std::move(handler));
 }
 
 void TcpTransport::register_batch_handler(NodeId node,
                                           BatchDeliveryHandler handler) {
-  std::lock_guard lock(handlers_mutex_);
-  batch_handlers_[node] = std::move(handler);
-}
-
-double TcpTransport::drained_bytes(
-    LinkBacklog& backlog, std::chrono::steady_clock::time_point now) const {
-  if (backlog.last.time_since_epoch().count() != 0) {
-    const double elapsed =
-        std::chrono::duration<double>(now - backlog.last).count();
-    backlog.queued_bytes =
-        std::max(0.0, backlog.queued_bytes - elapsed * link_rate_bytes_per_s_);
-  }
-  backlog.last = now;
-  return backlog.queued_bytes;
+  meshes_.at(node)->set_batch_handler(std::move(handler));
 }
 
 common::Status TcpTransport::send(Frame&& frame) {
-  if (frame.from >= nodes_ || frame.to >= nodes_ || frame.from == frame.to) {
+  if (frame.from >= meshes_.size()) {
     return common::Status(common::ErrorCode::kInvalidArgument, "bad address");
   }
-  if (!running_.load(std::memory_order_relaxed)) {
-    return common::Status(common::ErrorCode::kUnavailable, "transport stopped");
-  }
-  {
-    std::lock_guard lock(totals_mutex_);
-    totals_.record(frame);
-  }
-  const NodeId from = frame.from;
-  const NodeId to = frame.to;
-  std::lock_guard lock(*send_mutexes_[from]);
-  node_totals_[from].record(frame);
-  if (link_rate_bytes_per_s_ > 0.0) {
-    auto& backlog = backlog_[from][to];
-    drained_bytes(backlog, std::chrono::steady_clock::now());
-    backlog.queued_bytes += static_cast<double>(frame.wire_bytes());
-  }
-  const int fd = peer_fds_[from][to].get();
-  if (fd < 0) {
-    return common::Status(common::ErrorCode::kUnavailable, "no socket");
-  }
-  auto& buffer = send_buffers_[from][to];
-  if (buffer.push(std::move(frame))) {
-    std::uint64_t saved = 0;
-    if (!buffer.flush(fd, &saved)) {
-      return common::Status(common::ErrorCode::kUnavailable,
-                            "peer write failed");
-    }
-    node_totals_[from].record_flush(saved);
-    std::lock_guard tlock(totals_mutex_);
-    totals_.record_flush(saved);
-  }
-  return common::Status::ok();
+  return meshes_[frame.from]->send(std::move(frame));
 }
 
-double TcpTransport::send_backlog_seconds(NodeId node) const noexcept {
-  if (node >= nodes_ || link_rate_bytes_per_s_ <= 0.0) return 0.0;
-  const auto now = std::chrono::steady_clock::now();
-  std::lock_guard lock(*send_mutexes_[node]);
-  double worst_bytes = 0.0;
-  for (auto& backlog : backlog_[node]) {
-    worst_bytes = std::max(worst_bytes, drained_bytes(backlog, now));
-  }
-  return worst_bytes / link_rate_bytes_per_s_;
+const TrafficCounters& TcpTransport::stats() const noexcept {
+  merged_ = stats_snapshot();
+  return merged_;
 }
 
-void TcpTransport::receiver_loop(NodeId node) {
-  std::vector<pollfd> polled;
-  std::vector<NodeId> owners;
-  for (NodeId peer = 0; peer < nodes_; ++peer) {
-    const auto& fd = peer_fds_[node][peer];
-    if (fd.valid()) {
-      polled.push_back(pollfd{fd.get(), POLLIN, 0});
-      owners.push_back(peer);
-    }
-  }
-  std::vector<Frame> frames;
-  std::vector<std::uint8_t> scratch;
-  while (running_.load(std::memory_order_relaxed)) {
-    const int ready = ::poll(polled.data(), polled.size(), 100 /*ms*/);
-    if (ready <= 0) continue;
-    for (std::size_t i = 0; i < polled.size(); ++i) {
-      if ((polled[i].revents & (POLLIN | POLLHUP)) == 0) continue;
-      frames.clear();
-      if (!read_wire_frames(polled[i].fd, &frames, &scratch)) {
-        polled[i].fd = -1;  // peer gone or corrupt stream; stop polling it
-        continue;
-      }
-      DeliveryHandler handler;
-      BatchDeliveryHandler batch_handler;
-      {
-        std::lock_guard lock(handlers_mutex_);
-        handler = handlers_[node];
-        batch_handler = batch_handlers_[node];
-      }
-      if (batch_handler) {
-        batch_handler(std::move(frames));
-        frames = {};
-      } else if (handler) {
-        for (Frame& frame : frames) handler(std::move(frame));
-      }
-    }
-  }
+TrafficCounters TcpTransport::stats_snapshot() const {
+  TrafficCounters merged;
+  for (const auto& mesh : meshes_) merged.merge(mesh->stats_snapshot());
+  return merged;
 }
 
 }  // namespace dsjoin::net

@@ -6,7 +6,6 @@
 #include "dsjoin/common/log.hpp"
 #include "dsjoin/common/strformat.hpp"
 #include "dsjoin/core/metrics.hpp"
-#include "dsjoin/runtime/schedule.hpp"
 
 namespace dsjoin::runtime {
 
@@ -26,13 +25,6 @@ bool at_least(DaemonState state, DaemonState floor) {
 
 Coordinator::Coordinator(CoordinatorOptions options)
     : options_(std::move(options)) {
-  if (options_.config.nodes < 2) {
-    throw std::invalid_argument("a distributed join needs at least 2 nodes");
-  }
-  if (options_.config.nodes > 255) {
-    // stream::Tuple serializes the origin node as one byte.
-    throw std::invalid_argument("the wire format addresses at most 255 nodes");
-  }
   // Every daemon's CONFIG decoder runs the same gate; an invalid config
   // would only surface as daemons dying while the mesh forms.
   if (auto valid = core::validate_config(options_.config); !valid.is_ok()) {

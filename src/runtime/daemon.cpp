@@ -8,7 +8,7 @@
 #include <string>
 
 #include "dsjoin/common/log.hpp"
-#include "dsjoin/runtime/schedule.hpp"
+#include "dsjoin/core/schedule.hpp"
 
 namespace dsjoin::runtime {
 
@@ -53,14 +53,14 @@ common::Status NodeDaemon::run() {
   }
   DSJOIN_LOG_INFO("daemon: admitted as node %u of %u", node_id_, nodes_);
 
-  MeshOptions mesh_options;
+  net::MeshOptions mesh_options;
   mesh_options.connect_timeout_s = assignment.mesh_timeout_s;
   mesh_options.coalesce.max_frames = config_.coalesce_frames;
   mesh_options.coalesce.max_bytes = config_.coalesce_bytes;
   mesh_options.coalesce.linger_s = config_.coalesce_linger_s;
-  mesh_ = std::make_unique<MeshTransport>(node_id_, nodes_,
-                                          std::move(listener).value(),
-                                          assignment.peers, mesh_options);
+  mesh_ = std::make_unique<net::MeshTransport>(node_id_, nodes_,
+                                               std::move(listener).value(),
+                                               assignment.peers, mesh_options);
   mesh_->set_batch_handler([this](std::vector<net::Frame>&& frames) {
     QueueItem item;
     item.frames = std::move(frames);
@@ -243,7 +243,7 @@ void NodeDaemon::dispatcher_loop() {
 void NodeDaemon::arrival_loop() {
   // Regenerate the global schedule from the config (it is a pure function
   // of it) and ingest only this node's slice.
-  const auto schedule = ArrivalSchedule::build(config_);
+  const auto schedule = core::ArrivalSchedule::build(config_);
   const auto mine = schedule.for_node(node_id_);
   const auto start = Clock::now();
 

@@ -14,10 +14,11 @@
 // real daemon needs: the control-plane conversation and the threading.
 //
 // Threading. Four threads share the node:
-//   * mesh receiver threads (inside MeshTransport) only *enqueue* incoming
-//     frames — they never touch the node, so a peer blasting at us can
-//     never deadlock against our own blocked sends (the classic TCP
-//     full-mesh buffer deadlock);
+//   * the mesh's one receiver thread (inside net::MeshTransport, polling
+//     every peer socket) only *enqueues* incoming frames — it never
+//     touches the node, so a peer blasting at us can never deadlock
+//     against our own blocked sends (the classic TCP full-mesh buffer
+//     deadlock);
 //   * a dispatcher thread drains that queue into host.deliver under the
 //     node mutex;
 //   * an arrival thread feeds the local schedule via host.ingest under the
@@ -38,8 +39,8 @@
 #include "dsjoin/common/status.hpp"
 #include "dsjoin/core/node_host.hpp"
 #include "dsjoin/net/channel.hpp"
+#include "dsjoin/net/mesh_transport.hpp"
 #include "dsjoin/runtime/control.hpp"
-#include "dsjoin/runtime/mesh_transport.hpp"
 
 namespace dsjoin::runtime {
 
@@ -95,13 +96,13 @@ class NodeDaemon {
   core::SystemConfig config_;
   double heartbeat_period_s_ = 0.2;
 
-  std::unique_ptr<MeshTransport> mesh_;
+  std::unique_ptr<net::MeshTransport> mesh_;
   std::unique_ptr<core::NodeHost> host_;
 
   // Serializes node access between the arrival and dispatcher threads.
   std::mutex node_mutex_;
 
-  // Frame queue (mesh receivers -> dispatcher).
+  // Frame queue (mesh receiver -> dispatcher).
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<QueueItem> queue_;

@@ -12,9 +12,9 @@
 
 #include "dsjoin/common/log.hpp"
 #include "dsjoin/core/node_host.hpp"
+#include "dsjoin/core/schedule.hpp"
 #include "dsjoin/net/tcp_transport.hpp"
 #include "dsjoin/runtime/daemon.hpp"
-#include "dsjoin/runtime/schedule.hpp"
 
 namespace dsjoin::runtime {
 

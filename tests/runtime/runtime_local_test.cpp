@@ -119,6 +119,22 @@ TEST(RuntimeLocal, RejectsInvalidConfigBeforeStartingDaemons) {
   options.port = 0;
   options.config = config;
   EXPECT_THROW(Coordinator{options}, std::invalid_argument);
+
+  // The Coordinator has no node checks of its own: 256 nodes pass the gate
+  // and construct (which only binds the listener), 257 fail with the
+  // gate's message.
+  options.config = test_config(core::PolicyKind::kRoundRobin);
+  options.config.nodes = core::kMaxNodes;
+  EXPECT_NO_THROW(Coordinator{options});
+  options.config.nodes = core::kMaxNodes + 1;
+  try {
+    Coordinator coordinator{options};
+    ADD_FAILURE() << "a 257-node Coordinator constructed";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("nodes must be <= 256"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "dsjoin/runtime/schedule.hpp"
+#include "dsjoin/core/schedule.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,7 @@
 #include <set>
 #include <unordered_map>
 
-namespace dsjoin::runtime {
+namespace dsjoin::core {
 namespace {
 
 core::SystemConfig small_config() {
@@ -244,4 +244,4 @@ TEST(ArrivalSchedule, CountFalsePairsNeedsEachIdAtItsDenseSlot) {
 }
 
 }  // namespace
-}  // namespace dsjoin::runtime
+}  // namespace dsjoin::core
