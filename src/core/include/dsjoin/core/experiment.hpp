@@ -186,9 +186,9 @@ void verify_against_schedule(const SystemConfig& config,
                              const ArrivalSchedule& schedule,
                              ExperimentResult* result);
 
-/// The same, building the schedule from `config` — for callers that hold
-/// none (the coordinator). `pairs` is not read: the audit checks the
-/// per-query lists in `result`, whose union it is.
+/// The same, building the schedule from `config`. `pairs` is not read:
+/// the audit checks the per-query lists in `result`, whose union it is.
+/// Only perfbench's traced socket driver calls it.
 void verify_against_schedule(const SystemConfig& config,
                              std::span<const stream::ResultPair> pairs,
                              ExperimentResult* result);

@@ -22,13 +22,16 @@
 // queue running dry is an exact, zero-cost statement of the same fact.)
 //
 // Threading contract: ingest(), deliver(), node() and report() touch the
-// node and require external serialization by the caller (the simulator
-// serializes per-node strands; socket backends hold their node mutex).
-// note_peer_dead(), begin_drain(), wait_drain() and drain_complete() are
-// internally synchronized and may race with deliveries; wait_drain() must
-// be called *without* the caller's node lock or FIN frames can never be
-// delivered. deliver() takes the FIN lock after the caller's node lock —
-// never call back into the host from under the FIN lock.
+// node and must come from one thread at a time: a simulator strand, or the
+// one thread of the node's runtime::DataPlane on the socket backends.
+// note_peer_dead(), begin_drain(), wait_drain(), drain_complete(), the
+// watermark calls and await_summary_cover() are internally synchronized,
+// so a control thread
+// can drain while the owner keeps delivering; wait_drain() and a blocking
+// await_summary_cover() must never run on the thread that delivers, or
+// the frames they wait for are never read. FIN and watermark frames are
+// sent under the host's internal locks, which is safe because no socket
+// send blocks — never call back into the host from under them.
 #pragma once
 
 #include <condition_variable>
@@ -71,28 +74,24 @@ class NodeHost {
 
   /// Feeds a run of local arrivals in order with one call, each at its own
   /// timestamp — exactly ingest(t, t.timestamp) per tuple. The socket
-  /// drivers hand it consecutive same-node slices of the materialized
-  /// ArrivalSchedule so that one node-lock acquisition covers the slice.
+  /// backends hand it chunks of the node's slice of the materialized
+  /// ArrivalSchedule.
   void ingest_batch(std::span<const stream::Tuple> tuples);
 
   /// Dispatches one incoming frame: FIN markers advance the drain state
   /// machine, everything else reaches the node at time `now`.
   void deliver(net::Frame&& frame, double now);
 
-  /// Dispatch at the host's virtual clock (latest local arrival) — what a
-  /// wall-clock backend uses, where forwarded work is timestamped with the
-  /// tuple era it belongs to.
-  void deliver(net::Frame&& frame) { deliver(std::move(frame), virtual_now_); }
-
-  /// Dispatches every logical frame of one decoded wire record in order —
-  /// the batch-delivery counterpart of deliver(frame). Same threading
-  /// contract as deliver().
+  /// Dispatches every logical frame of one decoded wire record in order at
+  /// the host's virtual clock (latest local arrival) — what a wall-clock
+  /// backend uses, where forwarded work is timestamped with the tuple era
+  /// it belongs to. Same threading contract as deliver().
   void deliver_batch(std::vector<net::Frame>&& frames) {
     for (net::Frame& frame : frames) deliver(std::move(frame), virtual_now_);
   }
 
   /// Invoked (outside the FIN lock) when a peer is declared dead, before
-  /// the drain stops waiting on it — the daemon points this at
+  /// the drain stops waiting on it — the data plane points this at
   /// MeshTransport::mark_peer_dead so sends stop targeting the corpse.
   void set_peer_death_hook(std::function<void(net::NodeId)> hook) {
     peer_death_hook_ = std::move(hook);
@@ -120,7 +119,6 @@ class NodeHost {
   NodeReport report(net::TrafficCounters traffic) const;
 
   std::uint64_t arrivals_ingested() const noexcept { return arrivals_ingested_; }
-  double virtual_now() const noexcept { return virtual_now_; }
   /// Distinct pairs across this host's collectors (heartbeat progress
   /// counter; queries are distinct joins, so the sum is the honest total).
   std::uint64_t pairs_discovered() const {
@@ -162,11 +160,11 @@ class NodeHost {
   /// Blocks until every live peer's announced watermark covers the
   /// visibility epoch containing `ts` — after which no summary that must
   /// apply before the epoch's end can still be in flight. Returns false on
-  /// timeout or cancellation (the run degrades to counted late summaries,
-  /// never a hang). Call WITHOUT the caller's node lock; `cancelled`, if
-  /// set, is polled ~10x per second.
-  bool await_summary_cover(double ts, double timeout_s,
-                           const std::function<bool()>& cancelled = {});
+  /// timeout (the run degrades to counted late summaries, never a hang).
+  /// With timeout_s = 0 it only checks, which is how the data plane's
+  /// thread asks without blocking its own deliveries; a blocking wait must
+  /// run on another thread.
+  bool await_summary_cover(double ts, double timeout_s);
 
   /// Watermark wire format, exposed for tests: 8-byte magic + f64 value in
   /// a FrameKind::kControl payload (distinct length from FIN frames).
@@ -205,8 +203,7 @@ class NodeHost {
   bool fin2_sent_ = false;
   bool drain_complete_ = false;
 
-  // Summary watermark state (internally synchronized; lock order is the
-  // caller's node lock, then wm_mutex_ — never the reverse).
+  // Summary watermark state (internally synchronized).
   mutable std::mutex wm_mutex_;
   std::condition_variable wm_cv_;
   bool wm_enabled_ = false;

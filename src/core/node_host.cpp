@@ -207,8 +207,7 @@ void NodeHost::announce_summary_watermark(double own_watermark) {
   }
 }
 
-bool NodeHost::await_summary_cover(double ts, double timeout_s,
-                                   const std::function<bool()>& cancelled) {
+bool NodeHost::await_summary_cover(double ts, double timeout_s) {
   const double grid = wm_sync_epoch_s_;
   const double lead = wm_sync_lead_s_;
   const double epoch = std::floor(ts / grid);
@@ -217,24 +216,16 @@ bool NodeHost::await_summary_cover(double ts, double timeout_s,
   const double needed = epoch * grid - lead;
   std::unique_lock lock(wm_mutex_);
   if (!wm_enabled_) return true;
-  const auto covered = [&] {
-    for (net::NodeId peer = 0; peer < nodes_; ++peer) {
-      if (peer != id_ && wm_peer_[peer] < needed) return false;
-    }
-    return true;
-  };
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(timeout_s));
-  while (!covered()) {
-    if (cancelled && cancelled()) return false;
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return false;
-    wm_cv_.wait_until(lock,
-                      std::min(deadline, now + std::chrono::milliseconds(100)));
-  }
-  return true;
+  return wm_cv_.wait_until(lock, deadline, [&] {
+    for (net::NodeId peer = 0; peer < nodes_; ++peer) {
+      if (peer != id_ && wm_peer_[peer] < needed) return false;
+    }
+    return true;
+  });
 }
 
 net::Frame NodeHost::make_watermark(net::NodeId from, net::NodeId to,

@@ -25,6 +25,8 @@ constexpr std::uint32_t kMaxBodyBytes = 1u << 26;
 // First body byte of a coalesced multi-frame record; single-frame records
 // start with a FrameKind (0..3), so the two are unambiguous.
 constexpr std::uint8_t kBatchMarker = 0xFF;
+// A WireDecoder's buffer: room for this much, or for the pending record.
+constexpr std::size_t kReadBytes = 16 * 1024;
 
 common::Status errno_status(const char* what) {
   return common::Status(
@@ -187,25 +189,23 @@ std::vector<std::uint8_t> encode_wire_frame(const Frame& frame) {
 }
 
 void encode_wire_frame(const Frame& frame, std::vector<std::uint8_t>* out) {
-  out->resize(kFrameHeaderBytes + frame.payload.size());
-  put_u32(out->data(),
-          static_cast<std::uint32_t>(1 + 4 + 4 + 4 + frame.payload.size()));
-  (*out)[4] = static_cast<std::uint8_t>(frame.kind);
-  put_u32(out->data() + 5, frame.from);
-  put_u32(out->data() + 9, frame.to);
-  put_u32(out->data() + 13, frame.piggyback_bytes);
+  const std::size_t base = out->size();
+  out->resize(base + kFrameHeaderBytes + frame.payload.size());
+  std::uint8_t* at = out->data() + base;
+  put_u32(at, static_cast<std::uint32_t>(1 + 4 + 4 + 4 + frame.payload.size()));
+  at[4] = static_cast<std::uint8_t>(frame.kind);
+  put_u32(at + 5, frame.from);
+  put_u32(at + 9, frame.to);
+  put_u32(at + 13, frame.piggyback_bytes);
   if (!frame.payload.empty()) {
-    std::memcpy(out->data() + kFrameHeaderBytes, frame.payload.data(),
+    std::memcpy(at + kFrameHeaderBytes, frame.payload.data(),
                 frame.payload.size());
   }
 }
 
 std::uint64_t encode_wire_batch(std::span<const Frame> frames,
                                 std::vector<std::uint8_t>* out) {
-  if (frames.empty()) {
-    out->clear();
-    return 0;
-  }
+  if (frames.empty()) return 0;
   if (frames.size() == 1) {
     encode_wire_frame(frames[0], out);
     return 0;
@@ -213,8 +213,9 @@ std::uint64_t encode_wire_batch(std::span<const Frame> frames,
   std::size_t payload_bytes = 0;
   for (const Frame& f : frames) payload_bytes += f.payload.size();
   const std::size_t body_len = 1 + 2 + 4 + 4 + frames.size() * 9 + payload_bytes;
-  out->resize(4 + body_len);
-  std::uint8_t* at = out->data();
+  const std::size_t base = out->size();
+  out->resize(base + 4 + body_len);
+  std::uint8_t* at = out->data() + base;
   put_u32(at, static_cast<std::uint32_t>(body_len));
   at[4] = kBatchMarker;
   const std::uint16_t count = static_cast<std::uint16_t>(frames.size());
@@ -236,63 +237,76 @@ std::uint64_t encode_wire_batch(std::span<const Frame> frames,
   return 8u * frames.size() - 15u;
 }
 
-bool read_wire_frame(int fd, Frame* out) {
-  std::uint8_t header[4 + 13];
-  if (!read_exact(fd, header, 4)) return false;
-  const std::uint32_t body_len = get_u32(header);
-  if (body_len < 13 || body_len > kMaxBodyBytes) return false;
-  if (!read_exact(fd, header + 4, 13)) return false;
-  if (header[4] == kBatchMarker) return false;  // coalesced record
-  out->kind = static_cast<FrameKind>(header[4]);
-  out->from = get_u32(header + 5);
-  out->to = get_u32(header + 9);
-  out->piggyback_bytes = get_u32(header + 13);
-  out->payload.resize(body_len - 13);
-  return out->payload.empty() ||
-         read_exact(fd, out->payload.data(), out->payload.size());
+std::span<std::uint8_t> WireDecoder::space() {
+  // Every complete record has been taken, so the held bytes are a prefix
+  // of the pending one; the buffer needs room for all of it.
+  const std::size_t held = end_ - begin_;
+  std::size_t need = kReadBytes;
+  if (held >= 4) {
+    const std::size_t record = 4 + std::size_t{get_u32(buffer_.data() + begin_)};
+    if (record <= 4 + kMaxBodyBytes) need = std::max(need, record);
+  }
+  if (buffer_.size() - begin_ < need) {
+    // Move the pending bytes to the front; grow only if that is not enough.
+    if (held > 0) std::memmove(buffer_.data(), buffer_.data() + begin_, held);
+    begin_ = 0;
+    end_ = held;
+    if (buffer_.size() < need) buffer_.resize(need);
+  }
+  return {buffer_.data() + end_, buffer_.size() - end_};
 }
 
-bool read_wire_frames(int fd, std::vector<Frame>* out,
-                      std::vector<std::uint8_t>* scratch) {
-  std::uint8_t len_buf[4];
-  if (!read_exact(fd, len_buf, 4)) return false;
-  const std::uint32_t body_len = get_u32(len_buf);
-  if (body_len < 13 || body_len > kMaxBodyBytes) return false;
-  scratch->resize(body_len);
-  if (!read_exact(fd, scratch->data(), body_len)) return false;
-  const std::uint8_t* body = scratch->data();
+WireDecoder::Next WireDecoder::next(std::vector<Frame>* out) {
+  const std::size_t held = end_ - begin_;
+  if (held < 4) return Next::kIncomplete;
+  const std::uint32_t body_len = get_u32(buffer_.data() + begin_);
+  if (body_len < 13 || body_len > kMaxBodyBytes) return Next::kCorrupt;
+  if (held - 4 < body_len) return Next::kIncomplete;
+  const std::uint8_t* body = buffer_.data() + begin_ + 4;
+  const std::size_t first = out->size();
+  const auto corrupt = [&] {
+    out->resize(first);  // deliver nothing of a corrupt record
+    return Next::kCorrupt;
+  };
+  const auto valid_kind = [](std::uint8_t kind) {
+    return kind <= static_cast<std::uint8_t>(FrameKind::kControl);
+  };
   if (body[0] != kBatchMarker) {  // plain single-frame record
-    Frame frame;
+    if (!valid_kind(body[0]) || get_u32(body + 1) != from_ ||
+        get_u32(body + 5) != to_) {
+      return corrupt();
+    }
+    Frame& frame = out->emplace_back();
     frame.kind = static_cast<FrameKind>(body[0]);
-    frame.from = get_u32(body + 1);
-    frame.to = get_u32(body + 5);
+    frame.from = from_;
+    frame.to = to_;
     frame.piggyback_bytes = get_u32(body + 9);
     frame.payload.assign(body + 13, body + body_len);
-    out->push_back(std::move(frame));
-    return true;
+    begin_ += 4 + body_len;
+    return Next::kRecord;
   }
-  if (body_len < 11) return false;  // marker + count + from + to
   std::uint16_t count;
   std::memcpy(&count, body + 1, 2);
-  if (count == 0) return false;
-  const NodeId from = get_u32(body + 3);
-  const NodeId to = get_u32(body + 7);
-  std::size_t offset = 11;
+  if (count == 0 || get_u32(body + 3) != from_ || get_u32(body + 7) != to_) {
+    return corrupt();
+  }
+  std::size_t offset = 11;  // marker + count + from + to
   for (std::uint16_t i = 0; i < count; ++i) {
-    if (offset + 9 > body_len) return false;
-    Frame frame;
-    frame.kind = static_cast<FrameKind>(body[offset]);
-    frame.from = from;
-    frame.to = to;
-    frame.piggyback_bytes = get_u32(body + offset + 1);
+    if (offset + 9 > body_len || !valid_kind(body[offset])) return corrupt();
     const std::uint32_t payload_len = get_u32(body + offset + 5);
+    if (payload_len > body_len - offset - 9) return corrupt();
+    Frame& frame = out->emplace_back();
+    frame.kind = static_cast<FrameKind>(body[offset]);
+    frame.from = from_;
+    frame.to = to_;
+    frame.piggyback_bytes = get_u32(body + offset + 1);
     offset += 9;
-    if (offset + payload_len > body_len) return false;
     frame.payload.assign(body + offset, body + offset + payload_len);
     offset += payload_len;
-    out->push_back(std::move(frame));
   }
-  return offset == body_len;
+  if (offset != body_len) return corrupt();
+  begin_ += 4 + body_len;
+  return Next::kRecord;
 }
 
 SendBuffer::SendBuffer(CoalesceOptions options) : options_(options) {
@@ -314,14 +328,12 @@ bool SendBuffer::push(Frame&& frame) {
              .count() >= options_.linger_s;
 }
 
-bool SendBuffer::flush(int fd, std::uint64_t* bytes_saved) {
-  if (pending_.empty()) return true;
-  const std::uint64_t saved = encode_wire_batch(pending_, &scratch_);
+std::uint64_t SendBuffer::flush(std::vector<std::uint8_t>* out) {
+  if (pending_.empty()) return 0;
+  const std::uint64_t saved = encode_wire_batch(pending_, out);
   pending_.clear();
   pending_payload_bytes_ = 0;
-  if (!write_all(fd, scratch_.data(), scratch_.size())) return false;
-  if (bytes_saved != nullptr) *bytes_saved += saved;
-  return true;
+  return saved;
 }
 
 common::Status MsgSocket::send_msg(std::uint8_t type,

@@ -106,29 +106,50 @@ bool read_exact(int fd, std::uint8_t* out, std::size_t n);
 /// Serialized size prefix + body for one frame.
 std::vector<std::uint8_t> encode_wire_frame(const Frame& frame);
 
-/// Same encoding into a reused scratch buffer (overwritten, not appended).
+/// Same encoding, appended to `*out`.
 void encode_wire_frame(const Frame& frame, std::vector<std::uint8_t>* out);
 
-/// Encodes `frames` (all sharing frames[0]'s from/to) as one coalesced
-/// record into `out` (overwritten). A single frame uses the plain
-/// single-frame encoding. Returns the header bytes saved vs per-frame
-/// records (0 when frames.size() <= 1).
+/// Appends `frames` (all sharing frames[0]'s from/to) to `*out` as one
+/// coalesced record. A single frame uses the plain single-frame encoding.
+/// Returns the header bytes saved vs per-frame records (0 when
+/// frames.size() <= 1).
 std::uint64_t encode_wire_batch(std::span<const Frame> frames,
                                 std::vector<std::uint8_t>* out);
 
-/// Blocking read of one frame. False on EOF, error, or a corrupt length.
-/// The caller-provided `out->payload` is reused as the read buffer, so a
-/// receive loop that recycles one Frame performs no per-frame allocation
-/// at steady state. Rejects coalesced records (use read_wire_frames on
-/// links that may carry them).
-bool read_wire_frame(int fd, Frame* out);
+/// Reassembles the wire records of one directed link from its byte stream,
+/// which arrives in pieces of any size: read into space(), commit() what
+/// was read, then take complete records from next(). A link carries only
+/// its peer's frames to this node, so a record is corrupt when its length
+/// is out of range, its entries do not fill its body exactly, a frame's
+/// kind is not a FrameKind, or it names a sender other than the link's
+/// peer or a receiver other than this node.
+class WireDecoder {
+ public:
+  enum class Next { kRecord, kIncomplete, kCorrupt };
 
-/// Blocking read of one wire record — single frame or coalesced batch —
-/// appending every decoded logical frame to `*out` in order. `*scratch`
-/// holds the record body between calls so steady-state reads allocate
-/// nothing. False on EOF, error, or a corrupt record.
-bool read_wire_frames(int fd, std::vector<Frame>* out,
-                      std::vector<std::uint8_t>* scratch);
+  WireDecoder() = default;
+  /// @param from  the link's peer; @param to  this node.
+  WireDecoder(NodeId from, NodeId to) : from_(from), to_(to) {}
+
+  /// Free space after the buffered bytes, at least enough for the rest of
+  /// the pending record. Call once next() has returned kIncomplete.
+  std::span<std::uint8_t> space();
+
+  /// Marks the first `n` bytes of space() as received.
+  void commit(std::size_t n) noexcept { end_ += n; }
+
+  /// Decodes the next complete record, appending its frames to `*out` in
+  /// send order (kRecord). kIncomplete leaves `*out` alone until more
+  /// bytes arrive; after kCorrupt the stream cannot be trusted further.
+  Next next(std::vector<Frame>* out);
+
+ private:
+  NodeId from_ = 0;
+  NodeId to_ = 0;
+  std::vector<std::uint8_t> buffer_;
+  std::size_t begin_ = 0;  // first byte not yet decoded
+  std::size_t end_ = 0;    // one past the last byte received
+};
 
 // --- Frame coalescing ---
 
@@ -143,7 +164,7 @@ struct CoalesceOptions {
   double linger_s = 0.005;
 };
 
-/// Accumulates frames bound for one directed peer link and writes them as
+/// Accumulates frames bound for one directed peer link and encodes them as
 /// coalesced wire records. Not thread-safe: the owning transport guards
 /// each instance with its per-peer send lock.
 class SendBuffer {
@@ -158,18 +179,15 @@ class SendBuffer {
   bool empty() const noexcept { return pending_.empty(); }
   std::size_t frame_count() const noexcept { return pending_.size(); }
 
-  /// Encodes all pending frames as one wire record (reusing internal
-  /// scratch) and writes it with a single write_all. No-op on an empty
-  /// buffer. On success adds the header bytes saved to *bytes_saved and
-  /// returns true; false on write error (buffer is cleared either way).
-  bool flush(int fd, std::uint64_t* bytes_saved);
+  /// Appends all pending frames to `*out` as one wire record and empties
+  /// the buffer. Returns the header bytes saved (0 for an empty buffer).
+  std::uint64_t flush(std::vector<std::uint8_t>* out);
 
  private:
   CoalesceOptions options_;
   std::vector<Frame> pending_;
   std::size_t pending_payload_bytes_ = 0;
   std::chrono::steady_clock::time_point oldest_{};
-  std::vector<std::uint8_t> scratch_;
 };
 
 // --- Control-plane message socket ---

@@ -3,18 +3,17 @@
 // The experiments run on the deterministic WAN emulator, but the node logic
 // is transport-agnostic; this transport runs the same frames over real TCP
 // sockets (the paper's system ran on twenty physical workstations). It is
-// N MeshTransports, one per node, each on an ephemeral loopback listener
-// with the endpoints exchanged in memory, so frames take exactly the
-// socket path a node daemon's do and concurrent transports (parallel test
-// processes) can never collide on a port.
-//
-// Threading: one receiver thread per node (the mesh's) drains all of that
-// node's sockets with poll(2) and invokes the delivery handler inline;
-// handlers must therefore be internally synchronized or single-node-owned.
+// the N meshes of form_local_mesh, so frames take exactly the socket path
+// a node daemon's do, plus one thread per node that polls that node's mesh
+// until shutdown and invokes its delivery handler inline; handlers must
+// therefore be internally synchronized or single-node-owned. The engine's
+// in-process backend drives the same meshes with runtime::DataPlane
+// instead; this wrapper serves callers that drive the hosts themselves.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "dsjoin/net/mesh_transport.hpp"
@@ -24,7 +23,7 @@ namespace dsjoin::net {
 /// Full-mesh loopback TCP transport for N in-process nodes.
 class TcpTransport final : public Transport {
  public:
-  /// Binds, connects the mesh, and starts the receiver threads. Throws
+  /// Binds, connects the mesh, and starts the polling threads. Throws
   /// std::runtime_error if any socket operation fails (setup is not a
   /// recoverable path).
   ///
@@ -41,9 +40,9 @@ class TcpTransport final : public Transport {
   std::size_t node_count() const noexcept override { return meshes_.size(); }
   void register_handler(NodeId node, DeliveryHandler handler) override;
 
-  /// Installs a whole-record delivery handler for a node; takes precedence
-  /// over the per-frame handler so a driver can amortize its delivery lock
-  /// across every frame of a coalesced record.
+  /// Installs a whole-record delivery handler for a node, replacing its
+  /// per-frame one, so a driver can amortize its delivery lock across
+  /// every frame of a coalesced record.
   void register_batch_handler(NodeId node, BatchDeliveryHandler handler);
 
   /// Sends on the mesh of `frame.from`.
@@ -66,12 +65,13 @@ class TcpTransport final : public Transport {
   /// Always 0: loopback sockets model no link rate.
   double send_backlog_seconds(NodeId) const noexcept override { return 0.0; }
 
-  /// Stops every node's mesh, then joins their receivers and closes every
-  /// socket (also done by the destructor). Safe to call twice.
+  /// Shuts every node's mesh down and joins the polling threads (also
+  /// done by the destructor). Safe to call twice.
   void shutdown();
 
  private:
   std::vector<std::unique_ptr<MeshTransport>> meshes_;
+  std::vector<std::thread> pollers_;
   mutable TrafficCounters merged_;  // what stats() last returned
 };
 

@@ -19,9 +19,9 @@ namespace dsjoin::net {
 using DeliveryHandler = std::function<void(Frame&&)>;
 
 /// Invoked at the destination with every logical frame decoded from one
-/// wire record, in send order. Socket transports prefer this over the
-/// per-frame handler when both are installed, so the receiving side can
-/// amortize its locking across a coalesced batch.
+/// wire record, in send order, so the receiving side can amortize its work
+/// across a coalesced batch. A socket transport holds one handler per
+/// node: installing either kind replaces the other.
 using BatchDeliveryHandler = std::function<void(std::vector<Frame>&&)>;
 
 /// Point-to-point, ordered, reliable frame delivery between N nodes.

@@ -2,18 +2,7 @@
 
 #include <stdexcept>
 
-#include "dsjoin/common/strformat.hpp"
-
 namespace dsjoin::net {
-
-namespace {
-
-[[noreturn]] void fail(const char* what, const std::string& detail) {
-  throw std::runtime_error(
-      common::str_format("TcpTransport: %s: %s", what, detail.c_str()));
-}
-
-}  // namespace
 
 TcpTransport::TcpTransport(std::size_t nodes, std::uint16_t base_port,
                            double link_rate_bytes_per_s,
@@ -22,41 +11,23 @@ TcpTransport::TcpTransport(std::size_t nodes, std::uint16_t base_port,
     throw std::invalid_argument(
         "TcpTransport: base_port and link_rate_bytes_per_s must be 0");
   }
-  std::vector<UniqueFd> listeners;
-  std::vector<Endpoint> endpoints;
-  for (std::size_t i = 0; i < nodes; ++i) {
-    // Node j holds j queued dials before it accepts any (below).
-    auto fd = tcp_listen(0, static_cast<int>(nodes));
-    if (!fd) fail("listen", fd.status().message());
-    auto port = bound_port(fd.value().get());
-    if (!port) fail("getsockname", port.status().message());
-    endpoints.push_back(Endpoint{"127.0.0.1", port.value()});
-    listeners.push_back(std::move(fd).value());
-  }
-  MeshOptions options;
-  options.coalesce = coalesce;
-  meshes_.reserve(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    meshes_.push_back(std::make_unique<MeshTransport>(
-        static_cast<NodeId>(i), nodes, std::move(listeners[i]), endpoints,
-        options));
-  }
-  // Form in node order: node i's dials wait in the higher-numbered peers'
-  // listen backlogs until each of them accepts in its own turn.
+  meshes_ = form_local_mesh(nodes, coalesce);
+  pollers_.reserve(nodes);
   for (auto& mesh : meshes_) {
-    if (auto status = mesh->connect_mesh(); !status.is_ok()) {
-      fail("mesh", status.message());
-    }
+    pollers_.emplace_back([m = mesh.get()] {
+      while (m->poll(-1.0)) {
+      }
+    });
   }
 }
 
 TcpTransport::~TcpTransport() { shutdown(); }
 
 void TcpTransport::shutdown() {
-  // Stop all before joining any, so the receivers wind down together
-  // instead of one wake-up at a time.
-  for (auto& mesh : meshes_) mesh->stop();
   for (auto& mesh : meshes_) mesh->shutdown();
+  for (auto& poller : pollers_) {
+    if (poller.joinable()) poller.join();
+  }
 }
 
 void TcpTransport::register_handler(NodeId node, DeliveryHandler handler) {

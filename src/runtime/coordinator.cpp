@@ -6,6 +6,7 @@
 #include "dsjoin/common/log.hpp"
 #include "dsjoin/common/strformat.hpp"
 #include "dsjoin/core/metrics.hpp"
+#include "dsjoin/core/schedule.hpp"
 
 namespace dsjoin::runtime {
 
@@ -296,7 +297,8 @@ void Coordinator::finalize(const std::vector<Member>& members,
   }
   core::aggregate_node_reports(node_reports, report);
   if (options_.verify) {
-    core::verify_against_schedule(options_.config, report->pairs, report);
+    core::verify_against_schedule(
+        options_.config, core::ArrivalSchedule::build(options_.config), report);
   }
   core::finalize_derived_metrics(report);
 }

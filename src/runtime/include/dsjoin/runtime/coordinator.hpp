@@ -61,7 +61,7 @@ using RunReport = core::ExperimentResult;
 class Coordinator {
  public:
   /// Binds the control listener (throws std::runtime_error on failure —
-  /// setup is not a recoverable path, mirroring TcpTransport).
+  /// setup is not a recoverable path, as for net::form_local_mesh).
   explicit Coordinator(CoordinatorOptions options);
 
   /// The control port daemons should dial.

@@ -10,37 +10,29 @@
 //
 // The per-node lifecycle itself — frame dispatch, arrival ingestion, the
 // two-phase FIN drain and the final NodeReport — lives in core::NodeHost,
-// shared with the other engine backends. What remains here is what only a
-// real daemon needs: the control-plane conversation and the threading.
+// and the thread that runs it in runtime::DataPlane, both shared with the
+// in-process backend. What remains here is what only a real daemon needs:
+// the control-plane conversation.
 //
-// Threading. Four threads share the node:
-//   * the mesh's one receiver thread (inside net::MeshTransport, polling
-//     every peer socket) only *enqueues* incoming frames — it never
-//     touches the node, so a peer blasting at us can never deadlock
-//     against our own blocked sends (the classic TCP full-mesh buffer
-//     deadlock);
-//   * a dispatcher thread drains that queue into host.deliver under the
-//     node mutex;
-//   * an arrival thread feeds the local schedule via host.ingest under the
-//     same mutex;
-//   * the main thread runs the control loop (coordinator messages +
-//     heartbeats).
+// Threading. Two threads share the node:
+//   * the data plane's one thread owns the node: it reads every peer
+//     socket, delivers each wire record, ingests this node's slice of the
+//     arrival schedule, and writes without ever blocking, so a peer
+//     blasting at us can never deadlock against our own sends (the
+//     classic TCP full-mesh buffer deadlock);
+//   * the main thread runs the control loop (coordinator messages and
+//     heartbeats) and, at DRAIN, the FIN handshake, whose calls into the
+//     host are internally synchronized.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <condition_variable>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "dsjoin/common/status.hpp"
-#include "dsjoin/core/node_host.hpp"
+#include "dsjoin/core/schedule.hpp"
 #include "dsjoin/net/channel.hpp"
-#include "dsjoin/net/mesh_transport.hpp"
 #include "dsjoin/runtime/control.hpp"
+#include "dsjoin/runtime/data_plane.hpp"
 
 namespace dsjoin::runtime {
 
@@ -62,7 +54,6 @@ struct DaemonOptions {
 class NodeDaemon {
  public:
   explicit NodeDaemon(DaemonOptions options) : options_(std::move(options)) {}
-  ~NodeDaemon();
 
   /// Blocks until the run completes (BYE) or fails. A dead *peer* is not a
   /// failure — the daemon degrades and still reports; a dead coordinator
@@ -72,23 +63,8 @@ class NodeDaemon {
   net::NodeId node_id() const noexcept { return node_id_; }
 
  private:
-  /// One ordered unit of data-plane input: every logical frame of one
-  /// decoded wire record (in send order), or a peer-death marker queued by
-  /// the mesh after the peer's last frame. Enqueuing whole records keeps
-  /// queue traffic and dispatcher lock acquisitions per record, not per
-  /// frame.
-  struct QueueItem {
-    bool peer_down = false;
-    net::NodeId peer = 0;
-    std::vector<net::Frame> frames;
-  };
-
   common::Status handshake(net::MsgSocket& control, ConfigMsg* out);
-  void dispatcher_loop();
-  void arrival_loop();
-  void enqueue(QueueItem item);
   void send_heartbeat(net::MsgSocket& control, DaemonState state);
-  void stop_threads();
 
   DaemonOptions options_;
   net::NodeId node_id_ = 0;
@@ -96,22 +72,8 @@ class NodeDaemon {
   core::SystemConfig config_;
   double heartbeat_period_s_ = 0.2;
 
-  std::unique_ptr<net::MeshTransport> mesh_;
-  std::unique_ptr<core::NodeHost> host_;
-
-  // Serializes node access between the arrival and dispatcher threads.
-  std::mutex node_mutex_;
-
-  // Frame queue (mesh receiver -> dispatcher).
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<QueueItem> queue_;
-  bool queue_stopped_ = false;
-
-  std::atomic<bool> arrivals_done_{false};
-  std::atomic<bool> stop_{false};
-  std::thread dispatcher_;
-  std::thread arrival_;
+  core::ArrivalSchedule schedule_;
+  std::unique_ptr<DataPlane> plane_;  // stopped at DRAIN
 };
 
 }  // namespace dsjoin::runtime

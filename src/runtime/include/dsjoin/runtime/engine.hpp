@@ -6,9 +6,10 @@
 //   * Backend::kSim — the deterministic WAN simulator (core::DspSystem):
 //     virtual time, modeled links, bit-identical runs. What every figure
 //     uses by default.
-//   * Backend::kTcpInprocess — every node in this process over the
-//     loopback TcpTransport, drained by the shared two-phase FIN state
-//     machine. Real sockets, one address space.
+//   * Backend::kTcpInprocess — every node in this process, each a
+//     DataPlane (the daemon's data plane) over a loopback mesh, drained
+//     by the shared two-phase FIN state machine. Real sockets, one
+//     address space, no lock shared between nodes.
 //   * Backend::kMultiprocess — one forked child process per node, each
 //     running the full NodeDaemon lifecycle against an in-process
 //     Coordinator: the complete control plane, mesh, drain and wire-level

@@ -1,16 +1,17 @@
 // MeshTransport tests: several single-process "daemons" each owning one
 // end of the full mesh, exactly as the multi-process runtime uses it, but
-// in-thread so the tests can reach into both ends.
+// in-thread so the tests can reach into both ends. Raw sockets stand in
+// for a peer where a test needs to write bytes no mesh would send.
 #include "dsjoin/net/mesh_transport.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <filesystem>
+#include <cstring>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -44,20 +45,51 @@ class Collector {
   std::vector<Frame> frames_;
 };
 
-Frame make_frame(NodeId from, NodeId to, std::uint32_t tag) {
+Frame make_frame(NodeId from, NodeId to, std::uint32_t tag,
+                 std::size_t payload_bytes = 16) {
   Frame f;
   f.from = from;
   f.to = to;
   f.kind = FrameKind::kTuple;
   f.piggyback_bytes = tag;
-  f.payload.assign(16, static_cast<std::uint8_t>(tag));
+  f.payload.assign(payload_bytes, static_cast<std::uint8_t>(tag));
   return f;
 }
 
-// Binds one ephemeral listener per node, builds the endpoint list, and
-// forms all meshes concurrently (each node's connect_mesh both dials and
-// accepts, so they must run in parallel — exactly like real daemons).
-std::vector<std::unique_ptr<MeshTransport>> make_meshes(std::size_t nodes) {
+// The meshes of one test, each polled by a thread of its own once formed,
+// as a data plane polls its node's mesh. Tests reach the meshes as
+// meshes[i]; destroying the set shuts every mesh down and joins its
+// poller.
+class Meshes {
+ public:
+  explicit Meshes(std::vector<std::unique_ptr<MeshTransport>> meshes)
+      : meshes_(std::move(meshes)) {}
+  ~Meshes() {
+    for (auto& mesh : meshes_) mesh->shutdown();
+    for (auto& poller : pollers_) poller.join();
+  }
+
+  std::unique_ptr<MeshTransport>& operator[](std::size_t i) { return meshes_[i]; }
+  std::size_t size() const { return meshes_.size(); }
+  auto begin() { return meshes_.begin(); }
+  auto end() { return meshes_.end(); }
+
+  void start_polling() {
+    for (auto& mesh : meshes_) {
+      pollers_.emplace_back([m = mesh.get()] {
+        while (m->poll(-1.0)) {
+        }
+      });
+    }
+  }
+
+ private:
+  std::vector<std::unique_ptr<MeshTransport>> meshes_;
+  std::vector<std::thread> pollers_;
+};
+
+// Binds one ephemeral listener per node and builds the endpoint list.
+Meshes make_meshes(std::size_t nodes) {
   std::vector<UniqueFd> listeners;
   std::vector<Endpoint> endpoints;
   for (std::size_t i = 0; i < nodes; ++i) {
@@ -74,11 +106,13 @@ std::vector<std::unique_ptr<MeshTransport>> make_meshes(std::size_t nodes) {
         static_cast<NodeId>(i), nodes, std::move(listeners[i]),
         endpoints));
   }
-  return meshes;
+  return Meshes(std::move(meshes));
 }
 
-std::vector<common::Status> connect_all(
-    std::vector<std::unique_ptr<MeshTransport>>& meshes) {
+// Forms all meshes concurrently (each node's connect_mesh both dials and
+// accepts, so they must run in parallel — exactly like real daemons), then
+// starts polling them.
+std::vector<common::Status> connect_all(Meshes& meshes) {
   std::vector<common::Status> statuses(meshes.size());
   std::vector<std::thread> threads;
   threads.reserve(meshes.size());
@@ -87,56 +121,8 @@ std::vector<common::Status> connect_all(
         [&, i] { statuses[i] = meshes[i]->connect_mesh(); });
   }
   for (auto& t : threads) t.join();
+  meshes.start_polling();
   return statuses;
-}
-
-// Threads of this process right now.
-std::size_t thread_count() {
-  std::size_t count = 0;
-  for (const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/task")) {
-    (void)entry;
-    ++count;
-  }
-  return count;
-}
-
-// A joined thread can outlive its join in /proc for a moment. Polls every
-// 10 ms until the count reaches `expected` (or, with no expectation, reads
-// the same three times running) or the timeout passes, then returns it.
-std::size_t settled_thread_count(std::optional<std::size_t> expected,
-                                 std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  std::size_t count = thread_count();
-  int unchanged = 0;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (expected ? count == *expected : unchanged == 2) break;
-    std::this_thread::sleep_for(10ms);
-    const std::size_t again = thread_count();
-    unchanged = again == count ? unchanged + 1 : 0;
-    count = again;
-  }
-  return count;
-}
-
-TEST(MeshTransport, OneReceiverThreadPerNode) {
-  constexpr std::size_t kNodes = 4;
-  // A first thread lets a sanitizer runtime start its helper thread, if it
-  // has one, before the baseline is read.
-  std::thread([] {}).join();
-  const std::size_t before = settled_thread_count(std::nullopt, 5000ms);
-  auto meshes = make_meshes(kNodes);
-  // Formed from this thread, in node order: each dial waits in the peer's
-  // listen backlog until that peer accepts, so no helper threads are
-  // started that the count could see.
-  for (auto& mesh : meshes) {
-    const auto status = mesh->connect_mesh();
-    ASSERT_TRUE(status.is_ok()) << status.to_string();
-  }
-  EXPECT_EQ(thread_count() - before, kNodes);
-  for (auto& mesh : meshes) mesh->stop();
-  for (auto& mesh : meshes) mesh->shutdown();
-  EXPECT_EQ(settled_thread_count(before, 5000ms), before);
 }
 
 TEST(MeshTransport, PeerDownFollowsTheLinksLastFrame) {
@@ -334,6 +320,151 @@ TEST(MeshTransport, WireFormatMatchesTcpTransportCodec) {
   EXPECT_EQ(got[0].piggyback_bytes, 99u);
   EXPECT_EQ(got[0].payload, frame.payload);
   for (auto& mesh : meshes) mesh->shutdown();
+}
+
+TEST(MeshTransport, SendNeverBlocksOnAStalledPeer) {
+  // Node 1's handler blocks until released, so its poller stops reading
+  // and the socket buffers between the nodes fill. 32 MiB of sends from
+  // node 0 must still return promptly, queued on the link; once node 1
+  // resumes, every frame arrives, in order.
+  constexpr std::size_t kPayload = 64 * 1024;
+  constexpr std::uint32_t kFrames = 512;  // 32 MiB
+  std::atomic<bool> stalled{true};
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::uint32_t received = 0;
+  bool in_order = true;
+  auto meshes = make_meshes(2);
+  // Declared after the meshes, so it releases the handler before their
+  // pollers are joined, whatever assertion ends the test.
+  struct Release {
+    std::atomic<bool>& stalled;
+    ~Release() { resume(); }
+    void resume() {
+      stalled.store(false);
+      stalled.notify_all();
+    }
+  } release{stalled};
+  meshes[0]->register_handler(0, [](Frame&&) {});
+  meshes[1]->register_handler(1, [&](Frame&& f) {
+    stalled.wait(true);
+    std::lock_guard lock(mutex);
+    in_order = in_order && f.piggyback_bytes == received &&
+               f.payload.size() == kPayload;
+    ++received;
+    cv.notify_all();
+  });
+  for (const auto& status : connect_all(meshes)) {
+    ASSERT_TRUE(status.is_ok()) << status.to_string();
+  }
+
+  std::atomic<bool> sent{false};
+  std::thread sender([&] {
+    for (std::uint32_t i = 0; i < kFrames; ++i) {
+      EXPECT_TRUE(meshes[0]->send(make_frame(0, 1, i, kPayload)));
+    }
+    sent.store(true);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!sent.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  const bool returned = sent.load();
+  // Loopback buffers hold a few MiB; the rest waits on the link.
+  const std::size_t queued = meshes[0]->max_unsent_bytes();
+  release.resume();
+  sender.join();
+  EXPECT_TRUE(returned) << "sends blocked on a stalled peer";
+  EXPECT_GT(queued, 0u);
+  {
+    std::unique_lock lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, 30s, [&] { return received == kFrames; }))
+        << received << " of " << kFrames;
+    EXPECT_TRUE(in_order);
+  }
+  EXPECT_EQ(meshes[0]->max_unsent_bytes(), 0u);
+  EXPECT_TRUE(meshes[0]->peer_alive(1));
+}
+
+// Node 2's end of a three-node mesh whose nodes 0 and 1 are raw sockets
+// held by the test, which writes hand-made wire records on them.
+struct RawPeers {
+  std::unique_ptr<MeshTransport> mesh;
+  UniqueFd peer[2];
+};
+
+RawPeers make_raw_peers() {
+  auto listener = tcp_listen(0, 16);
+  if (!listener.is_ok()) throw std::runtime_error("tcp_listen failed");
+  auto port = bound_port(listener.value().get());
+  if (!port.is_ok()) throw std::runtime_error("bound_port failed");
+  const Endpoint endpoint{"127.0.0.1", port.value()};
+  RawPeers raw;
+  raw.mesh = std::make_unique<MeshTransport>(
+      2, 3, std::move(listener).value(),
+      std::vector<Endpoint>{endpoint, endpoint, endpoint});
+  for (std::uint32_t id = 0; id < 2; ++id) {
+    auto fd = tcp_connect(endpoint);
+    if (!fd.is_ok()) throw std::runtime_error("tcp_connect failed");
+    raw.peer[id] = std::move(fd).value();
+    if (!write_all(raw.peer[id].get(), reinterpret_cast<const std::uint8_t*>(&id), 4)) {
+      throw std::runtime_error("mesh hello failed");
+    }
+  }
+  if (!raw.mesh->connect_mesh().is_ok()) throw std::runtime_error("mesh failed");
+  return raw;
+}
+
+// Writes a good record, `bad`, and another good record on peer 1's link.
+// The link must deliver the first, then end: `bad` is corrupt and the
+// record behind it is never delivered, peer 1 is reported down once, and
+// peer 0's link carries on.
+void expect_link_ends_at(const Frame& bad) {
+  RawPeers raw = make_raw_peers();
+  std::vector<std::uint32_t> delivered;
+  std::vector<NodeId> downs;
+  raw.mesh->register_handler(2, [&](Frame&& f) {
+    delivered.push_back(f.piggyback_bytes);
+  });
+  raw.mesh->set_peer_down([&](NodeId peer) { downs.push_back(peer); });
+  std::vector<std::uint8_t> bytes = encode_wire_frame(make_frame(1, 2, 1));
+  encode_wire_frame(bad, &bytes);
+  encode_wire_frame(make_frame(1, 2, 3), &bytes);
+  ASSERT_TRUE(write_all(raw.peer[1].get(), bytes.data(), bytes.size()));
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (downs.empty() && std::chrono::steady_clock::now() < deadline) {
+    raw.mesh->poll(0.05);
+  }
+  EXPECT_EQ(delivered, std::vector<std::uint32_t>{1});
+  EXPECT_EQ(downs, std::vector<NodeId>{1});
+  EXPECT_FALSE(raw.mesh->peer_alive(1));
+
+  // Peer 0's link still delivers.
+  bytes = encode_wire_frame(make_frame(0, 2, 4));
+  ASSERT_TRUE(write_all(raw.peer[0].get(), bytes.data(), bytes.size()));
+  while (delivered.size() < 2 && std::chrono::steady_clock::now() < deadline) {
+    raw.mesh->poll(0.05);
+  }
+  EXPECT_EQ(delivered, (std::vector<std::uint32_t>{1, 4}));
+  EXPECT_TRUE(raw.mesh->peer_alive(0));
+  EXPECT_EQ(downs.size(), 1u);
+  raw.mesh->shutdown();
+}
+
+TEST(MeshTransport, EndsALinkWhoseRecordNamesAnotherSender) {
+  // On peer 1's link, a frame that claims to come from peer 0 would move
+  // peer 0's eviction clock and drain phase.
+  expect_link_ends_at(make_frame(0, 2, 2));
+}
+
+TEST(MeshTransport, EndsALinkWhoseRecordNamesAnotherReceiver) {
+  expect_link_ends_at(make_frame(1, 0, 2));
+}
+
+TEST(MeshTransport, EndsALinkWhoseRecordHasAnUnknownKind) {
+  Frame bad = make_frame(1, 2, 2);
+  bad.kind = static_cast<FrameKind>(9);
+  expect_link_ends_at(bad);
 }
 
 }  // namespace

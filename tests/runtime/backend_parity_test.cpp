@@ -12,12 +12,14 @@
 // multiprocess} × coalescing {off, on}, asserting identical pair sets,
 // epsilon and logical traffic counters everywhere.
 //
-// Suites and sanitizer jobs: BackendParityMatrix covers all three backends
-// and therefore fork()s — it is filtered out of the TSan job next to
-// Multiprocess.*. SummarySyncParity runs the same matrix over the two
-// in-process backends only, so the watermark handshake and the pending-
-// summary store do get TSan coverage (the suite name deliberately does not
-// start with "BackendParity": gtest filters treat '.' as a wildcard).
+// Suites and sanitizer jobs: BackendParity and BackendParityMatrix cover
+// all three backends and therefore fork() — they are filtered out of the
+// TSan job next to Multiprocess.*. SummarySyncParity runs the same matrix,
+// and EvictingSyncParity the evicting rows, over the two in-process
+// backends only, so the watermark handshake, the pending-summary store and
+// the per-node data planes do get TSan coverage (the suite names
+// deliberately do not start with "BackendParity": gtest filters treat '.'
+// as a wildcard).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -71,31 +73,35 @@ core::SystemConfig evicting_config(core::PolicyKind policy) {
   return config;
 }
 
-void expect_parity(const core::SystemConfig& config) {
-  const auto sim = run_backend(config, core::Backend::kSim);
-  const auto tcp = run_backend(config, core::Backend::kTcpInprocess);
-  const auto multi = run_backend(config, core::Backend::kMultiprocess);
-
-  for (const auto* result : {&sim, &tcp, &multi}) {
-    EXPECT_TRUE(result->clean) << result->error;
-    EXPECT_EQ(result->error, "");
-    EXPECT_EQ(result->nodes_admitted, config.nodes);
-    EXPECT_EQ(result->nodes_failed, 0u);
-    EXPECT_EQ(result->decode_failures, 0u);
-    EXPECT_EQ(result->false_pairs, 0u);
-    EXPECT_EQ(result->total_arrivals, 2 * config.nodes * config.tuples_per_node);
+/// Runs `config` on each of `backends` (the simulator first) and requires
+/// every run to match the simulator's exactly.
+void expect_parity(const core::SystemConfig& config,
+                   const std::vector<core::Backend>& backends = {
+                       core::Backend::kSim, core::Backend::kTcpInprocess,
+                       core::Backend::kMultiprocess}) {
+  std::vector<core::ExperimentResult> results;
+  for (const auto backend : backends) {
+    results.push_back(run_backend(config, backend));
   }
-  EXPECT_EQ(sim.backend, core::Backend::kSim);
-  EXPECT_EQ(tcp.backend, core::Backend::kTcpInprocess);
-  EXPECT_EQ(multi.backend, core::Backend::kMultiprocess);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& result = results[i];
+    EXPECT_TRUE(result.clean) << result.error;
+    EXPECT_EQ(result.error, "");
+    EXPECT_EQ(result.nodes_admitted, config.nodes);
+    EXPECT_EQ(result.nodes_failed, 0u);
+    EXPECT_EQ(result.decode_failures, 0u);
+    EXPECT_EQ(result.false_pairs, 0u);
+    EXPECT_EQ(result.total_arrivals, 2 * config.nodes * config.tuples_per_node);
+    EXPECT_EQ(result.backend, backends[i]);
+  }
 
   // The headline numbers must agree exactly, not approximately.
-  EXPECT_EQ(sim.exact_pairs, tcp.exact_pairs);
-  EXPECT_EQ(sim.exact_pairs, multi.exact_pairs);
-  EXPECT_EQ(sim.reported_pairs, tcp.reported_pairs);
-  EXPECT_EQ(sim.reported_pairs, multi.reported_pairs);
-  EXPECT_EQ(sim.epsilon, tcp.epsilon);
-  EXPECT_EQ(sim.epsilon, multi.epsilon);
+  const auto& sim = results.front();
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    EXPECT_EQ(sim.exact_pairs, results[i].exact_pairs);
+    EXPECT_EQ(sim.reported_pairs, results[i].reported_pairs);
+    EXPECT_EQ(sim.epsilon, results[i].epsilon);
+  }
   EXPECT_GT(sim.reported_pairs, 0u);
 }
 
@@ -117,6 +123,20 @@ TEST(BackendParity, BaseIdenticalWhileEvicting) {
 
 TEST(BackendParity, DfttIdenticalWhileEvicting) {
   expect_parity(evicting_config(core::PolicyKind::kDftt));
+}
+
+// The evicting shape on the two in-process backends only: no fork, so the
+// TSan job runs the socket backend's free-running per-node loops while
+// every node evicts. RR has no summary sync, so its loops drift furthest
+// apart; DFTT's wait on each other's watermarks.
+TEST(EvictingSyncParity, RoundRobinSimAndInprocessTcpAgree) {
+  expect_parity(evicting_config(core::PolicyKind::kRoundRobin),
+                {core::Backend::kSim, core::Backend::kTcpInprocess});
+}
+
+TEST(EvictingSyncParity, DfttSimAndInprocessTcpAgree) {
+  expect_parity(evicting_config(core::PolicyKind::kDftt),
+                {core::Backend::kSim, core::Backend::kTcpInprocess});
 }
 
 // ---------------------------------------------------------------------------

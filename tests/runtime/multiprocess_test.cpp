@@ -1,7 +1,7 @@
 // Multi-process integration tests: real dsjoin_coord + dsjoin_noded
 // processes over loopback, driven via fork/exec. Two contracts:
 //
-//   1. A 4-daemon distributed run reproduces the in-process TcpTransport
+//   1. A 4-daemon distributed run reproduces the in-process socket
 //      baseline exactly (deduplicated pair count and epsilon) — the
 //      runtime's acceptance criterion.
 //   2. SIGKILLing one daemon mid-stream degrades the run instead of

@@ -1,6 +1,6 @@
 // End-to-end runtime tests: the full coordinator/daemon protocol with
 // daemons on threads (run_local) measured against the in-process
-// TcpTransport baseline (run_inprocess_tcp). The discovered-pair set is
+// socket baseline (run_inprocess_tcp). The discovered-pair set is
 // order-insensitive for deterministic routing with full drain, so the two
 // modes must agree exactly — pair count, epsilon, and zero false pairs.
 #include "dsjoin/runtime/local.hpp"
