@@ -15,7 +15,6 @@ int main(int argc, char** argv) {
   flags.add_int("nodes", 8, "cluster size");
   flags.add_int("tuples", 1500, "tuples per node per side");
   flags.add_double("throttle", 0.5, "fixed forwarding budget knob");
-  bench::add_workers_flag(flags);
   bench::add_backend_flag(flags);
   bench::add_coalesce_flags(flags);
   if (auto s = flags.parse(argc, argv); !s) {
@@ -39,7 +38,6 @@ int main(int argc, char** argv) {
       auto config = probe;
       config.queries.front().policy = kind;
       config.queries.front().throttle = flags.get_double("throttle");
-      bench::apply_workers_flag(flags, config);
       bench::apply_coalesce_flags(flags, config);
       const auto result = bench::run_with_backend(backend, config);
       row.push_back(common::str_format("%.4f", result.epsilon));

@@ -9,7 +9,6 @@ int main(int argc, char** argv) {
   common::CliFlags flags("Figure 10(b) reproduction: error vs cluster size");
   flags.add_int("tuples", 1200, "tuples per node per side");
   flags.add_double("throttle", 0.5, "fixed forwarding budget knob");
-  bench::add_workers_flag(flags);
   bench::add_backend_flag(flags);
   bench::add_coalesce_flags(flags);
   if (auto s = flags.parse(argc, argv); !s) {
@@ -29,7 +28,6 @@ int main(int argc, char** argv) {
       auto config = bench::figure_config("ZIPF", n, tuples);
       config.queries.front().policy = kind;
       config.queries.front().throttle = flags.get_double("throttle");
-      bench::apply_workers_flag(flags, config);
       bench::apply_coalesce_flags(flags, config);
       const auto result = bench::run_with_backend(backend, config);
       row.push_back(common::str_format("%.4f", result.epsilon));

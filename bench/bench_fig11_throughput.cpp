@@ -14,7 +14,6 @@ int main(int argc, char** argv) {
   flags.add_int("tuples", 1400, "tuples per node per side (measurement run)");
   flags.add_int("calib_tuples", 800, "tuples per node per side (calibration)");
   flags.add_double("target_eps", 0.15, "calibrated error rate");
-  bench::add_workers_flag(flags);
   bench::add_backend_flag(flags);
   bench::add_coalesce_flags(flags);
   if (auto s = flags.parse(argc, argv); !s) {
@@ -34,7 +33,6 @@ int main(int argc, char** argv) {
     for (auto kind : bench::evaluated_policies()) {
       auto config = bench::figure_config("ZIPF", n, tuples);
       config.queries.front().policy = kind;
-      bench::apply_workers_flag(flags, config);
       bench::apply_coalesce_flags(flags, config);
       if (kind != core::PolicyKind::kBase) {
         auto calib_config = config;

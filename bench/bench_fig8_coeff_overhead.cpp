@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
   common::CliFlags flags("Figure 8 reproduction: summary byte overhead vs nodes");
   flags.add_int("tuples", 2000, "tuples per node per side");
   flags.add_double("throttle", 0.5, "forwarding budget knob");
-  bench::add_workers_flag(flags);
   bench::add_backend_flag(flags);
   bench::add_coalesce_flags(flags);
   bench::add_quant_flag(flags);
@@ -74,7 +73,6 @@ int main(int argc, char** argv) {
         "ZIPF", n, static_cast<std::uint64_t>(flags.get_int("tuples")));
     config.queries.front().policy = core::PolicyKind::kDft;
     config.queries.front().throttle = flags.get_double("throttle");
-    bench::apply_workers_flag(flags, config);
     bench::apply_coalesce_flags(flags, config);
     bench::apply_quant_flag(flags, config);
     const auto result = bench::run_with_backend(backend, config);
@@ -103,7 +101,6 @@ int main(int argc, char** argv) {
       config.queries.front().policy = core::PolicyKind::kDft;
       config.queries.front().throttle = flags.get_double("throttle");
       config.summary_quant_bits = bits;
-      bench::apply_workers_flag(flags, config);
       const auto result = bench::run_with_backend(backend, config);
       const std::uint64_t summary_bytes =
           result.traffic.piggyback_bytes +

@@ -14,7 +14,6 @@ int main(int argc, char** argv) {
   flags.add_int("tuples", 1200, "tuples per node per side");
   flags.add_double("target_eps", 0.15, "calibrated error rate");
   flags.add_int("bisections", 5, "calibration bisection steps");
-  bench::add_workers_flag(flags);
   bench::add_backend_flag(flags);
   bench::add_coalesce_flags(flags);
   if (auto s = flags.parse(argc, argv); !s) {
@@ -35,7 +34,6 @@ int main(int argc, char** argv) {
       for (auto kind : bench::evaluated_policies()) {
         auto config = bench::figure_config(workload, n, tuples);
         config.queries.front().policy = kind;
-        bench::apply_workers_flag(flags, config);
         bench::apply_coalesce_flags(flags, config);
         // Calibration always runs on the simulator (it needs the in-run
         // oracle); the operating point is then measured on the chosen

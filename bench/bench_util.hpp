@@ -80,27 +80,6 @@ inline void validate_or_die(const core::SystemConfig& config) {
   }
 }
 
-/// Declares the shared `--workers` flag (parallel simulator driver).
-inline void add_workers_flag(common::CliFlags& flags) {
-  flags.add_int("workers", 0,
-                "execution strands for the simulator (0 = serial driver; "
-                "k >= 1 is bit-identical to serial unless backpressure "
-                "engages, see DESIGN.md section 6)");
-}
-
-/// Applies `--workers` to a config. A negative count would wrap to a huge
-/// unsigned thread total and abort inside the pool, so reject it here.
-inline void apply_workers_flag(const common::CliFlags& flags,
-                               core::SystemConfig& config) {
-  const std::int64_t workers = flags.get_int("workers");
-  if (workers < 0 || workers > 4096) {
-    std::fprintf(stderr, "error: --workers must be in [0, 4096], got %lld\n",
-                 static_cast<long long>(workers));
-    std::exit(1);
-  }
-  config.worker_threads = static_cast<std::uint32_t>(workers);
-}
-
 /// Declares the shared data-plane batching knobs (socket backends only;
 /// the simulator models links, not sockets — see DESIGN.md section 11).
 inline void add_coalesce_flags(common::CliFlags& flags) {
@@ -118,8 +97,8 @@ inline void add_coalesce_flags(common::CliFlags& flags) {
 }
 
 /// Applies the batching knobs. The accepted ranges live in
-/// core::validate_config — out-of-range values are rejected there with
-/// the same print-and-exit treatment a negative `--workers` gets.
+/// core::validate_config, and validate_or_die prints an out-of-range
+/// value's violation and exits 1.
 inline void apply_coalesce_flags(const common::CliFlags& flags,
                                  core::SystemConfig& config) {
   config.coalesce_frames =
@@ -180,8 +159,8 @@ inline void add_backend_flag(common::CliFlags& flags) {
       "time (see DESIGN.md section 10)");
 }
 
-/// Parses `--backend`, rejecting unknown names cleanly (the same treatment
-/// negative `--workers` gets): print the valid spellings and exit 1.
+/// Parses `--backend`, rejecting unknown names cleanly: print the valid
+/// spellings and exit 1.
 inline core::Backend parse_backend_flag(const common::CliFlags& flags) {
   const auto backend = core::backend_from_string(flags.get_string("backend"));
   if (!backend) {

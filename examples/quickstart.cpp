@@ -31,11 +31,7 @@ int main(int argc, char** argv) {
       .add_int("kappa", 256, "DFT compression factor")
       .add_int("tolerance", 2, "DFTT membership tolerance (+/- keys)")
       .add_double("noise", 0.15, "background cold-tuple fraction")
-      .add_int("seed", 42, "experiment seed")
-      .add_int("workers", 0,
-               "execution strands for the simulator (0 = serial driver; "
-               "k >= 1 is bit-identical to serial unless backpressure "
-               "engages, see DESIGN.md section 6)");
+      .add_int("seed", 42, "experiment seed");
   if (auto status = flags.parse(argc, argv); !status) {
     if (status.code() != common::ErrorCode::kFailedPrecondition) {
       std::fprintf(stderr, "error: %s\n", status.to_string().c_str());
@@ -52,13 +48,6 @@ int main(int argc, char** argv) {
   config.membership_tolerance = flags.get_int("tolerance");
   config.noise = flags.get_double("noise");
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  const std::int64_t workers = flags.get_int("workers");
-  if (workers < 0) {
-    std::fprintf(stderr, "error: --workers must be >= 0, got %lld\n",
-                 static_cast<long long>(workers));
-    return 1;
-  }
-  config.worker_threads = static_cast<std::uint32_t>(workers);
   const std::string query_list = flags.get_string("queries");
   const auto queries = core::parse_queries(query_list, config);
   if (!queries) {
@@ -66,6 +55,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   config.queries = queries.value();
+  if (auto valid = core::validate_config(config); !valid.is_ok()) {
+    std::fprintf(stderr, "error: %s\n", valid.message().c_str());
+    return 1;
+  }
 
   std::printf("Running %s on %s with %u nodes (%llu tuples/node/side)...\n",
               query_list.c_str(), config.workload.c_str(), config.nodes,

@@ -258,7 +258,6 @@ void serialize_config(const SystemConfig& config, common::BufferWriter& out) {
   out.write_u32(config.coalesce_frames);
   out.write_u32(config.coalesce_bytes);
   out.write_f64(config.coalesce_linger_s);
-  out.write_u32(config.worker_threads);
   out.write_u8(config.oracle_enabled ? 1 : 0);
   out.write_f64(config.online_target_eps);
   out.write_u32(config.summary_quant_bits);
@@ -305,7 +304,6 @@ common::Result<SystemConfig> deserialize_config(common::BufferReader& in) {
   DSJOIN_READ(coalesce_frames, read_u32);
   DSJOIN_READ(coalesce_bytes, read_u32);
   DSJOIN_READ(coalesce_linger_s, read_f64);
-  DSJOIN_READ(worker_threads, read_u32);
   {
     auto oracle = in.read_u8();
     if (!oracle) return oracle.status();

@@ -165,16 +165,10 @@ struct SystemConfig {
   /// control frames always flush immediately regardless).
   double coalesce_linger_s = 0.005;
 
-  // Parallel execution.
-  /// Execution strands for the simulator driver. 0 (default) runs every
-  /// event on the caller's thread — the historical serial path. k >= 1
-  /// runs each epoch's per-node work on k strands (the caller plus k-1
-  /// pool workers); nodes are shared-nothing and all cross-node effects
-  /// are applied in canonical order at the epoch barrier, so results are
-  /// bit-identical to the serial driver (see DESIGN.md §6; the one caveat
-  /// is backpressure engaging mid-epoch, which the paper's approximate
-  /// policies never trigger).
-  std::uint32_t worker_threads = 0;
+  /// Always 0: the simulator runs every event on the caller's thread.
+  /// Read only by perfbench's traced simulator twin; delete it with that
+  /// twin (ROADMAP item 4). Not serialized.
+  static constexpr std::uint32_t worker_threads = 0;
 
   /// Feed every arrival to the exact-join oracle (needed for epsilon /
   /// |Psi|). The oracle is inherently global and serial; large-scale
@@ -216,9 +210,8 @@ struct SystemConfig {
   /// Virtual time at which a summary stamped with `emit_time` becomes
   /// visible to its receiver: the first summary_sync_epoch_s multiple
   /// strictly greater than emit_time + wan.latency_min_s. Strictly greater
-  /// keeps the parallel simulator driver deterministic — a summary emitted
-  /// inside epoch [W, W + w) becomes visible only after W + w, i.e. never
-  /// within the epoch that emitted it (this also holds when w == 0).
+  /// means a summary is never visible at the instant it was emitted, also
+  /// when the latency floor is 0.
   double summary_visible_time(double emit_time) const noexcept {
     const double grid = summary_sync_epoch_s;
     return grid * (std::floor((emit_time + wan.latency_min_s) / grid) + 1.0);

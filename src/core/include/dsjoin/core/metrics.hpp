@@ -26,34 +26,18 @@ namespace dsjoin::core {
 /// the distinct set, which bounds the log's memory.
 ///
 /// Threads: no two threads may use one collector at once, readers
-/// included — readers are const but fold the log in place. Parallel
-/// drivers keep that by construction through epochs, below.
-///
-/// Parallel epochs: the collector is shared by all nodes, so the parallel
-/// driver opens an epoch around each worker phase; record_pair from a bound
-/// worker thread is buffered per slot and end_epoch() applies the buffers
-/// in slot order — the serial dispatch order — keeping first-discoverer
-/// attribution bit-identical to a serial run.
+/// included — readers are const but fold the log in place. The simulator
+/// shares one collector per query among all its nodes on one thread; a
+/// socket host owns collectors of its own.
 class MetricsCollector {
  public:
   /// Records a discovered pair; duplicates (same r_id/s_id) count once.
   void record_pair(const stream::ResultPair& pair, net::NodeId discoverer,
                    double now);
 
-  /// Opens an epoch with `slots` report buffers (one per deferred task).
-  void begin_epoch(std::size_t slots);
-  /// Binds the calling thread to `slot` for the current epoch — of this
-  /// collector and of every collector sharing its epoch group.
-  void bind_epoch_slot(std::size_t slot);
-  /// Applies all buffered reports in slot order.
-  void end_epoch();
-
-  /// Joins an epoch group: collectors sharing a group tag buffer under one
-  /// thread binding, so a driver with several collectors (one per query)
-  /// opens their epochs together and binds slots through any one of them.
-  /// Default group: the collector itself (single-collector drivers change
-  /// nothing). Set before the first epoch.
-  void set_epoch_group(const void* group) noexcept { epoch_group_ = group; }
+  /// Does nothing. Read only by perfbench's traced simulator twin, which
+  /// still calls it; delete it with that twin (ROADMAP item 4).
+  void set_epoch_group(const void*) noexcept {}
 
   /// Distinct pairs reported by the system — |Psi-hat| of Eq. 1.
   std::uint64_t distinct_pairs() const {
@@ -94,11 +78,6 @@ class MetricsCollector {
     stream::ResultPair pair;
     net::NodeId discoverer;
   };
-  struct PendingReport {
-    stream::ResultPair pair;
-    net::NodeId discoverer;
-    double now;
-  };
 
   /// Merges the log into the distinct set and credits first discoverers.
   void fold() const;
@@ -106,11 +85,8 @@ class MetricsCollector {
   mutable std::vector<stream::ResultPair> distinct_;  // sorted, exact-sized
   mutable std::vector<LogEntry> log_;                 // reports since the last fold
   mutable std::vector<std::uint64_t> per_node_;
-  const void* epoch_group_ = this;
   std::uint64_t total_reports_ = 0;
   double last_report_time_ = 0.0;
-  bool epoch_open_ = false;
-  std::vector<std::vector<PendingReport>> epoch_reports_;  // by slot
 };
 
 /// Union of pair lists, each in the form pairs() returns: sorted ascending

@@ -22,8 +22,8 @@
 // queue running dry is an exact, zero-cost statement of the same fact.)
 //
 // Threading contract: ingest(), deliver(), node() and report() touch the
-// node and must come from one thread at a time: a simulator strand, or the
-// one thread of the node's runtime::DataPlane on the socket backends.
+// node and must come from one thread at a time: the simulator's thread, or
+// the one thread of the node's runtime::DataPlane on the socket backends.
 // note_peer_dead(), begin_drain(), wait_drain(), drain_complete(), the
 // watermark calls and await_summary_cover() are internally synchronized,
 // so a control thread
@@ -53,12 +53,12 @@ class NodeHost {
   /// Socket backends: the host owns one private MetricsCollector per
   /// registered query (this node's discoveries only; global dedup happens
   /// at aggregation). The node evaluates its queries on the calling
-  /// thread; config.worker_threads drives only the simulator.
+  /// thread.
   NodeHost(const SystemConfig& config, net::NodeId id, net::Transport& transport);
 
   /// Simulator: all hosts share the system-wide collectors — one per
   /// registered query, in canonical order — which perform the global dedup
-  /// and the epoch-buffered flush ordering in place.
+  /// in place.
   NodeHost(const SystemConfig& config, net::NodeId id, net::Transport& transport,
            std::span<MetricsCollector* const> shared_query_metrics);
 

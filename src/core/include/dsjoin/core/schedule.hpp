@@ -72,9 +72,6 @@ struct ArrivalSchedule {
 
   /// Builds the schedule for `config` (workload, seed, rate, count).
   static ArrivalSchedule build(const SystemConfig& config);
-
-  /// The subsequence originating at `node`, in timestamp order.
-  std::vector<stream::Tuple> for_node(net::NodeId node) const;
 };
 
 /// Exact |Psi| for a schedule: distinct (r, s) pairs with equal keys and

@@ -7,12 +7,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
 
-#include "dsjoin/common/thread_pool.hpp"
 #include "dsjoin/core/config.hpp"
 #include "dsjoin/core/experiment.hpp"
 #include "dsjoin/core/metrics.hpp"
@@ -28,6 +26,8 @@ namespace dsjoin::core {
 /// One experiment instance. Construct, run once, read the result.
 class DspSystem {
  public:
+  /// Throws std::invalid_argument, with validate_config's message, for a
+  /// config that gate rejects.
   explicit DspSystem(const SystemConfig& config);
   ~DspSystem();
 
@@ -68,44 +68,10 @@ class DspSystem {
   /// set_external_summary_feed, so each block applies exactly once.
   void tee_summary(const net::Frame& frame);
 
-  // --- Parallel epoch execution (worker_threads >= 1) ---
-  //
-  // The event queue is consumed in epochs: a serial *dispatch phase* runs
-  // events in (time, insertion) order inside a lookahead window no wider
-  // than the minimum link latency — so nothing dispatched can cause a
-  // cross-node event inside the same window — doing only the cheap global
-  // bookkeeping (tuple ids, arrival pacing, the oracle) and deferring each
-  // node's per-tuple work; a *worker phase* then fans the deferred tasks
-  // out across the pool, one strand per node (shared-nothing), with sends
-  // and metric reports buffered per task; the *barrier* flushes those
-  // buffers in dispatch order, reproducing the serial schedule exactly.
-
-  /// Delivers `frame` to `node` now (serial mode) or defers it to the open
-  /// epoch's worker phase, tagged with its event time. The epoch task holds
-  /// the frame itself, so a delivery builds no closure either way.
-  void defer_delivery(net::NodeId node, double when, net::Frame&& frame);
-  /// Local-arrival variant: the epoch task holds the tuple, and the worker
-  /// phase feeds it to NodeHost::ingest.
-  void defer_arrival(net::NodeId node, double when, const stream::Tuple& tuple);
-  void run_parallel();
-  void execute_epoch(common::ThreadPool& pool,
-                     std::vector<std::function<void()>>& batch,
-                     std::vector<std::vector<std::size_t>>& by_node);
-
-  struct EpochTask {
-    net::NodeId node;
-    double when;
-    bool is_arrival = false;
-    stream::Tuple tuple;         // valid when is_arrival
-    net::Frame frame;            // valid otherwise
-  };
-
   SystemConfig config_;
   net::EventQueue queue_;
   std::unique_ptr<net::SimTransport> transport_;
-  /// One collector per registered query, canonical order. All collectors
-  /// share one epoch group (this), so the parallel driver binds worker
-  /// slots once per task and every query's reports buffer.
+  /// One collector per registered query, canonical order.
   std::vector<std::unique_ptr<MetricsCollector>> query_metrics_;
   std::vector<MetricsCollector*> metrics_ptrs_;  ///< span over query_metrics_
   /// One oracle per distinct query half-width: queries of equal width
@@ -119,8 +85,6 @@ class DspSystem {
   std::vector<std::pair<net::NodeId, double>> pending_restarts_;
   std::uint64_t restarts_executed_ = 0;
   bool ran_ = false;
-  bool epoch_open_ = false;
-  std::vector<EpochTask> epoch_tasks_;
 };
 
 /// Runs a full experiment for a config (convenience for benches).

@@ -1,20 +1,11 @@
 #include "dsjoin/core/metrics.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <iterator>
 
 namespace dsjoin::core {
 
 namespace {
-// Which collector/slot the current thread buffers reports for (mirrors the
-// SimTransport epoch binding; thread-local so node workers never share it).
-struct EpochBinding {
-  const void* collector = nullptr;
-  std::size_t slot = 0;
-};
-thread_local EpochBinding tls_epoch_binding;
-
 // A fold runs once the log holds a quarter of the distinct set, and at
 // least this many reports: each fold's merge pass copies the whole set, so
 // it is paid for by that many reports.
@@ -27,11 +18,6 @@ std::size_t fold_threshold(std::size_t distinct) {
 
 void MetricsCollector::record_pair(const stream::ResultPair& pair,
                                    net::NodeId discoverer, double now) {
-  if (epoch_open_ && tls_epoch_binding.collector == epoch_group_) {
-    epoch_reports_[tls_epoch_binding.slot].push_back(
-        PendingReport{pair, discoverer, now});
-    return;
-  }
   ++total_reports_;
   if (now > last_report_time_) last_report_time_ = now;
   log_.push_back(LogEntry{pair, discoverer});
@@ -80,27 +66,6 @@ void MetricsCollector::fold() const {
 std::vector<stream::ResultPair> MetricsCollector::pairs() const {
   fold();
   return distinct_;
-}
-
-void MetricsCollector::begin_epoch(std::size_t slots) {
-  assert(!epoch_open_);
-  if (epoch_reports_.size() < slots) epoch_reports_.resize(slots);
-  epoch_open_ = true;
-}
-
-void MetricsCollector::bind_epoch_slot(std::size_t slot) {
-  tls_epoch_binding = EpochBinding{epoch_group_, slot};
-}
-
-void MetricsCollector::end_epoch() {
-  assert(epoch_open_);
-  epoch_open_ = false;
-  for (auto& slot : epoch_reports_) {
-    for (const auto& report : slot) {
-      record_pair(report.pair, report.discoverer, report.now);
-    }
-    slot.clear();
-  }
 }
 
 std::vector<stream::ResultPair> merge_pair_lists(

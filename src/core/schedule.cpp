@@ -105,14 +105,6 @@ ArrivalSchedule ArrivalSchedule::build(const SystemConfig& config) {
   return schedule;
 }
 
-std::vector<stream::Tuple> ArrivalSchedule::for_node(net::NodeId node) const {
-  std::vector<stream::Tuple> mine;
-  for (const auto& tuple : tuples) {
-    if (tuple.origin == node) mine.push_back(tuple);
-  }
-  return mine;
-}
-
 std::uint64_t exact_pairs(const ArrivalSchedule& schedule, double half_width) {
   ExactJoinOracle oracle(half_width);
   for (const auto& tuple : schedule.tuples) oracle.observe(tuple);

@@ -125,7 +125,8 @@ std::size_t next_power_of_two(std::size_t n) noexcept {
 const Fft& Fft::plan(std::size_t size) {
   // Keyed by exact size; experiments use a handful of sizes (the DFT
   // window, histogram bucket counts), so the map stays tiny. Thread-local
-  // so parallel node strands never contend or share plans.
+  // so the data planes of an in-process run, one thread per node, never
+  // contend or share plans.
   thread_local std::map<std::size_t, Fft> cache;
   const auto it = cache.find(size);
   if (it != cache.end()) return it->second;

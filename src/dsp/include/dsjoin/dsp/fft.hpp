@@ -59,7 +59,7 @@ class Fft {
   /// thread-local: hot paths that transform per tuple (membership probes
   /// reconstructing a window, correlation scoring) skip the O(N log N)
   /// table setup without any cross-thread synchronization, so it is safe
-  /// from the simulator's parallel node strands.
+  /// from N data-plane threads in one process.
   static const Fft& plan(std::size_t size);
 
  private:

@@ -231,8 +231,8 @@ double SlidingDft::variance() const noexcept {
 
 void SlidingDft::renormalize() {
   std::vector<Complex> full(ring_.begin(), ring_.end());
-  // Borrowed per call, never stored: the plan cache is thread-local and a
-  // node's work may run on different pool threads.
+  // Borrowed per call, never stored: the plan cache is thread-local, and a
+  // plan must not outlive or leave the thread that built it.
   Fft::plan(window_).forward(full);
   for (std::size_t k = 0; k < coeff_re_.size(); ++k) {
     coeff_re_[k] = full[k].real();

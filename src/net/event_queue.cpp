@@ -16,22 +16,16 @@ std::uint32_t EventQueue::acquire_slot() {
   return slot;
 }
 
-void EventQueue::push(SimTime when, std::uint32_t slot, bool barrier) {
+void EventQueue::push(SimTime when, std::uint32_t slot) {
   assert(when >= now_ && "cannot schedule into the past");
-  heap_.push_back(Key{when < now_ ? now_ : when, next_sequence_++, slot, barrier});
+  heap_.push_back(Key{when < now_ ? now_ : when, next_sequence_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void EventQueue::schedule_at(SimTime when, Callback fn) {
   const std::uint32_t slot = acquire_slot();
   slab_[slot].fn = std::move(fn);
-  push(when, slot, false);
-}
-
-void EventQueue::schedule_barrier_at(SimTime when, Callback fn) {
-  const std::uint32_t slot = acquire_slot();
-  slab_[slot].fn = std::move(fn);
-  push(when, slot, true);
+  push(when, slot);
 }
 
 void EventQueue::schedule_delivery_at(SimTime when,
@@ -41,7 +35,7 @@ void EventQueue::schedule_delivery_at(SimTime when,
   Record& record = slab_[slot];
   record.handler = handler;
   record.frame = std::move(frame);
-  push(when, slot, false);
+  push(when, slot);
 }
 
 bool EventQueue::run_one() {

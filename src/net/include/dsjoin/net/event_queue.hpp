@@ -12,15 +12,6 @@
 // either kind takes one sequence number, so a tie between kinds breaks by
 // scheduling order too. The heap holds small {when, seq, slot} keys over a
 // slab of records; a run event's slot is reused by the next schedule.
-//
-// Epochs: the parallel driver consumes the queue in *epochs* — all events
-// sharing the next virtual timestamp (or, with lookahead, all events inside
-// a half-open window no wider than the minimum network latency, so nothing
-// executed in the epoch can schedule a cross-node event back into it). It
-// forms them from next_when()/next_is_barrier()/run_one(); *barrier*
-// events must never share an epoch with per-node work (node restarts,
-// topology changes). run_all()/run_one() treat barrier events like any
-// other, so the serial path is unchanged.
 #pragma once
 
 #include <cstdint>
@@ -43,12 +34,6 @@ class EventQueue {
   /// Schedules `fn` at absolute virtual time `when` (>= now()).
   void schedule_at(SimTime when, Callback fn);
 
-  /// Schedules a *barrier* event: the parallel driver's dispatch loop
-  /// stops in front of it so it executes alone, after every earlier
-  /// event's effects are fully applied. Serial execution order is
-  /// identical to schedule_at.
-  void schedule_barrier_at(SimTime when, Callback fn);
-
   /// Schedules the delivery of `frame` to `*handler` at `when` (>= now()).
   /// The handler is read when the delivery runs, so re-registering the
   /// slot `handler` points at redirects frames already in flight.
@@ -60,13 +45,6 @@ class EventQueue {
 
   bool empty() const noexcept { return heap_.empty(); }
   std::size_t pending() const noexcept { return heap_.size(); }
-
-  /// Timestamp of the earliest pending event. Precondition: !empty().
-  SimTime next_when() const noexcept { return heap_.front().when; }
-
-  /// Whether the earliest pending event is a barrier event.
-  /// Precondition: !empty().
-  bool next_is_barrier() const noexcept { return heap_.front().barrier; }
 
   /// Executes the earliest event; returns false if none is pending.
   bool run_one();
@@ -81,7 +59,6 @@ class EventQueue {
     SimTime when;
     std::uint64_t sequence;  // insertion order for stable ties
     std::uint32_t slot;      // the event's record in slab_
-    bool barrier;
   };
   struct Later {
     bool operator()(const Key& a, const Key& b) const noexcept {
@@ -98,7 +75,7 @@ class EventQueue {
 
   /// A free slot of slab_ (reused, or appended).
   std::uint32_t acquire_slot();
-  void push(SimTime when, std::uint32_t slot, bool barrier);
+  void push(SimTime when, std::uint32_t slot);
 
   std::vector<Key> heap_;
   std::vector<Record> slab_;

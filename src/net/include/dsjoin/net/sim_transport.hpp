@@ -83,35 +83,9 @@ class SimTransport final : public Transport {
   /// drop/corrupt draws, before the latency-delayed handler fires. The
   /// simulator's owner uses this as a virtual-time summary plane — the
   /// receiving node buffers the block by its stamp instead of by arrival.
-  /// In the parallel driver the sink runs at the epoch barrier, in slot
-  /// order, so serial and parallel runs observe the identical sequence.
   void set_summary_sink(std::function<void(const Frame&)> sink) {
     summary_sink_ = std::move(sink);
   }
-
-  // --- Parallel-epoch support (the deterministic multi-core driver) ---
-  //
-  // While an epoch is open, send() still applies every *sender-owned*
-  // effect immediately — link/NIC serialization state, per-link RNG draws
-  // (drop, corruption, latency), per-link counters — but defers the
-  // cross-node effects (delivery scheduling on the event queue, the
-  // system-wide counters) into per-slot buffers. end_epoch() flushes the
-  // buffers in slot order; with slots numbered in the serial dispatch
-  // order of the generating events, the flush reproduces bit-for-bit the
-  // event-queue state a serial run would have produced.
-  //
-  // Contract: one epoch slot is driven by exactly one thread at a time,
-  // all frames of one sender come from slots run on the same thread
-  // (shared-nothing nodes), and begin/end_epoch are called from the
-  // driver thread with the worker phase strictly in between.
-
-  /// Opens an epoch with `slots` send buffers (one per deferred task).
-  void begin_epoch(std::size_t slots);
-  /// Binds the calling thread to `slot`; sends then use `event_time` as
-  /// the virtual send time (worker threads must not read the clock).
-  void bind_epoch_slot(std::size_t slot, SimTime event_time);
-  /// Flushes all deferred deliveries and counters in slot order.
-  void end_epoch();
 
  private:
   struct Link {
@@ -133,15 +107,6 @@ class SimTransport final : public Transport {
     return links_[static_cast<std::size_t>(from) * handlers_.size() + to];
   }
 
-  /// A send whose cross-node effects are deferred to the epoch barrier.
-  struct PendingSend {
-    Frame frame;
-    SimTime arrival = 0.0;
-    bool deliver = false;  // false: dropped in flight (still accounted)
-    bool dropped = false;
-    bool corrupted = false;
-  };
-
   EventQueue& queue_;
   WanProfile profile_;
   std::function<void(const Frame&)> summary_sink_;
@@ -151,8 +116,6 @@ class SimTransport final : public Transport {
   TrafficCounters totals_;
   std::uint64_t dropped_ = 0;
   std::uint64_t corrupted_ = 0;
-  bool epoch_open_ = false;
-  std::vector<std::vector<PendingSend>> epoch_sends_;  // by slot
 };
 
 }  // namespace dsjoin::net

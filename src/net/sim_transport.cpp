@@ -8,16 +8,6 @@
 namespace dsjoin::net {
 
 namespace {
-// Which transport/slot the current thread is executing epoch work for.
-// Thread-local so concurrent node workers never share it; compared by
-// pointer so a transport only honours bindings made against itself.
-struct EpochBinding {
-  const void* transport = nullptr;
-  std::size_t slot = 0;
-  SimTime event_time = 0.0;
-};
-thread_local EpochBinding tls_epoch_binding;
-
 bool summary_bearing(const Frame& frame) noexcept {
   return frame.kind == FrameKind::kSummary ||
          (frame.kind == FrameKind::kTuple && frame.piggyback_bytes > 0);
@@ -63,32 +53,20 @@ common::Status SimTransport::send(Frame&& frame) {
   }
 
   Link& l = link(frame.from, frame.to);
-  // Inside an epoch, a bound worker thread defers the cross-node effects of
-  // the send; everything below that touches only the sender's own row
-  // (link RNG, serialization state, link counters) runs immediately either
-  // way, so the per-link draw sequences are identical in both modes.
-  const bool deferred = epoch_open_ && tls_epoch_binding.transport == this;
-  const SimTime now = deferred ? tls_epoch_binding.event_time : queue_.now();
+  const SimTime now = queue_.now();
   l.counters.record(frame);
-  if (!deferred) totals_.record(frame);
+  totals_.record(frame);
 
   // Failure injection happens after accounting: the sender paid for the
   // frame whether or not the network delivers it faithfully.
   if (profile_.drop_probability > 0.0 &&
       l.rng.next_bool(profile_.drop_probability)) {
-    if (deferred) {
-      epoch_sends_[tls_epoch_binding.slot].push_back(
-          PendingSend{std::move(frame), 0.0, false, true, false});
-    } else {
-      ++dropped_;
-    }
+    ++dropped_;
     return common::Status::ok();
   }
-  bool corrupted = false;
   if (profile_.corrupt_probability > 0.0 && !frame.payload.empty() &&
       l.rng.next_bool(profile_.corrupt_probability)) {
-    corrupted = true;
-    if (!deferred) ++corrupted_;
+    ++corrupted_;
     const auto at = l.rng.next_below(frame.payload.size());
     frame.payload[at] ^= 0xff;
   }
@@ -130,11 +108,6 @@ common::Status SimTransport::send(Frame&& frame) {
   if (arrival <= l.last_arrival) arrival = l.last_arrival + 1e-9;
   l.last_arrival = arrival;
 
-  if (deferred) {
-    epoch_sends_[tls_epoch_binding.slot].push_back(
-        PendingSend{std::move(frame), arrival, true, false, corrupted});
-    return common::Status::ok();
-  }
   // Delivery is committed: tee summary content to the virtual-time plane
   // (post-corruption, so a mangled block still fails its checksum there).
   if (summary_sink_ && summary_bearing(frame)) summary_sink_(frame);
@@ -143,40 +116,6 @@ common::Status SimTransport::send(Frame&& frame) {
   const DeliveryHandler* handler = &handlers_[frame.to];
   queue_.schedule_delivery_at(arrival, handler, std::move(frame));
   return common::Status::ok();
-}
-
-void SimTransport::begin_epoch(std::size_t slots) {
-  assert(!epoch_open_);
-  if (epoch_sends_.size() < slots) epoch_sends_.resize(slots);
-  epoch_open_ = true;
-}
-
-void SimTransport::bind_epoch_slot(std::size_t slot, SimTime event_time) {
-  tls_epoch_binding = EpochBinding{this, slot, event_time};
-}
-
-void SimTransport::end_epoch() {
-  assert(epoch_open_);
-  epoch_open_ = false;
-  for (auto& slot : epoch_sends_) {
-    for (auto& pending : slot) {
-      // Counter updates and delivery scheduling happen here, in slot order:
-      // exactly the order a serial run would have produced them in, so the
-      // event queue's tie-breaking sequence numbers line up too.
-      totals_.record(pending.frame);
-      if (pending.dropped) ++dropped_;
-      if (pending.corrupted) ++corrupted_;
-      if (pending.deliver) {
-        if (summary_sink_ && summary_bearing(pending.frame)) {
-          summary_sink_(pending.frame);
-        }
-        const DeliveryHandler* handler = &handlers_[pending.frame.to];
-        queue_.schedule_delivery_at(pending.arrival, handler,
-                                    std::move(pending.frame));
-      }
-    }
-    slot.clear();
-  }
 }
 
 double SimTransport::send_backlog_seconds(NodeId node) const noexcept {

@@ -54,7 +54,8 @@ namespace dsjoin::runtime {
 // carries the daemon's drain outcome (partial_drains).
 // v10: CONFIG drops the eviction retention margin (nodes evict behind
 // their peers' delivered clocks).
-inline constexpr std::uint32_t kProtocolVersion = 10;
+// v11: CONFIG drops the simulator's strand count (one serial driver).
+inline constexpr std::uint32_t kProtocolVersion = 11;
 
 enum class ControlType : std::uint8_t {
   kHello = 1,

@@ -109,21 +109,6 @@ TEST_P(GoldenRegression, PinnedMetricsUnchanged) {
   EXPECT_EQ(result.late_summaries, 0u);
 }
 
-TEST_P(GoldenRegression, ParallelDriverMatchesGoldens) {
-  // The pins hold for the parallel driver too — same numbers, any strands.
-  auto config = golden_config(GetParam().policy);
-  config.worker_threads = 3;
-  const auto result = run_experiment(config);
-  EXPECT_EQ(result.reported_pairs, GetParam().reported_pairs);
-  EXPECT_EQ(result.traffic.total_frames(), GetParam().total_frames);
-  EXPECT_EQ(result.traffic.frames(net::FrameKind::kSummary),
-            GetParam().summary_frames);
-  EXPECT_EQ(result.traffic.piggyback_bytes, GetParam().piggyback_bytes);
-  EXPECT_DOUBLE_EQ(result.epsilon, GetParam().epsilon);
-  expect_bound(result, bound_for(GetParam().policy, kBoundGoldens));
-  EXPECT_EQ(result.late_summaries, 0u);
-}
-
 INSTANTIATE_TEST_SUITE_P(AllPolicies, GoldenRegression,
                          ::testing::ValuesIn(kGoldens),
                          [](const auto& info) {
@@ -186,9 +171,6 @@ INSTANTIATE_TEST_SUITE_P(SummaryPolicies, GoldenEvictingWindows,
 // of DFTT, SMPL, BLOOM and SKCH sharing four summary engines) on the golden
 // config. The multi-query suites compare backends and solo runs with each
 // other, so a change every side shares passes them; only this row sees it.
-// It has no worker_threads twin: backpressure engages here, and the
-// parallel driver then differs from the serial one (serial reports 39,471
-// pairs, 3 workers 39,470; DESIGN.md §6).
 struct GoldenQuery {
   std::uint64_t exact_pairs;
   std::uint64_t reported_pairs;

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <set>
 #include <span>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -166,46 +165,6 @@ TEST(MetricsCollector, MatchesHashSetReferenceOnSeededStreams) {
       expect_same(polled, want);
     }
   }
-}
-
-TEST(MetricsCollector, EpochReplayBySlotMatchesHashSetReference) {
-  const auto reports = report_stream(99, 6'000, 0.5);
-  constexpr std::size_t kSlots = 3;
-  MetricsCollector actual;
-  actual.set_node_count(kNodes);
-  HashSetCollector want(kNodes);
-  // Reports before the epoch apply at once.
-  const std::size_t before = 2'000;
-  for (std::size_t i = 0; i < before; ++i) {
-    actual.record_pair(reports[i].pair, reports[i].discoverer, reports[i].now);
-  }
-  // Inside the epoch, report i goes to slot i % kSlots; each slot's worker
-  // buffers its own reports concurrently.
-  actual.begin_epoch(kSlots);
-  std::vector<std::thread> workers;
-  for (std::size_t slot = 0; slot < kSlots; ++slot) {
-    workers.emplace_back([&, slot] {
-      actual.bind_epoch_slot(slot);
-      for (std::size_t i = before + slot; i < reports.size(); i += kSlots) {
-        actual.record_pair(reports[i].pair, reports[i].discoverer,
-                           reports[i].now);
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  EXPECT_EQ(actual.total_reports(), before);  // buffered, not yet applied
-  actual.end_epoch();
-
-  // The reference applies the epoch in slot order, as a serial run would.
-  for (std::size_t i = 0; i < before; ++i) {
-    want.record_pair(reports[i].pair, reports[i].discoverer, reports[i].now);
-  }
-  for (std::size_t slot = 0; slot < kSlots; ++slot) {
-    for (std::size_t i = before + slot; i < reports.size(); i += kSlots) {
-      want.record_pair(reports[i].pair, reports[i].discoverer, reports[i].now);
-    }
-  }
-  expect_same(actual, want);
 }
 
 std::vector<stream::ResultPair> ordered_set_union(

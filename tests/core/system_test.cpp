@@ -15,10 +15,16 @@ SystemConfig small_config(PolicyKind kind, const std::string& workload = "ZIPF")
   return config;
 }
 
-TEST(DspSystem, RejectsSingleNode) {
+TEST(DspSystem, RejectsInvalidConfigs) {
   SystemConfig config;
   config.nodes = 1;
   EXPECT_THROW(DspSystem system(config), std::invalid_argument);
+  // 257 nodes would wrap the one-byte origin of tuple frames, and receivers
+  // would drop them as decode failures while the run still read clean.
+  config = small_config(PolicyKind::kBase);
+  config.nodes = kMaxNodes + 1;
+  config.tuples_per_node = 3;
+  EXPECT_THROW(run_experiment(config), std::invalid_argument);
 }
 
 TEST(DspSystem, BaseIsExact) {
@@ -46,6 +52,29 @@ TEST(DspSystem, RunsAreDeterministic) {
   EXPECT_EQ(a.reported_pairs, b.reported_pairs);
   EXPECT_EQ(a.traffic.total_frames(), b.traffic.total_frames());
   EXPECT_DOUBLE_EQ(a.makespan_s, b.makespan_s);
+}
+
+TEST(DspSystem, OracleOffChangesNothingButTheExactCount) {
+  // The oracle only observes: switching it off leaves every reported pair,
+  // frame and the makespan as they were, and the exact count reads 0.
+  auto config = small_config(PolicyKind::kDftt);
+  config.tuples_per_node = 350;
+  config.seed = 1234;
+  const auto on = run_experiment(config);
+  config.oracle_enabled = false;
+  const auto off = run_experiment(config);
+  ASSERT_GT(on.exact_pairs, 0u);
+  EXPECT_EQ(off.exact_pairs, 0u);
+  EXPECT_DOUBLE_EQ(off.epsilon, 0.0);
+  EXPECT_EQ(off.pairs, on.pairs);
+  EXPECT_EQ(off.reported_pairs, on.reported_pairs);
+  for (const auto kind : {net::FrameKind::kTuple, net::FrameKind::kSummary,
+                          net::FrameKind::kResult, net::FrameKind::kControl}) {
+    EXPECT_EQ(off.traffic.frames(kind), on.traffic.frames(kind))
+        << net::to_string(kind);
+  }
+  EXPECT_EQ(off.traffic.total_bytes(), on.traffic.total_bytes());
+  EXPECT_DOUBLE_EQ(off.makespan_s, on.makespan_s);
 }
 
 TEST(DspSystem, SeedsChangeOutcomes) {

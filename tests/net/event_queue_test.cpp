@@ -70,57 +70,6 @@ TEST(EventQueue, RunAllHonoursMaxEvents) {
   EXPECT_EQ(q.pending(), 6u);
 }
 
-TEST(EventQueue, NextWhenAndBarrierInspection) {
-  EventQueue q;
-  q.schedule_at(2.0, [] {});
-  q.schedule_barrier_at(1.0, [] {});
-  EXPECT_EQ(q.next_when(), 1.0);
-  EXPECT_TRUE(q.next_is_barrier());
-  EXPECT_TRUE(q.run_one());
-  EXPECT_EQ(q.next_when(), 2.0);
-  EXPECT_FALSE(q.next_is_barrier());
-}
-
-TEST(EventQueue, BarrierRunsAloneEvenWhenTied) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(1.0, [&] { order.push_back(0); });
-  q.schedule_barrier_at(1.0, [&] { order.push_back(100); });
-  q.schedule_at(1.0, [&] { order.push_back(1); });
-  // The parallel driver's epoch loop: per-node work runs until the next
-  // event is a barrier, which then runs alone.
-  EXPECT_FALSE(q.next_is_barrier());
-  EXPECT_TRUE(q.run_one());
-  EXPECT_EQ(order, (std::vector<int>{0}));
-  EXPECT_EQ(q.next_when(), 1.0);
-  EXPECT_TRUE(q.next_is_barrier());
-  EXPECT_TRUE(q.run_one());
-  EXPECT_EQ(order, (std::vector<int>{0, 100}));
-  EXPECT_FALSE(q.next_is_barrier());
-  EXPECT_TRUE(q.run_one());
-  EXPECT_EQ(order, (std::vector<int>{0, 100, 1}));
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, EventsScheduledDuringEpochJoinFollowingEpochs) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(1.0, [&] {
-    order.push_back(1);
-    // Same-time insertion keeps the epoch's timestamp and runs before
-    // anything later.
-    q.schedule_at(1.0, [&] { order.push_back(2); });
-    q.schedule_at(3.0, [&] { order.push_back(3); });
-  });
-  EXPECT_TRUE(q.run_one());
-  EXPECT_EQ(q.next_when(), 1.0);
-  EXPECT_TRUE(q.run_one());
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(q.next_when(), 3.0);
-  EXPECT_TRUE(q.run_one());
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
 TEST(EventQueue, ManyEventsStaySorted) {
   EventQueue q;
   double last = -1.0;
@@ -158,11 +107,11 @@ TEST(EventQueue, DeliveriesAndCallbacksTieInSchedulingOrder) {
   q.schedule_at(2.0, [&] { order.push_back("c1"); });
   q.schedule_at(1.0, [&] { order.push_back("early"); });
   q.schedule_delivery_at(2.0, &handler, tagged("d2"));
-  q.schedule_barrier_at(2.0, [&] { order.push_back("b3"); });
+  q.schedule_at(2.0, [&] { order.push_back("c3"); });
   q.schedule_delivery_at(2.0, &handler, tagged("d4"));
   q.schedule_at(2.0, [&] { order.push_back("c5"); });
   EXPECT_EQ(q.run_all(), 7u);
-  EXPECT_EQ(order, (std::vector<std::string>{"early", "d0", "c1", "d2", "b3",
+  EXPECT_EQ(order, (std::vector<std::string>{"early", "d0", "c1", "d2", "c3",
                                              "d4", "c5"}));
 }
 
@@ -196,34 +145,6 @@ TEST(EventQueue, EventScheduledWhileRunningReusesTheFreedSlotSafely) {
                                       "after a+", "a++", "after a++", "a+++",
                                       "late"}));
   EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, BarrierStaysVisibleAmongDeliveries) {
-  EventQueue q;
-  const DeliveryHandler handler = [](Frame&&) {};
-  for (int i = 0; i < 64; ++i) {
-    q.schedule_delivery_at(0.5 + 0.005 * i, &handler, tagged("d"));
-  }
-  q.schedule_barrier_at(1.0, [] {});
-  for (int i = 0; i < 64; ++i) {
-    q.schedule_delivery_at(1.0 + 0.01 * (i % 3), &handler, tagged("d"));
-  }
-  // The parallel driver's walk: run until the barrier is next; it must show
-  // exactly once, after every earlier event and before every later one.
-  int barriers_seen = 0;
-  double last = 0.0;
-  while (!q.empty()) {
-    const double when = q.next_when();
-    EXPECT_GE(when, last);
-    if (q.next_is_barrier()) {
-      ++barriers_seen;
-      EXPECT_EQ(when, 1.0);
-      EXPECT_EQ(q.pending(), 65u);  // the barrier and the 64 later deliveries
-    }
-    last = when;
-    ASSERT_TRUE(q.run_one());
-  }
-  EXPECT_EQ(barriers_seen, 1);
 }
 
 TEST(EventQueue, ReregisteredHandlerReceivesFramesInFlight) {

@@ -14,10 +14,6 @@
 //      attributed to exactly one query), so the sums are exact, not
 //      approximate.
 //
-// MultiQuerySim additionally pins worker-count independence: the
-// simulator's parallel epoch driver gives every query the same results for
-// any --workers value.
-//
 // MultiQueryBackendParity forks the multiprocess backend and is excluded
 // from the TSan job (like BackendParityMatrix); MultiQuerySim is
 // simulator-only and runs everywhere.
@@ -123,27 +119,6 @@ TEST(MultiQuerySim, PerQueryCountersSumToNodeAggregates) {
     }
     EXPECT_EQ(received, node.received_tuples()) << "node " << id;
   }
-}
-
-TEST(MultiQuerySim, WorkerCountDoesNotChangePerQueryResults) {
-  auto serial_config = replicated_config(3);
-  auto parallel_config = serial_config;
-  parallel_config.worker_threads = 3;
-  const auto serial = run_backend(serial_config, core::Backend::kSim);
-  const auto parallel = run_backend(parallel_config, core::Backend::kSim);
-  ASSERT_TRUE(serial.clean) << serial.error;
-  ASSERT_TRUE(parallel.clean) << parallel.error;
-  ASSERT_EQ(serial.per_query.size(), parallel.per_query.size());
-  for (std::size_t q = 0; q < serial.per_query.size(); ++q) {
-    EXPECT_EQ(serial.per_query[q].pairs, parallel.per_query[q].pairs);
-    EXPECT_EQ(serial.per_query[q].reported_pairs,
-              parallel.per_query[q].reported_pairs);
-    EXPECT_EQ(serial.per_query[q].received_tuples,
-              parallel.per_query[q].received_tuples);
-    EXPECT_EQ(serial.per_query[q].forwarded_tuples,
-              parallel.per_query[q].forwarded_tuples);
-  }
-  EXPECT_EQ(serial.pairs, parallel.pairs);
 }
 
 TEST(MultiQueryBackendParity, IdenticalQueriesMatchBaselineOnAllBackends) {
