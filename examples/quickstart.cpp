@@ -33,11 +33,7 @@ int main(int argc, char** argv) {
       .add_double("noise", 0.15, "background cold-tuple fraction")
       .add_int("seed", 42, "experiment seed");
   if (auto status = flags.parse(argc, argv); !status) {
-    if (status.code() != common::ErrorCode::kFailedPrecondition) {
-      std::fprintf(stderr, "error: %s\n", status.to_string().c_str());
-      return 1;
-    }
-    return 0;
+    return status.code() == common::ErrorCode::kFailedPrecondition ? 0 : 1;
   }
 
   core::SystemConfig config;

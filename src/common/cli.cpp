@@ -35,6 +35,14 @@ CliFlags& CliFlags::add_bool(std::string name, bool default_value, std::string h
 }
 
 Status CliFlags::parse(int argc, const char* const* argv) {
+  Status status = parse_args(argc, argv);
+  if (!status && status.code() != ErrorCode::kFailedPrecondition) {
+    std::fprintf(stderr, "error: %s\n", status.message().c_str());
+  }
+  return status;
+}
+
+Status CliFlags::parse_args(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
     if (arg == "--help" || arg == "-h") {

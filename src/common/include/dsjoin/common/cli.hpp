@@ -28,8 +28,9 @@ class CliFlags {
   CliFlags& add_string(std::string name, std::string default_value, std::string help);
   CliFlags& add_bool(std::string name, bool default_value, std::string help);
 
-  /// Parses argv. On `--help` prints usage and returns kFailedPrecondition so
-  /// callers can exit cleanly; other failures return kInvalidArgument.
+  /// Parses argv. On `--help` prints usage to stdout and returns
+  /// kFailedPrecondition so callers can exit cleanly; other failures print
+  /// `error: <reason>` to stderr and return kInvalidArgument.
   Status parse(int argc, const char* const* argv);
 
   std::int64_t get_int(std::string_view name) const;
@@ -48,6 +49,7 @@ class CliFlags {
     std::string value;  // textual; converted on read
   };
 
+  Status parse_args(int argc, const char* const* argv);
   const Flag* find(std::string_view name, Kind kind) const;
 
   std::string description_;

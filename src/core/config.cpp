@@ -101,6 +101,11 @@ common::Status validate_config(const SystemConfig& config) {
         "got %u",
         kMaxNodes, config.nodes));
   }
+  if (config.tuples_per_node > kMaxTuplesPerNode) {
+    return fail(str_format("tuples must be <= 2^32, got %llu",
+                           static_cast<unsigned long long>(
+                               config.tuples_per_node)));
+  }
   // The arrival schedule draws exponential gaps at this rate: 0 puts every
   // arrival at t = inf, a negative or NaN rate runs time backwards.
   if (!std::isfinite(config.arrivals_per_second) ||

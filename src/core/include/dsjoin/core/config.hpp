@@ -91,6 +91,10 @@ inline constexpr std::size_t kMaxQueries = 64;
 /// byte (stream::Tuple::serialize), and results ship back to that origin.
 inline constexpr std::uint32_t kMaxNodes = 256;
 
+/// Hard cap on tuples_per_node: keeps slots * tuples and the dense tuple
+/// ids far inside 64 bits. A negative count cast to u64 lands above it.
+inline constexpr std::uint64_t kMaxTuplesPerNode = std::uint64_t{1} << 32;
+
 /// Full experiment description. Defaults give a small, fast, paper-shaped
 /// run; benches override what each figure sweeps.
 struct SystemConfig {

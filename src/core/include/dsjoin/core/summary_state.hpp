@@ -123,6 +123,11 @@ common::Status decode_blocks(const SummaryBlock& block, const Visitor& visitor);
 
 }  // namespace summary_codec
 
+/// Sorts `values` ascending by LSD radix sort on v - min: the pass count
+/// follows the range, at most 11 bits per pass (a DFTT reconstruction
+/// spans two), and any range sorts. CoeffStore's reconstruction index.
+void radix_sort(std::vector<std::int64_t>& values);
+
 /// Remote DFT coefficients for one (peer, side), with a lazily rebuilt
 /// reconstruction cache: the rounded inverse DFT, sorted ascending, so a
 /// tolerance-window count is two binary searches.

@@ -1,8 +1,10 @@
 #include "dsjoin/core/summary_state.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "dsjoin/core/config.hpp"
 
@@ -441,60 +443,49 @@ void CoeffStore::apply(const std::vector<dsp::CoeffDelta>& deltas) {
   }
 }
 
-namespace {
-
-// Sorts ascending by natural merge: split into maximal monotone runs,
-// reverse the descending ones, then merge neighbouring runs bottom-up
-// through one scratch buffer. A reconstruction from K retained
-// coefficients is a smooth curve with at most 2K - 1 runs, so this costs
-// O(W log runs) instead of std::sort's O(W log W). The run bounds and the
-// scratch buffer are per-thread and keep their capacity; a final swap
-// trades `values`' buffer for the scratch one, both of capacity >= n.
-void sort_by_natural_merge(std::vector<std::int64_t>& values) {
+// ceil(bits(range) / 11) stable counting passes of equal digit width over
+// v - min, so the pass count follows the window's range, not the key
+// width: a DFTT reconstruction spans a few hundred thousand values at
+// most. The counts and the scratch buffer are per-thread and keep their
+// capacity; an odd pass count ends with a swap that trades `values`'
+// buffer for the scratch one.
+void radix_sort(std::vector<std::int64_t>& values) {
+  constexpr unsigned kMaxDigitBits = 11;
   const std::size_t n = values.size();
-  thread_local std::vector<std::size_t> bounds;
+  assert(n <= UINT32_MAX);  // the counts are u32
+  if (n < 2) return;
+  const auto [min_it, max_it] = std::minmax_element(values.begin(), values.end());
+  const auto base = static_cast<std::uint64_t>(*min_it);
+  const std::uint64_t range = static_cast<std::uint64_t>(*max_it) - base;
+  if (range == 0) return;
+  const auto bits = static_cast<unsigned>(std::bit_width(range));
+  const unsigned passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  const unsigned digit_bits = (bits + passes - 1) / passes;
+  const std::uint64_t mask = (std::uint64_t{1} << digit_bits) - 1;
+  thread_local std::vector<std::uint32_t> counts;
   thread_local std::vector<std::int64_t> scratch;
-  bounds.assign(1, 0);  // run i is [bounds[i], bounds[i + 1])
-  for (std::size_t i = 0; i < n;) {
-    // A run's direction is its first strict step; equal neighbours extend
-    // a run either way, so the plateaus of a rounded curve split nothing.
-    std::size_t j = i + 1;
-    while (j < n && values[j] == values[i]) ++j;
-    if (j < n && values[j] < values[i]) {
-      while (j < n && values[j] <= values[j - 1]) ++j;
-      std::reverse(values.begin() + static_cast<std::ptrdiff_t>(i),
-                   values.begin() + static_cast<std::ptrdiff_t>(j));
-    } else {
-      while (j < n && values[j] >= values[j - 1]) ++j;
-    }
-    bounds.push_back(j);
-    i = j;
-  }
-  if (bounds.size() <= 2) return;
+  counts.resize(std::size_t{1} << digit_bits);
   scratch.resize(n);
   std::int64_t* src = values.data();
   std::int64_t* dst = scratch.data();
-  while (bounds.size() > 2) {
-    // Merge runs (0, 1), (2, 3), ...; an odd last run is copied.
-    std::size_t kept = 1;
-    for (std::size_t r = 0; r + 1 < bounds.size(); r += 2) {
-      const std::size_t lo = bounds[r];
-      const std::size_t mid = bounds[r + 1];
-      const std::size_t hi = r + 2 < bounds.size() ? bounds[r + 2] : mid;
-      std::merge(src + lo, src + mid, src + mid, src + hi, dst + lo);
-      bounds[kept++] = hi;
-    }
-    bounds.resize(kept);
+  for (unsigned shift = 0; shift < passes * digit_bits; shift += digit_bits) {
+    const auto digit = [&](std::int64_t v) {
+      return static_cast<std::size_t>(
+          ((static_cast<std::uint64_t>(v) - base) >> shift) & mask);
+    };
+    std::fill(counts.begin(), counts.end(), 0u);
+    for (std::size_t i = 0; i < n; ++i) ++counts[digit(src[i])];
+    std::uint32_t offset = 0;
+    for (std::uint32_t& c : counts) offset += std::exchange(c, offset);
+    for (std::size_t i = 0; i < n; ++i) dst[counts[digit(src[i])]++] = src[i];
     std::swap(src, dst);
   }
   if (src != values.data()) values.swap(scratch);
 }
 
-}  // namespace
-
 void CoeffStore::rebuild() {
   dsp::reconstruct_rounded(spectrum_, sorted_);
-  sort_by_natural_merge(sorted_);
+  radix_sort(sorted_);
   dirty_ = false;
 }
 

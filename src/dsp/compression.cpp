@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 
+#include "dsjoin/common/simd.hpp"
+
 namespace dsjoin::dsp {
 
 std::size_t retained_for_kappa(std::size_t window, double kappa) noexcept {
@@ -31,19 +33,9 @@ namespace {
 // spectrum, in a per-thread buffer (the plans are per-thread too) that the
 // next call on this thread overwrites.
 std::span<const Complex> inverse_band(const CompressedSpectrum& spectrum) {
-  const std::size_t w = spectrum.window;
-  assert(w >= 2);
-  assert(spectrum.coeffs.size() <= w / 2 + 1);
   thread_local std::vector<Complex> full;
-  full.assign(w, Complex{});
-  full[0] = spectrum.coeffs.empty() ? Complex{} : spectrum.coeffs[0];
-  for (std::size_t k = 1; k < spectrum.coeffs.size(); ++k) {
-    full[k] = spectrum.coeffs[k];
-    // Mirror; at k == w/2 (Nyquist, even w) the mirror is the same slot and
-    // the coefficient of a real signal is already real.
-    if (w - k != k) full[w - k] = std::conj(spectrum.coeffs[k]);
-  }
-  Fft::plan(w).inverse(full);
+  full.resize(spectrum.window);
+  Fft::plan(spectrum.window).inverse_band(spectrum.coeffs, full);
   return full;
 }
 
@@ -60,9 +52,8 @@ void reconstruct_rounded(const CompressedSpectrum& spectrum,
                          std::vector<std::int64_t>& out) {
   const std::span<const Complex> full = inverse_band(spectrum);
   out.resize(full.size());
-  for (std::size_t n = 0; n < full.size(); ++n) {
-    out[n] = static_cast<std::int64_t>(std::llround(full[n].real()));
-  }
+  common::simd::llround_real_parts(reinterpret_cast<const double*>(full.data()),
+                                   full.size(), out.data());
 }
 
 std::vector<double> squared_errors(std::span<const double> original,

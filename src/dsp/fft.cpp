@@ -7,11 +7,17 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "dsjoin/common/simd.hpp"
+
 namespace dsjoin::dsp {
 
 namespace {
 
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
+
+// Fft::inverse_band sorts the live slots of bands up to this many bins;
+// wider ones are listed by a scan of all size_ slots.
+constexpr std::size_t kSortedBandMax = 64;
 
 std::vector<std::size_t> make_bit_reversal(std::size_t n) {
   std::vector<std::size_t> rev(n, 0);
@@ -27,91 +33,112 @@ std::vector<std::size_t> make_bit_reversal(std::size_t n) {
   return rev;
 }
 
+// Twiddles in stage order: the stage of half-size h (blocks of 2h) reads
+// its h factors e^{-2*pi*i*j/(2h)}, j < h, contiguously from offset h - 1.
+// Each is computed as e^{-2*pi*i*(j*step)/n}, step = n/(2h): the angle the
+// stride-indexed size-n table held, to the bit.
 std::vector<Complex> make_twiddles(std::size_t n) {
-  std::vector<Complex> tw(n / 2);
-  for (std::size_t j = 0; j < n / 2; ++j) {
-    const double angle = -kTwoPi * static_cast<double>(j) / static_cast<double>(n);
-    tw[j] = Complex(std::cos(angle), std::sin(angle));
+  std::vector<Complex> tw(n - 1);
+  for (std::size_t half = 1; half < n; half <<= 1) {
+    const std::size_t step = n / (2 * half);
+    for (std::size_t j = 0; j < half; ++j) {
+      const double angle = -kTwoPi * static_cast<double>(j * step) /
+                           static_cast<double>(n);
+      tw[half - 1 + j] = Complex(std::cos(angle), std::sin(angle));
+    }
   }
   return tw;
 }
 
-// radix2's zero-block flags, one per element. Per thread rather than per
-// plan: Fft::plan shares one plan per thread, and a plan may be used from
-// several threads at once.
-std::vector<unsigned char>& zero_flags(std::size_t n) {
-  thread_local std::vector<unsigned char> flags;
-  if (flags.size() < n) flags.resize(n);
-  return flags;
+// radix2's live-block list. Per thread rather than per plan: Fft::plan
+// shares one plan per thread, and a plan may be used from several threads
+// at once.
+std::vector<std::size_t>& live_list(std::size_t n) {
+  thread_local std::vector<std::size_t> live;
+  if (live.capacity() < n) live.reserve(n);
+  live.clear();
+  return live;
 }
 
-// Core iterative radix-2 transform over precomputed tables; `Invert`
-// negates the twiddles' imaginary parts (exact), scaling is the caller's
-// responsibility.
+// Sets `live` to the ascending indices of data's elements that are not two
+// exact zeros.
+void collect_live(const double* d, std::size_t n, std::vector<std::size_t>& live) {
+  live.resize(n);
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    live[count] = i;
+    count += d[2 * i] != 0.0 || d[2 * i + 1] != 0.0 ? 1 : 0;
+  }
+  live.resize(count);
+}
+
+// The butterfly stages of an iterative radix-2 transform over data already
+// in bit-reversed order; `live` lists, ascending, the elements that are
+// not two exact zeros, and `invert` conjugates the twiddles (exact).
+// Scaling is the caller's responsibility. Each stage hands its blocks to
+// the dispatched simd:: butterfly kernel, picked once here, which performs
+// the operations, in the order, that std::complex<double>'s operator*
+// evaluates for finite operands, minus the NaN-recovery branch (__muldc3),
+// so finite inputs give the same bits at every level.
 //
-// The butterfly works on the interleaved doubles (an array of
-// std::complex<double> may be accessed as double[2n]). Under
-// -ffp-contract=off its product performs the operations, in the order,
-// that std::complex<double>::operator* evaluates for finite operands, minus
-// the NaN-recovery branch (__muldc3), so finite inputs give the same bits.
-//
-// Zero sub-blocks: zero[s] is set while the current stage's block starting
-// at s holds only exact zeros. A block whose two halves are both zero is
-// skipped; a block whose odd half alone is zero gets its even half copied
-// over (u +- 0*w == u). Both shortcuts change at most the sign of an exact
-// zero, which never reaches a nonzero result (x +- 0 == x, 0 * w == 0).
-// Band-limited spectra, a few retained bins out of W, skip most of the
-// early stages. Tracking ends at the first stage without a zero block.
-template <bool Invert>
+// Zero blocks: while the previous stage left a block of exact zeros, a
+// stage visits only the blocks that hold a live half, and `live` becomes
+// the ascending starts of those blocks. A block whose two halves are both
+// zero is skipped; a block whose odd half alone is zero gets its even half
+// copied over (u +- 0*w == u). Both shortcuts change at most the sign of
+// an exact zero, which never reaches a nonzero result (x +- 0 == x,
+// 0 * w == 0). Band-limited spectra, a few retained bins out of W, visit a
+// few blocks per early stage. Neighbouring blocks that need the butterfly
+// go to the kernel in one call; from the first stage without a zero block
+// on, each stage is one call.
+void run_stages(double* d, std::size_t n, const std::vector<Complex>& twiddles,
+                std::vector<std::size_t>& live, bool invert) {
+  const common::simd::ButterflyKernel kernel =
+      common::simd::butterfly_kernel(invert);
+  const auto stage_twiddles = [&](std::size_t half) {
+    return reinterpret_cast<const double*>(twiddles.data() + half - 1);
+  };
+  std::size_t len = 2;
+  for (; len <= n && live.size() < n / (len >> 1); len <<= 1) {
+    const std::size_t half = len >> 1;
+    const double* tw = stage_twiddles(half);
+    std::size_t kept = 0;
+    std::size_t run_start = 0;
+    std::size_t run = 0;  // blocks from run_start awaiting the kernel
+    for (std::size_t i = 0; i < live.size();) {
+      const std::size_t start = live[i] & ~(len - 1);
+      if (live[i] == start) ++i;
+      const bool odd_live = i < live.size() && live[i] == start + half;
+      if (odd_live) ++i;
+      live[kept++] = start;
+      if (!odd_live) {
+        double* even = d + 2 * start;
+        std::copy(even, even + 2 * half, even + 2 * half);
+      } else if (run != 0 && run_start + run * len == start) {
+        ++run;
+      } else {
+        if (run != 0) kernel(d + 2 * run_start, run, half, tw);
+        run_start = start;
+        run = 1;
+      }
+    }
+    if (run != 0) kernel(d + 2 * run_start, run, half, tw);
+    live.resize(kept);
+  }
+  for (; len <= n; len <<= 1) kernel(d, n / len, len >> 1, stage_twiddles(len >> 1));
+}
+
+// The complete transform: permute, list the live elements, run the stages.
 void radix2(std::span<Complex> data, const std::vector<std::size_t>& rev,
-            const std::vector<Complex>& twiddles) {
+            const std::vector<Complex>& twiddles, bool invert) {
   const std::size_t n = data.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (i < rev[i]) std::swap(data[i], data[rev[i]]);
   }
   double* d = reinterpret_cast<double*>(data.data());
-  const double* tw = reinterpret_cast<const double*>(twiddles.data());
-  std::vector<unsigned char>& zero = zero_flags(n);
-  bool any_zero = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    zero[i] = d[2 * i] == 0.0 && d[2 * i + 1] == 0.0;
-    any_zero = any_zero || zero[i];
-  }
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len >> 1;
-    const std::size_t step = n / len;  // stride into the size-n twiddle table
-    const bool track = any_zero;
-    any_zero = false;
-    for (std::size_t start = 0; start < n; start += len) {
-      double* even = d + 2 * start;
-      double* odd = even + 2 * half;
-      if (track) {
-        if (zero[start + half]) {
-          if (zero[start]) {
-            any_zero = true;
-          } else {
-            std::copy(even, odd, odd);
-          }
-          continue;
-        }
-        zero[start] = 0;
-      }
-      for (std::size_t j = 0; j < half; ++j) {
-        const double wr = tw[2 * j * step];
-        const double wi = Invert ? -tw[2 * j * step + 1] : tw[2 * j * step + 1];
-        const double xr = odd[2 * j];
-        const double xi = odd[2 * j + 1];
-        const double vr = xr * wr - xi * wi;
-        const double vi = xr * wi + xi * wr;
-        const double ur = even[2 * j];
-        const double ui = even[2 * j + 1];
-        even[2 * j] = ur + vr;
-        even[2 * j + 1] = ui + vi;
-        odd[2 * j] = ur - vr;
-        odd[2 * j + 1] = ui - vi;
-      }
-    }
-  }
+  std::vector<std::size_t>& live = live_list(n);
+  collect_live(d, n, live);
+  run_stages(d, n, twiddles, live, invert);
 }
 
 }  // namespace
@@ -168,7 +195,7 @@ Fft::Fft(std::size_t size) : size_(size), pow2_(is_power_of_two(size)) {
     kernel[n] = std::conj(chirp_[n]);
     kernel[conv_size_ - n] = std::conj(chirp_[n]);
   }
-  radix2<false>(kernel, conv_bit_reversal_, conv_twiddles_);
+  radix2(kernel, conv_bit_reversal_, conv_twiddles_, /*invert=*/false);
   chirp_spectrum_ = std::move(kernel);
 }
 
@@ -176,7 +203,7 @@ void Fft::forward(std::span<Complex> data) const {
   assert(data.size() == size_);
   if (size_ == 1) return;
   if (pow2_) {
-    radix2<false>(data, bit_reversal_, twiddles_);
+    radix2(data, bit_reversal_, twiddles_, /*invert=*/false);
   } else {
     transform_bluestein(data, /*invert=*/false);
   }
@@ -186,12 +213,47 @@ void Fft::inverse(std::span<Complex> data) const {
   assert(data.size() == size_);
   if (size_ == 1) return;
   if (pow2_) {
-    radix2<true>(data, bit_reversal_, twiddles_);
+    radix2(data, bit_reversal_, twiddles_, /*invert=*/true);
   } else {
     transform_bluestein(data, /*invert=*/true);
   }
   const double scale = 1.0 / static_cast<double>(size_);
   for (auto& v : data) v *= scale;
+}
+
+void Fft::inverse_band(std::span<const Complex> band,
+                       std::span<Complex> out) const {
+  assert(out.size() == size_);
+  assert(size_ >= 2 && band.size() <= size_ / 2 + 1);
+  std::fill(out.begin(), out.end(), Complex{});
+  // Power-of-two sizes place each bin straight into its bit-reversed slot,
+  // which leaves out[] as radix2's swap pass would, and list the live
+  // slots; k and size_ - k are distinct slots, so each is written once.
+  std::vector<std::size_t>& live = live_list(size_);
+  const auto place = [&](std::size_t k, Complex v) {
+    const std::size_t slot = pow2_ ? bit_reversal_[k] : k;
+    out[slot] = v;
+    if (v.real() != 0.0 || v.imag() != 0.0) live.push_back(slot);
+  };
+  for (std::size_t k = 0; k < band.size(); ++k) {
+    place(k, band[k]);
+    if (k != 0 && size_ - k != k) place(size_ - k, std::conj(band[k]));
+  }
+  if (!pow2_) {
+    inverse(out);
+    return;
+  }
+  // A narrow band's few live slots sort fast; a wide band's come from
+  // radix2's scan.
+  double* d = reinterpret_cast<double*>(out.data());
+  if (band.size() <= kSortedBandMax) {
+    std::sort(live.begin(), live.end());
+  } else {
+    collect_live(d, size_, live);
+  }
+  run_stages(d, size_, twiddles_, live, /*invert=*/true);
+  const double scale = 1.0 / static_cast<double>(size_);
+  for (auto& v : out) v *= scale;
 }
 
 void Fft::transform_bluestein(std::span<Complex> data, bool invert) const {
@@ -202,9 +264,9 @@ void Fft::transform_bluestein(std::span<Complex> data, bool invert) const {
   }
   std::vector<Complex> a(conv_size_, Complex{});
   for (std::size_t n = 0; n < size_; ++n) a[n] = data[n] * chirp_[n];
-  radix2<false>(a, conv_bit_reversal_, conv_twiddles_);
+  radix2(a, conv_bit_reversal_, conv_twiddles_, /*invert=*/false);
   for (std::size_t i = 0; i < conv_size_; ++i) a[i] *= chirp_spectrum_[i];
-  radix2<true>(a, conv_bit_reversal_, conv_twiddles_);
+  radix2(a, conv_bit_reversal_, conv_twiddles_, /*invert=*/true);
   const double scale = 1.0 / static_cast<double>(conv_size_);
   for (std::size_t k = 0; k < size_; ++k) {
     data[k] = a[k] * scale * chirp_[k];

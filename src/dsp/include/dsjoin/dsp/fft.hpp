@@ -33,7 +33,7 @@ std::size_t next_power_of_two(std::size_t n) noexcept;
 /// A transform plan for one fixed size. Construction precomputes twiddle
 /// tables (and, for non-power-of-two sizes, the Bluestein chirp and its
 /// convolution spectrum). Power-of-two execution allocates nothing once
-/// the calling thread's zero-block flags (see fft.cpp) have grown to the
+/// the calling thread's live-block list (see fft.cpp) has grown to the
 /// size; Bluestein execution allocates a convolution buffer on every call.
 class Fft {
  public:
@@ -48,6 +48,16 @@ class Fft {
 
   /// In-place inverse transform (includes the 1/N scaling).
   void inverse(std::span<Complex> data) const;
+
+  /// Inverse transform (with the 1/N scaling) of the Hermitian spectrum of
+  /// a real signal given by its lowest bins: band[k] lands at k and, for
+  /// 0 < k < N - k, conj(band[k]) at its mirror N - k. The Nyquist bin
+  /// k = N/2 is its own mirror and is taken as given; every other bin is
+  /// zero. Writes all of `out`, whose size must equal size(); needs
+  /// size() >= 2 and band.size() <= size()/2 + 1. The result is bitwise the
+  /// inverse() of that spectrum; power-of-two sizes place the bins straight
+  /// into their bit-reversed slots and skip the permutation.
+  void inverse_band(std::span<const Complex> band, std::span<Complex> out) const;
 
   /// Forward transform of a real signal; returns all N complex coefficients
   /// (the conjugate-symmetric upper half included, for caller convenience).
@@ -72,13 +82,13 @@ class Fft {
   std::vector<Complex> real_twiddles_;  // e^{-2*pi*i*k/size_}, k <= size_/4
   // Radix-2 tables (also used by the Bluestein inner transform).
   std::vector<std::size_t> bit_reversal_;     // permutation for size_ (pow2 only)
-  std::vector<Complex> twiddles_;             // e^{-2*pi*i*j/size_}, j < size_/2
+  std::vector<Complex> twiddles_;             // size_ - 1, stage-ordered (fft.cpp)
   // Bluestein state (empty when pow2_).
   std::size_t conv_size_ = 0;                 // power-of-two convolution length
   std::vector<Complex> chirp_;                // e^{-pi*i*n^2/size_}
   std::vector<Complex> chirp_spectrum_;       // FFT of the padded conjugate chirp
   std::vector<std::size_t> conv_bit_reversal_;
-  std::vector<Complex> conv_twiddles_;
+  std::vector<Complex> conv_twiddles_;        // stage-ordered, like twiddles_
 };
 
 /// Direct O(n^2) DFT; the ground truth used by tests and the Table 1

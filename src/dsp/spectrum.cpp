@@ -32,19 +32,20 @@ CorrelationEstimate lag_max_correlation(std::span<const Complex> x,
   const double ey = spectral_energy(y);
   if (ex <= 0.0 || ey <= 0.0) return {};
 
-  // Build the conjugate-symmetric cross spectrum of the two real signals
-  // with DC suppressed, then inverse-transform: r[n] is the circular
-  // cross-correlation of the mean-removed low-passed signals. The buffer is
-  // per-thread, like the plan.
+  // Inverse-transform the conjugate-symmetric cross spectrum of the two
+  // real signals with DC suppressed: r[n] is the circular cross-correlation
+  // of the mean-removed low-passed signals. A Nyquist bin (x.size() ==
+  // window/2 + 1, even window) holds conj(s), as a fill that writes each
+  // mirror after its bin leaves there. The buffers are per-thread, like the
+  // plan.
+  thread_local std::vector<Complex> band;
   thread_local std::vector<Complex> full;
-  full.assign(window, Complex{});
-  for (std::size_t k = 1; k < x.size(); ++k) {
-    const Complex s = x[k] * std::conj(y[k]);
-    full[k] = s;
-    full[window - k] = std::conj(s);
-  }
-  const Fft& fft = Fft::plan(window);
-  fft.inverse(full);
+  band.resize(x.size());
+  band[0] = Complex{};
+  for (std::size_t k = 1; k < x.size(); ++k) band[k] = x[k] * std::conj(y[k]);
+  if (2 * (x.size() - 1) == window) band.back() = std::conj(band.back());
+  full.resize(window);
+  Fft::plan(window).inverse_band(band, full);
 
   // The lag of the largest |r[n]|, the first on ties. std::abs is a libm
   // hypot call, so a lag whose norm re^2 + im^2 is below `cutoff` skips it:

@@ -58,6 +58,29 @@ TEST(CliFlags, UnknownFlagFails) {
   EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
 }
 
+TEST(CliFlags, ParseFailurePrintsTheReason) {
+  auto flags = make_flags();
+  const char* argv[] = {"prog", "--workers", "2"};
+  testing::internal::CaptureStderr();
+  const auto status = flags.parse(3, argv);
+  const std::string err = testing::internal::GetCapturedStderr();
+  ASSERT_FALSE(status);
+  EXPECT_EQ(err, "error: unknown flag '--workers'\n");
+}
+
+TEST(CliFlags, HelpPrintsNoError) {
+  auto flags = make_flags();
+  const char* argv[] = {"prog", "--help"};
+  testing::internal::CaptureStderr();
+  testing::internal::CaptureStdout();
+  const auto status = flags.parse(2, argv);
+  const std::string out = testing::internal::GetCapturedStdout();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(status.code(), ErrorCode::kFailedPrecondition);
+  EXPECT_NE(out.find("--count"), std::string::npos);
+  EXPECT_TRUE(err.empty()) << err;
+}
+
 TEST(CliFlags, BadIntegerFails) {
   auto flags = make_flags();
   const char* argv[] = {"prog", "--count=abc"};

@@ -7,10 +7,13 @@
 // Each test splits one input stream into randomly sized batches — including
 // empty and single-element batches — across three seeds, and compares full
 // observable state against a scalar twin fed element by element. The last
-// section pins the SIMD match-collect kernel against its scalar reference
-// at every dispatch level.
+// section pins the SIMD match-collect and rounding kernels against their
+// scalar references at every dispatch level (the FFT butterflies are
+// pinned in tests/dsp/fft_test.cpp).
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -307,6 +310,53 @@ TEST(SimdIdentity, MatchScanKernelsMatchScalarAtEveryLevel) {
         for (std::size_t k = 0; k < m; ++k) {
           ASSERT_EQ(want_idx[k], idx[k])
               << simd::level_name(level) << " len=" << len << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+// llround_real_parts must return std::llround of every real part at every
+// level: the ties, the last double below one half, the limits of the
+// vector lanes' exact range (2^52) and the values routed to libm (NaN,
+// infinities, |x| >= 2^52), signed zeros and subnormals. Imaginary parts
+// are NaN so a lane that read one would show.
+TEST(SimdIdentity, RoundingKernelsMatchLlroundAtEveryLevel) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> reals = {
+      0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.49999999999999994,
+      -0.49999999999999994, 0x1p52 - 0.5, -(0x1p52 - 0.5), 0x1p52 + 0.5,
+      0x1p52 + 1.0, 0x1p52, -0x1p52, 0x1p53, -0x1p53, 0.0, -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), 0x1p-1030,
+      std::numeric_limits<double>::quiet_NaN(), inf, -inf, 0x1p63, -0x1p63,
+      4503599627370495.5, -4503599627370495.5, 1e15 + 0.5, -1e15 - 0.5};
+  common::Xoshiro256 rng(kSeeds[2]);
+  for (int i = 0; i < 200; ++i) {
+    // Multiples of 1/8: exact ties and near-ties around small integers.
+    reals.push_back(static_cast<double>(static_cast<std::int64_t>(rng.next() % 4001) - 2000) / 8.0);
+    reals.push_back(rng.next_double_in(-1e6, 1e6));
+  }
+  std::vector<double> pairs;
+  for (const double re : reals) {
+    pairs.push_back(re);
+    pairs.push_back(std::numeric_limits<double>::quiet_NaN());
+  }
+  std::vector<std::int64_t> want(reals.size());
+  for (std::size_t i = 0; i < reals.size(); ++i) want[i] = std::llround(reals[i]);
+
+  for (const simd::Level level : supported_levels()) {
+    ForcedLevel forced(level);
+    // Every offset into a vector of lanes, with every tail length up to 17
+    // and the whole rest of the input.
+    for (std::size_t start = 0; start < 8; ++start) {
+      for (std::size_t len = 0; len <= 18; ++len) {
+        const std::size_t n = len <= 17 ? len : reals.size() - start;
+        std::vector<std::int64_t> got(n, 12345);
+        simd::llround_real_parts(pairs.data() + 2 * start, n, got.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(got[i], want[start + i])
+              << simd::level_name(level) << " x=" << reals[start + i];
         }
       }
     }

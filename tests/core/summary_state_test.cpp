@@ -429,6 +429,43 @@ TEST(CoeffStore, UpdatesInvalidateCache) {
   EXPECT_EQ(store.updates_applied(), 2u);
 }
 
+// radix_sort must agree with std::sort whatever the range: a few passes
+// for narrow windows, four for a 2^40 range, six for the full int64 span,
+// with negative keys included.
+TEST(RadixSort, MatchesStdSort) {
+  common::Xoshiro256 rng(91);
+  const auto check = [](std::vector<std::int64_t> values) {
+    auto want = values;
+    std::sort(want.begin(), want.end());
+    radix_sort(values);
+    ASSERT_EQ(values, want);
+  };
+  check({});
+  check({-5});
+  check(std::vector<std::int64_t>(100, 7));
+  for (const std::int64_t span :
+       {std::int64_t{1}, std::int64_t{2}, std::int64_t{300},
+        std::int64_t{1} << 11, std::int64_t{600'000}, std::int64_t{1} << 40}) {
+    for (const std::int64_t offset :
+         {std::int64_t{0}, -span / 2, std::int64_t{-1} << 50,
+          std::int64_t{5'000}}) {
+      for (const std::size_t n : {std::size_t{2}, std::size_t{33}, std::size_t{2048}}) {
+        std::vector<std::int64_t> values(n);
+        for (auto& v : values) {
+          v = offset + static_cast<std::int64_t>(
+                           rng.next_below(static_cast<std::uint64_t>(span) + 1));
+        }
+        check(values);
+      }
+    }
+  }
+  std::vector<std::int64_t> extremes(64);
+  for (auto& v : extremes) v = static_cast<std::int64_t>(rng.next());
+  extremes[3] = std::numeric_limits<std::int64_t>::min();
+  extremes[9] = std::numeric_limits<std::int64_t>::max();
+  check(extremes);
+}
+
 // estimate_count must equal a brute-force count over the rounded
 // reconstruction, whatever the shape of the window.
 void expect_estimates_match_brute_force(std::uint32_t window,

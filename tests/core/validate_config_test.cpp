@@ -52,6 +52,20 @@ TEST(ValidateConfig, RejectsMoreNodesThanTheOriginByteAddresses) {
   EXPECT_EQ(decoded.status().code(), common::ErrorCode::kDataLoss);
 }
 
+TEST(ValidateConfig, RejectsTuplesPerNodeAboveTheCap) {
+  auto config = valid_config();
+  config.tuples_per_node = kMaxTuplesPerNode;
+  EXPECT_TRUE(validate_config(config).is_ok());
+  config.tuples_per_node = kMaxTuplesPerNode + 1;
+  const auto status = validate_config(config);
+  ASSERT_FALSE(status.is_ok());
+  EXPECT_NE(status.message().find("tuples must be <= 2^32"), std::string::npos)
+      << status.message();
+  // What a negative --tuples becomes once cast to u64.
+  config.tuples_per_node = static_cast<std::uint64_t>(std::int64_t{-1});
+  EXPECT_FALSE(validate_config(config).is_ok());
+}
+
 TEST(ValidateConfig, RejectsCoalesceFramesOutOfRange) {
   auto config = valid_config();
   config.coalesce_frames = 0;

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "dsjoin/common/rng.hpp"
+#include "dsjoin/common/simd.hpp"
 
 namespace dsjoin::dsp {
 namespace {
@@ -342,6 +343,30 @@ std::size_t nonzero_bit_mismatches(std::span<const Complex> got,
   return mismatches;
 }
 
+// The Hermitian spectrum Fft::inverse_band documents: band[k] at k and,
+// for 0 < k < n - k, conj(band[k]) at n - k.
+std::vector<Complex> hermitian_fill(std::span<const Complex> band,
+                                    std::size_t n) {
+  std::vector<Complex> out(n, Complex{});
+  for (std::size_t k = 0; k < band.size(); ++k) {
+    out[k] = band[k];
+    if (k != 0 && n - k != k) out[n - k] = std::conj(band[k]);
+  }
+  return out;
+}
+
+// Every dispatch level up to the detected one; forcing a tier this
+// architecture lacks (kNeon on x86) falls back to scalar.
+std::vector<common::simd::Level> supported_levels() {
+  using common::simd::Level;
+  std::vector<Level> out;
+  for (const Level level :
+       {Level::kScalar, Level::kNeon, Level::kAvx2, Level::kAvx512}) {
+    if (level <= common::simd::detected_level()) out.push_back(level);
+  }
+  return out;
+}
+
 class KernelBitIdentityTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(KernelBitIdentityTest, MatchesStdComplexKernelWhereNonzero) {
@@ -357,21 +382,52 @@ TEST_P(KernelBitIdentityTest, MatchesStdComplexKernelWhereNonzero) {
   inputs.emplace_back("impulse", impulse);
   inputs.emplace_back("zero", std::vector<Complex>(n, Complex{}));
 
+  // Fft::inverse_band's bands: K low bins, the full half spectrum with a
+  // complex Nyquist bin, and exact signed zeros among nonzero bins.
+  std::vector<std::pair<std::string, std::vector<Complex>>> bands;
+  for (std::size_t k : {std::size_t{1}, std::size_t{8}, std::size_t{32},
+                        n / 2 + 1}) {
+    if (k > n / 2 + 1) continue;
+    bands.emplace_back("K=" + std::to_string(k), random_signal(k, 5000 + n + k));
+  }
+  auto nyquist = random_signal(n / 2 + 1, 6000 + n);
+  nyquist.back() = Complex(-2.75, 0.5);
+  bands.emplace_back("nyquist", nyquist);
+  auto zeros = random_signal(std::min<std::size_t>(9, n / 2 + 1), 7000 + n);
+  for (std::size_t k = 0; k < zeros.size(); k += 2) {
+    zeros[k] = k % 4 == 0 ? Complex(-0.0, 0.0) : Complex(0.0, -0.0);
+  }
+  bands.emplace_back("signed zeros", zeros);
+
   const Fft& fft = Fft::plan(n);
-  for (const auto& [name, input] : inputs) {
-    for (bool invert : {false, true}) {
-      auto got = input;
-      if (invert) {
-        fft.inverse(got);
-      } else {
-        fft.forward(got);
+  for (const common::simd::Level level : supported_levels()) {
+    common::simd::force_level(level);
+    const char* level_name = common::simd::level_name(level);
+    for (const auto& [name, input] : inputs) {
+      for (bool invert : {false, true}) {
+        auto got = input;
+        if (invert) {
+          fft.inverse(got);
+        } else {
+          fft.forward(got);
+        }
+        const auto want = reference::transform(input, invert);
+        std::string first;
+        EXPECT_EQ(nonzero_bit_mismatches(got, want, first), 0u)
+            << level_name << " n=" << n << " " << name
+            << (invert ? " inverse" : " forward") << ", first at " << first;
       }
-      const auto want = reference::transform(input, invert);
+    }
+    for (const auto& [name, band] : bands) {
+      std::vector<Complex> got(n, Complex(9.0, 9.0));
+      fft.inverse_band(band, got);
+      const auto want = reference::transform(hermitian_fill(band, n), true);
       std::string first;
       EXPECT_EQ(nonzero_bit_mismatches(got, want, first), 0u)
-          << "n=" << n << " " << name << (invert ? " inverse" : " forward")
+          << level_name << " n=" << n << " inverse_band " << name
           << ", first at " << first;
     }
+    common::simd::reset_level();
   }
 }
 
